@@ -17,7 +17,8 @@ from typing import Optional
 
 import click
 
-from pdnskit.fingerprint import ProfileSet, classify, resolve_votes
+from pdnskit import __version__
+from pdnskit.fingerprint import UNKNOWN, ProfileSet, SldVotes, classify
 from pdnskit.ingest import (
     FirstSeenState,
     IngestStats,
@@ -25,7 +26,7 @@ from pdnskit.ingest import (
     first_seen_filter,
     read_stream,
 )
-from pdnskit.model import PublicSuffixList, RRType
+from pdnskit.model import PublicSuffixList, RRType, sld_name
 from pdnskit.pipeline import (
     ConfigError,
     FilterConfig,
@@ -38,11 +39,11 @@ from pdnskit.tables import fmt_share, read_domain_list, write_csv, write_json
 from pdnskit.tunnelgen import (
     GenConfig,
     GenConfigError,
+    demo_config,
     generate,
+    read_labels,
     write_corpus,
 )
-
-UNKNOWN = "unknown"
 
 
 def _apply_config_file(ctx: click.Context) -> None:
@@ -97,7 +98,7 @@ def _write_ingest_stats(outdir: Path, stats: IngestStats) -> None:
 
 
 @click.group()
-@click.version_option(package_name="pdnskit", prog_name="pdnskit")
+@click.version_option(version=__version__, prog_name="pdnskit")
 def cli():
     """Passive-DNS measurement statistics and tunnel-candidate filtering."""
 
@@ -235,30 +236,17 @@ def cmd_classify(ctx, inputs, outdir, fmt, profiles_path, labels_path, min_match
     )
     psl = _load_psl(p["psl_path"])
     min_matches = int(p["min_matches"])
-    labels = None
-    if p["labels_path"]:
-        from pdnskit.tunnelgen import read_labels
-
-        labels = read_labels(p["labels_path"])
+    labels = read_labels(p["labels_path"]) if p["labels_path"] else None
     stats = IngestStats()
     stream = _input_streams(inputs, p["fmt"], stats, dedup=False)
 
-    from pdnskit.model import sld_name
-
-    votes: dict[str, Counter] = {}
-    unknowns: Counter = Counter()
-    totals: Counter = Counter()
+    votes = SldVotes()
     confusion: Counter = Counter()
     n_entries = 0
     for entry in stream:
         n_entries += 1
         result = classify(entry, profiles, min_matches=min_matches)
-        sld = sld_name(entry, psl)
-        totals[sld] += 1
-        if result.is_unknown:
-            unknowns[sld] += 1
-        else:
-            votes.setdefault(sld, Counter())[result.implementation] += 1
+        votes.add(sld_name(entry, psl), result)
         if labels is not None:
             kind, cls = labels.get(entry.rrname.name, ("?", "?"))
             truth = cls if kind == "tunnel" else f"benign:{cls}"
@@ -267,8 +255,9 @@ def cmd_classify(ctx, inputs, outdir, fmt, profiles_path, labels_path, min_match
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
+    totals = votes.totals
     for sld in sorted(totals, key=lambda s: (-totals[s], s)):
-        att = resolve_votes(votes.get(sld, {}), unknowns[sld], totals[sld], profiles)
+        att = votes.resolve(sld, profiles)
         rows.append(
             (
                 sld,
@@ -325,12 +314,7 @@ def cmd_gen(config_path, demo, outdir, name, seed, profiles_path):
     """Generate a labeled synthetic corpus (NDJSON + labels sidecar)."""
     if demo == bool(config_path):
         raise click.UsageError("pass exactly one of --config or --demo")
-    if demo:
-        from pdnskit.tunnelgen import demo_config
-
-        cfg = demo_config()
-    else:
-        cfg = GenConfig.from_json_file(config_path)
+    cfg = demo_config() if demo else GenConfig.from_json_file(config_path)
     if seed is not None:
         cfg.seed = seed
     profiles = ProfileSet.from_file(profiles_path) if profiles_path else ProfileSet.default()

@@ -8,6 +8,8 @@ live in a data file (`data/tunnel_profiles.conf`), not in code.
 from __future__ import annotations
 
 import configparser
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -27,6 +29,7 @@ __all__ = [
     "ProfileSet",
     "Attribution",
     "SldAttribution",
+    "SldVotes",
     "detect_encoding",
     "extract_attributes",
     "match_profile",
@@ -55,15 +58,32 @@ ATTRIBUTE_NAMES = (
 
 UNKNOWN = "unknown"
 
-_HEX_CHARS = frozenset("0123456789abcdef")
-_BASE32_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz234567")
-_BASE32_DIGITS = frozenset("234567")
-_B64_SPECIALS = frozenset("-_+/")
-_B64_CHARSET = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_+/="
-)
 _ASCII_DIGITS = frozenset("0123456789")
 _ASCII_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+
+# Character classes tallied by `detect_encoding`. Every class but _DIRTY
+# lies inside the base64-like charset.
+(
+    _DIGIT,  # 0 1 8 9: hex, not base32
+    _DIGIT_B32,  # 2-7: hex and base32
+    _LOWER_HEX,
+    _LOWER_REST,
+    _UPPER_HEX,
+    _UPPER_REST,
+    _B64_SPECIAL,
+    _PAD,
+    _DIRTY,
+) = range(9)
+_ENCODING_CLASS = {
+    **dict.fromkeys("0189", _DIGIT),
+    **dict.fromkeys("234567", _DIGIT_B32),
+    **dict.fromkeys("abcdef", _LOWER_HEX),
+    **dict.fromkeys("ghijklmnopqrstuvwxyz", _LOWER_REST),
+    **dict.fromkeys("ABCDEF", _UPPER_HEX),
+    **dict.fromkeys("GHIJKLMNOPQRSTUVWXYZ", _UPPER_REST),
+    **dict.fromkeys("-_+/", _B64_SPECIAL),
+    "=": _PAD,
+}
 
 
 def detect_encoding(text: str, min_share: float = 0.95) -> str:
@@ -73,29 +93,26 @@ def detect_encoding(text: str, min_share: float = 0.95) -> str:
     characters (so detection is case-stable) and each requires at least
     one of its digit characters, which keeps short plain words like "www"
     out. base64-like requires a clean charset, letters and digits, and
-    either mixed case or at least two of `-_+/`.
+    either mixed case or at least two of `-_+/`. One pass over the text
+    tallies its characters by class; the decisions read the tally.
     """
-    if not text:
+    tally = [0] * 9
+    cls = _ENCODING_CLASS.get
+    for c in text:
+        tally[cls(c, _DIRTY)] += 1
+    digit, digit_b32, lower_hex, lower_rest, upper_hex, upper_rest, specials, _, dirty = tally
+    digits = digit + digit_b32
+    if not digits:  # every encoding needs a digit
         return ENCODING_NONE
-    alnum = [c for c in text if c in _ASCII_DIGITS or c in _ASCII_LETTERS]
-    if alnum:
-        folded = [c.lower() for c in alnum]
-        n = len(folded)
-        hex_n = sum(c in _HEX_CHARS for c in folded)
-        if hex_n >= min_share * n and any(c in _ASCII_DIGITS for c in folded):
-            return ENCODING_HEX
-        b32_n = sum(c in _BASE32_CHARS for c in folded)
-        if b32_n >= min_share * n and any(c in _BASE32_DIGITS for c in folded):
-            return ENCODING_BASE32
-        if all(c in _B64_CHARSET for c in text):
-            has_digit = any(c in _ASCII_DIGITS for c in alnum)
-            has_letter = any(c in _ASCII_LETTERS for c in alnum)
-            mixed_case = any(c.islower() for c in alnum) and any(
-                c.isupper() for c in alnum
-            )
-            specials = sum(c in _B64_SPECIALS for c in text)
-            if has_digit and has_letter and (mixed_case or specials >= 2):
-                return ENCODING_BASE64
+    lower = lower_hex + lower_rest
+    upper = upper_hex + upper_rest
+    alnum = digits + lower + upper
+    if digits + lower_hex + upper_hex >= min_share * alnum:
+        return ENCODING_HEX
+    if digit_b32 and digit_b32 + lower + upper >= min_share * alnum:
+        return ENCODING_BASE32
+    if not dirty and (lower or upper) and ((lower and upper) or specials >= 2):
+        return ENCODING_BASE64
     return ENCODING_NONE
 
 
@@ -232,8 +249,27 @@ def _profile_from_section(name: str, sec) -> ImplementationProfile:
     )
 
 
+def _compile(p: ImplementationProfile) -> tuple:
+    """The flat row `classify` scores `p` by, in `match_profile`'s order."""
+    return (
+        p,
+        *p.payload_len,
+        *p.levels,
+        *p.label4_len,
+        *p.label5_len,
+        p.rrtypes,
+        frozenset(p.encodings),
+        p.first_chars,
+        frozenset(p.markers),
+    )
+
+
 class ProfileSet:
-    """An ordered collection of profiles sharing one marker vocabulary."""
+    """An ordered collection of profiles sharing one marker vocabulary.
+
+    The set is compiled once, here, into the form `classify` scores: one
+    flat row per profile and the profiles carrying a provider rule.
+    """
 
     def __init__(self, profiles: Sequence[ImplementationProfile]):
         if not profiles:
@@ -247,6 +283,8 @@ class ProfileSet:
             m for p in self.profiles for m in p.markers
         )
         self._order = {p.name: i for i, p in enumerate(self.profiles)}
+        self._rows = tuple(_compile(p) for p in self.profiles)
+        self._providers = tuple(p for p in self.profiles if p.provider is not None)
 
     def __iter__(self):
         return iter(self.profiles)
@@ -324,6 +362,16 @@ def match_profile(
     )
 
 
+# An absent label length compares False with every bound, so it never
+# matches, as in `match_profile`.
+_ABSENT = math.nan
+
+
+def _explain(attrs: AttributeVector, profile: ImplementationProfile, **extra) -> Attribution:
+    scored = match_profile(attrs, profile)
+    return Attribution(profile.name, scored.match_count, scored.per_attribute, **extra)
+
+
 def classify(
     entry: PdnsEntry, profiles: ProfileSet, min_matches: int = 6
 ) -> Attribution:
@@ -334,38 +382,47 @@ def classify(
     highest match count at or above `min_matches` wins; ties keep file
     order and report the tied names. Below the threshold the entry stays
     unknown.
+
+    Every profile is scored from the set's compiled rows with the same
+    comparisons `match_profile` makes; only the winner's per-attribute
+    explanation is built, by `match_profile` itself.
     """
     attrs = extract_attributes(entry, markers=profiles.markers)
-    for profile in profiles:
-        if profile.provider is not None and profile.provider.matches(entry.rrname):
-            scored = match_profile(attrs, profile)
-            return Attribution(
-                implementation=profile.name,
-                match_count=scored.match_count,
-                per_attribute=scored.per_attribute,
-                provider_rule=True,
-            )
-    best: Optional[Attribution] = None
+    for profile in profiles._providers:
+        if profile.provider.matches(entry.rrname):
+            return _explain(attrs, profile, provider_rule=True)
+    payload_len, level = attrs.payload_len, attrs.level
+    label4 = _ABSENT if attrs.label4_len is None else attrs.label4_len
+    label5 = _ABSENT if attrs.label5_len is None else attrs.label5_len
+    rrtype, encoding, first_char = attrs.rrtype, attrs.encoding, attrs.first_char
+    found = attrs.markers
+    no_markers = not found
+    best: Optional[ImplementationProfile] = None
+    best_score = min_matches - 1
     tied: list[str] = []
-    for profile in profiles:
-        scored = match_profile(attrs, profile)
-        if scored.match_count < min_matches:
-            continue
-        if best is None or scored.match_count > best.match_count:
-            best = scored
-            tied = []
-        elif scored.match_count == best.match_count:
+    for (
+        profile, pl_lo, pl_hi, lv_lo, lv_hi, l4_lo, l4_hi, l5_lo, l5_hi,
+        rrtypes, encodings, first_chars, markers,
+    ) in profiles._rows:
+        score = (
+            (pl_lo <= payload_len <= pl_hi)
+            + (lv_lo <= level <= lv_hi)
+            + (l4_lo <= label4 <= l4_hi)
+            + (l5_lo <= label5 <= l5_hi)
+            + (rrtype in rrtypes)
+            + (encoding in encodings)
+            + (first_char in first_chars)
+            + (markers <= found if markers else no_markers)
+        )
+        if score > best_score:
+            best, best_score, tied = profile, score, []
+        elif score == best_score:
+            # Before any winner this score is below the threshold; `tied`
+            # is reset when a winner is found and unused if none is.
             tied.append(profile.name)
     if best is None:
         return Attribution(implementation=UNKNOWN, match_count=0, per_attribute={})
-    if tied:
-        return Attribution(
-            implementation=best.implementation,
-            match_count=best.match_count,
-            per_attribute=best.per_attribute,
-            tied_with=tuple(tied),
-        )
-    return best
+    return _explain(attrs, best, tied_with=tuple(tied))
 
 
 @dataclass(frozen=True)
@@ -379,46 +436,54 @@ class SldAttribution:
     tied_with: tuple[str, ...] = ()
 
 
-def resolve_votes(
-    votes: dict[str, int], unknown: int, total: int, profiles: ProfileSet
-) -> SldAttribution:
-    """Turn per-implementation vote counts into an SLD attribution.
+class SldVotes:
+    """Majority votes of per-entry attributions, kept per SLD.
 
-    Unknowns do not vote; ties break by vote count then profile file
-    order, with all tied names reported.
+    Unknown entries do not vote but count toward their SLD's total and are
+    reported as a fraction.
     """
-    if total < 1:
-        raise ValueError("vote resolution needs at least one entry")
-    if not votes:
-        return SldAttribution(UNKNOWN, 0.0, unknown / total, total)
-    ordered = sorted(votes.items(), key=lambda kv: (-kv[1], profiles.order(kv[0])))
-    winner, count = ordered[0]
-    tied = tuple(name for name, c in ordered[1:] if c == count)
-    return SldAttribution(
-        implementation=winner,
-        agreement=count / total,
-        unknown_fraction=unknown / total,
-        entry_count=total,
-        tied_with=tied,
-    )
+
+    def __init__(self):
+        self.totals: Counter = Counter()  # entries per SLD
+        self._votes: dict[str, Counter] = {}  # only SLDs with a vote
+
+    def add(self, sld: str, result: Attribution) -> None:
+        self.totals[sld] += 1
+        if not result.is_unknown:
+            votes = self._votes.get(sld)
+            if votes is None:
+                votes = self._votes[sld] = Counter()
+            votes[result.implementation] += 1
+
+    def resolve(self, sld: str, profiles: ProfileSet) -> SldAttribution:
+        """The SLD's attribution. Ties break by vote count then profile
+        file order, with all tied names reported; an all-unknown SLD comes
+        back as (unknown, 0.0)."""
+        total = self.totals[sld]
+        if total < 1:
+            raise ValueError("vote resolution needs at least one entry")
+        votes = self._votes.get(sld, {})
+        unknown = total - sum(votes.values())
+        if not votes:
+            return SldAttribution(UNKNOWN, 0.0, unknown / total, total)
+        ordered = sorted(votes.items(), key=lambda kv: (-kv[1], profiles.order(kv[0])))
+        winner, count = ordered[0]
+        tied = tuple(name for name, c in ordered[1:] if c == count)
+        return SldAttribution(
+            implementation=winner,
+            agreement=count / total,
+            unknown_fraction=unknown / total,
+            entry_count=total,
+            tied_with=tied,
+        )
 
 
 def attribute_sld(
     entries: Sequence[PdnsEntry], profiles: ProfileSet, min_matches: int = 6
 ) -> SldAttribution:
-    """Vote per-entry attributions for one SLD's entries.
-
-    Unknown entries do not vote but are reported as a fraction; an
-    all-unknown SLD comes back as (unknown, 0.0).
-    """
-    if not entries:
-        raise ValueError("attribute_sld needs at least one entry")
-    votes: dict[str, int] = {}
-    unknown = 0
-    for entry in entries:
-        result = classify(entry, profiles, min_matches=min_matches)
-        if result.is_unknown:
-            unknown += 1
-        else:
-            votes[result.implementation] = votes.get(result.implementation, 0) + 1
-    return resolve_votes(votes, unknown, len(entries), profiles)
+    """Vote per-entry attributions for one SLD's entries (see `SldVotes`).
+    Raises ValueError when there are none."""
+    votes = SldVotes()
+    for entry in entries:  # all under one key: they share the one SLD
+        votes.add("", classify(entry, profiles, min_matches=min_matches))
+    return votes.resolve("", profiles)

@@ -62,7 +62,7 @@ class IngestStats:
     """Accounting for one ingest pass: read == accepted + rejected + deduplicated."""
 
     read: int = 0
-    accepted: int = 0
+    accepted: int = 0  # passed on downstream, after first-seen dedup
     rejected_by_error: Counter = field(default_factory=Counter)
     deduplicated: int = 0
     # Non-fatal anomalies on accepted entries (e.g. SuffixMismatch).
@@ -325,19 +325,23 @@ def first_seen_filter(
 
     The feed treats "new" as the full hostname, so the default key is the
     normalized rrname alone; `key="rrname+rrtype"` is available for
-    sensitivity studies.
+    sensitivity studies. `stats` is the one the reader counted the entries
+    into: each dropped duplicate moves from `accepted` to `deduplicated`,
+    so `accepted` counts the entries passed on and the identity holds.
     """
     if key == "rrname":
         for entry in stream:
             if state.check_and_add(entry.rrname.name):
                 yield entry
             elif stats is not None:
+                stats.accepted -= 1
                 stats.deduplicated += 1
     elif key == "rrname+rrtype":
         for entry in stream:
             if state.check_and_add(entry.rrname.name + "\x00" + entry.rrtype):
                 yield entry
             elif stats is not None:
+                stats.accepted -= 1
                 stats.deduplicated += 1
     else:
         raise ValueError(f"unknown dedup key: {key!r}")

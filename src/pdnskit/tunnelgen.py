@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import csv
 import gzip
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -491,8 +492,12 @@ def write_corpus(
         labels_path = labels_path_for(corpus_path)
     labels_path = Path(labels_path)
     labels: dict[str, tuple[str, str]] = {}
-    opener = gzip.open if corpus_path.name.endswith(".gz") else open
-    with opener(corpus_path, "wt", encoding="utf-8") as fh:
+    if corpus_path.name.endswith(".gz"):
+        # A zero header mtime keeps the bytes a function of the seed alone.
+        fh = io.TextIOWrapper(gzip.GzipFile(corpus_path, "wb", mtime=0), encoding="utf-8")
+    else:
+        fh = open(corpus_path, "w", encoding="utf-8")
+    with fh:
         for item in entries:
             fh.write(_corpus_record(item.entry))
             fh.write("\n")

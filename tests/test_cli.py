@@ -198,6 +198,9 @@ class TestClassifyCommand:
         assert summary["total_entries"] == 1
         ingest = json.loads((out / "ingest_stats.json").read_text())
         assert ingest["deduplicated"] == 4
+        assert ingest["accepted"] == 1
+        rejected = sum(ingest["rejected_by_error"].values())
+        assert ingest["read"] == ingest["accepted"] + rejected + ingest["deduplicated"]
 
     def test_benign_only_corpus_all_unknown(self, tmp_path):
         from pdnskit.tunnelgen import BackgroundSpec, GenConfig
@@ -305,3 +308,11 @@ class TestExitCodes:
         )
         assert result.returncode == 0
         assert "stats" in result.stdout and "classify" in result.stdout
+
+    def test_version_from_source_tree(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "pdnskit", "--version"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "0.1.0" in result.stdout

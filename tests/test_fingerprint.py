@@ -1,8 +1,12 @@
 import base64
+import string
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pdnskit.fingerprint import (
+    UNKNOWN,
     Attribution,
     ImplementationProfile,
     ProfileSet,
@@ -13,7 +17,7 @@ from pdnskit.fingerprint import (
     extract_attributes,
     match_profile,
 )
-from pdnskit.model import RRType, parse_fqdn
+from pdnskit.model import FqdnError, RRType, parse_fqdn
 from pdnskit.tunnelgen import GenConfig, TunnelSpec, generate
 
 from conftest import make_entry
@@ -247,3 +251,168 @@ class TestProfileFile:
         first = classify(entry, profiles)
         second = classify(entry, profiles)
         assert first == second
+
+
+# ----------------------------------------------------------------------
+# The fast paths pinned to reference implementations.
+
+
+def reference_classify(entry, profiles, min_matches):
+    """Classification by one `match_profile` call per profile: the
+    definition the compiled scorer in `classify` must reproduce."""
+    attrs = extract_attributes(entry, markers=profiles.markers)
+    for profile in profiles:
+        if profile.provider is not None and profile.provider.matches(entry.rrname):
+            scored = match_profile(attrs, profile)
+            return Attribution(
+                profile.name, scored.match_count, scored.per_attribute, provider_rule=True
+            )
+    best = None
+    tied = []
+    for profile in profiles:
+        scored = match_profile(attrs, profile)
+        if scored.match_count < min_matches:
+            continue
+        if best is None or scored.match_count > best.match_count:
+            best = scored
+            tied = []
+        elif scored.match_count == best.match_count:
+            tied.append(profile.name)
+    if best is None:
+        return Attribution(UNKNOWN, 0, {})
+    return Attribution(
+        best.implementation, best.match_count, best.per_attribute, tied_with=tuple(tied)
+    )
+
+
+DEFAULT_PROFILES = ProfileSet.default()
+MIN_MATCHES = (0, 1, 4, 5, 6, 7, 8, 9)
+
+# Label lengths at and next to every profile bound, and anything legal.
+_LENGTH_BOUNDS = sorted(
+    {
+        b + d
+        for p in DEFAULT_PROFILES
+        for rng in (p.label4_len, p.label5_len)
+        for b in rng
+        for d in (-1, 0, 1)
+    }
+)
+label_len_st = st.one_of(st.sampled_from(_LENGTH_BOUNDS), st.integers(1, 63))
+payload_alphabet_st = st.sampled_from(
+    [
+        "0123456789abcdef",
+        "abcdefghijklmnopqrstuvwxyz234567",
+        string.ascii_lowercase + string.digits + "-_",
+        string.ascii_lowercase,
+        "0189",
+        "ab\u00e9\u65e5-",
+    ]
+)
+
+
+@st.composite
+def scored_entry_st(draw):
+    """Entries of levels 1-8 near the profiles' bounds: provider SLDs,
+    marker-carrying names, every first-char class and payload encoding."""
+    level = draw(st.integers(1, 8))
+    tld = draw(st.sampled_from(["de", "in", "com", "net"]))
+    sld = draw(
+        st.sampled_from(["53r", "qv4", "tun-x", "a"])
+        | st.text(string.ascii_lowercase, min_size=1, max_size=5)
+    )
+    third = draw(st.sampled_from(["t", "dnscat", "_x", "9", "up"]))
+    labels = [third, sld, tld][-min(level, 3):]
+    budget = 253 - len(".".join(labels))
+    payload = []
+    n_payload = max(0, level - 3)
+    for i in range(n_payload):
+        room = budget - 1 - 2 * (n_payload - i - 1)
+        size = max(1, min(draw(label_len_st), room))
+        alphabet = draw(payload_alphabet_st)
+        text = draw(st.text(alphabet, min_size=size, max_size=size))
+        if draw(st.booleans()) and size >= 6 and i == 0:
+            text = "dnscat" + text[6:]
+        payload.insert(0, text)
+        budget -= size + 1
+    rrtype = draw(st.sampled_from(["NULL", "TXT", "SRV", "MX", "CNAME", "A", "AAAA"]))
+    try:
+        return make_entry(".".join(payload + labels), rrtype=rrtype)
+    except FqdnError:
+        assume(False)
+
+
+class TestCompiledScorer:
+    @settings(max_examples=500, deadline=None)
+    @given(entry=scored_entry_st(), min_matches=st.sampled_from(MIN_MATCHES))
+    def test_matches_reference(self, entry, min_matches):
+        got = classify(entry, DEFAULT_PROFILES, min_matches=min_matches)
+        want = reference_classify(entry, DEFAULT_PROFILES, min_matches)
+        assert got.implementation == want.implementation
+        assert got.match_count == want.match_count
+        assert got.tied_with == want.tied_with
+        assert got.provider_rule == want.provider_rule
+        assert got == want
+
+    @pytest.mark.parametrize("name", [p.name for p in DEFAULT_PROFILES])
+    def test_generated_traffic_matches_reference(self, name):
+        sld = {"your-freedom": "8u6.de", "tunnelguru": "qv4.in"}.get(name, "tun-p.net")
+        for entry in one_generated(name, sld, DEFAULT_PROFILES, payload=300)[:4]:
+            for min_matches in MIN_MATCHES:
+                assert classify(entry, DEFAULT_PROFILES, min_matches=min_matches) == (
+                    reference_classify(entry, DEFAULT_PROFILES, min_matches)
+                )
+
+
+_REF_HEX_CHARS = frozenset("0123456789abcdef")
+_REF_BASE32_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz234567")
+_REF_BASE32_DIGITS = frozenset("234567")
+_REF_B64_SPECIALS = frozenset("-_+/")
+_REF_B64_CHARSET = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_+/="
+)
+_REF_ASCII_DIGITS = frozenset("0123456789")
+_REF_ASCII_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+
+
+def reference_detect_encoding(text: str, min_share: float = 0.95) -> str:
+    """The multi-pass detector `detect_encoding` replaced, kept verbatim."""
+    if not text:
+        return "none"
+    alnum = [c for c in text if c in _REF_ASCII_DIGITS or c in _REF_ASCII_LETTERS]
+    if alnum:
+        folded = [c.lower() for c in alnum]
+        n = len(folded)
+        hex_n = sum(c in _REF_HEX_CHARS for c in folded)
+        if hex_n >= min_share * n and any(c in _REF_ASCII_DIGITS for c in folded):
+            return "hex"
+        b32_n = sum(c in _REF_BASE32_CHARS for c in folded)
+        if b32_n >= min_share * n and any(c in _REF_BASE32_DIGITS for c in folded):
+            return "base32"
+        if all(c in _REF_B64_CHARSET for c in text):
+            has_digit = any(c in _REF_ASCII_DIGITS for c in alnum)
+            has_letter = any(c in _REF_ASCII_LETTERS for c in alnum)
+            mixed_case = any(c.islower() for c in alnum) and any(
+                c.isupper() for c in alnum
+            )
+            specials = sum(c in _REF_B64_SPECIALS for c in text)
+            if has_digit and has_letter and (mixed_case or specials >= 2):
+                return "base64-like"
+    return "none"
+
+
+encoding_text_st = st.one_of(
+    st.text("0123456789abcdefABCDEF", max_size=40),
+    st.text("abcdefghijklmnopqrstuvwxyz234567ABCDEFGHIJKLMNOPQRSTUVWXYZ", max_size=40),
+    st.text(string.ascii_letters + string.digits + "-_+/=", max_size=40),
+    st.text(string.ascii_lowercase + string.digits + "-_.", max_size=40),
+    st.text("0189aZ-_=/\u00e9\u0663\uff11!", max_size=40),
+    st.text(max_size=40),
+)
+
+
+class TestDetectEncodingReference:
+    @settings(max_examples=1000, deadline=None)
+    @given(text=encoding_text_st, min_share=st.sampled_from([0.95, 0.0, 0.5, 0.9, 1.0]))
+    def test_matches_reference(self, text, min_share):
+        assert detect_encoding(text, min_share) == reference_detect_encoding(text, min_share)

@@ -177,7 +177,7 @@ class TestFirstSeen:
     def entries(self, names):
         return [make_entry(n) for n in names]
 
-    def test_duplicates_dropped(self):
+    def test_duplicates_dropped(self, tmp_path):
         state = FirstSeenState()
         stats = IngestStats()
         out = list(
@@ -187,6 +187,17 @@ class TestFirstSeen:
         )
         assert [e.rrname.name for e in out] == ["a.x.com", "b.x.com"]
         assert stats.deduplicated == 1
+
+        # One stats object shared by the reader and the filter, as the CLI
+        # runs them: a dropped duplicate is no longer counted as accepted.
+        path = tmp_path / "dups.ndjson"
+        names = ["a.x.com.", "a.x.com.", "b.x.com.", "a.x.com."]
+        write_ndjson(path, [ndjson_line(rrname=n, domain="x.com.") for n in names] + ["{bad"])
+        stats = IngestStats()
+        out = list(first_seen_filter(read_stream(path, stats=stats), FirstSeenState(), stats))
+        assert len(out) == 2
+        assert (stats.read, stats.accepted, stats.rejected, stats.deduplicated) == (5, 2, 1, 2)
+        assert stats.consistent()
 
     def test_key_is_rrname_only(self):
         state = FirstSeenState()

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import math
 
 import pytest
@@ -180,6 +181,17 @@ class TestWriteCorpus:
         with gzip.open(corpus, "rt", encoding="utf-8") as fh:
             assert sum(1 for _ in fh) == 6
         assert len(list(read_stream(corpus))) == 6
+
+    def test_gzip_bytes_fixed_by_seed(self, tmp_path, profiles, monkeypatch):
+        # The second run is written at another clock time; the gzip header
+        # must not record it.
+        cfg = GenConfig(seed=15, background=[BackgroundSpec("plain-a", "shop.io", 6)])
+        first, _ = write_corpus(generate(cfg, profiles), tmp_path / "a" / "c.ndjson.gz")
+        with monkeypatch.context() as m:
+            m.setattr(gzip.time, "time", lambda: 86400.0)
+            second, _ = write_corpus(generate(cfg, profiles), tmp_path / "b" / "c.ndjson.gz")
+        digests = {hashlib.sha256(path.read_bytes()).hexdigest() for path in (first, second)}
+        assert len(digests) == 1
 
     def test_config_json_roundtrip(self, tmp_path):
         path = tmp_path / "gen.json"
