@@ -22,7 +22,7 @@ from datetime import datetime, timedelta, timezone
 from itertools import chain
 from random import Random
 
-from pdnskit.ingest import FirstSeenState, IngestStats, first_seen_filter
+from pdnskit.ingest import FirstSeenState, first_seen_filter
 from pdnskit.model import Fqdn, PdnsEntry, RRType
 from pdnskit.pipeline import FilterConfig, run_pipeline
 from pdnskit.stats import StatsBundle
@@ -35,7 +35,7 @@ def synth_entries(n: int, seed: int, n_slds: int, days: int):
     rr_null, rr_txt = RRType.parse("NULL"), RRType.parse("TXT")
 
     def fq(name: str) -> Fqdn:
-        return Fqdn(labels=tuple(name.split(".")), name=name, raw=name)
+        return Fqdn(labels=tuple(name.split(".")), name=name)
 
     bulk_slds = [fq(f"bulk{i:05d}.com") for i in range(n_slds)]
     provider = fq("53r.de")
@@ -103,7 +103,6 @@ def main(argv=None) -> int:
 
     bundle = StatsBundle(fqdn_mode=args.fqdn_mode)
     config = FilterConfig()
-    ingest_stats = IngestStats()
 
     stream = synth_entries(args.entries, args.seed, args.slds, args.days)
     if args.dedup != "off":
@@ -112,7 +111,7 @@ def main(argv=None) -> int:
             capacity=None if args.dedup == "exact" else args.entries,
             fp_rate=1e-4,
         )
-        stream = first_seen_filter(stream, state, stats=ingest_stats)
+        stream = first_seen_filter(stream, state)
 
     accumulate = bundle.accumulate
 
@@ -134,7 +133,7 @@ def main(argv=None) -> int:
         "rss_before_mb": round(rss_before, 1),
         "dedup": args.dedup,
         "fqdn_mode": args.fqdn_mode,
-        "deduplicated": ingest_stats.deduplicated,
+        "deduplicated": args.entries - bundle.total,
         "stats_total": bundle.total,
         "distinct_slds": len(bundle.sld_entries),
         "distinct_fqdns": sum(len(v) for v in bundle.sld_fqdns.values()),

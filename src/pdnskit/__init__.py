@@ -8,7 +8,7 @@ from pdnskit.model import (
     label_length,
     level,
     parse_fqdn,
-    second_level_domain,
+    sld_name,
 )
 
 __version__ = "0.1.0"
@@ -21,6 +21,6 @@ __all__ = [
     "label_length",
     "level",
     "parse_fqdn",
-    "second_level_domain",
+    "sld_name",
     "__version__",
 ]

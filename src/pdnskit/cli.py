@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
-from hashlib import blake2b
 from pathlib import Path
 from typing import Optional
 
@@ -47,7 +46,8 @@ from pdnskit.tunnelgen import (
 
 
 def _apply_config_file(ctx: click.Context) -> None:
-    """Fill parameters still at their defaults from --config JSON values."""
+    """Fill parameters still at their defaults from --config JSON values,
+    each checked and converted by its option's declared type."""
     path = ctx.params.get("config")
     if not path:
         return
@@ -60,12 +60,16 @@ def _apply_config_file(ctx: click.Context) -> None:
         raise ConfigError(f"bad config file {path}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    params = {param.name: param for param in ctx.command.params}
     for name, value in overrides.items():
         if name not in ctx.params:
             raise ConfigError(f"config file {path}: unknown option {name!r}")
         source = ctx.get_parameter_source(name)
         if source == click.core.ParameterSource.DEFAULT:
-            ctx.params[name] = value
+            try:
+                ctx.params[name] = params[name].type_cast_value(ctx, value)
+            except click.BadParameter as exc:
+                raise ConfigError(f"config file {path}: {exc.format_message()}") from exc
 
 
 def _input_streams(inputs, fmt, stats: IngestStats, dedup: bool, dedup_state=None):
@@ -112,28 +116,17 @@ def cli():
 @click.option("--format", "fmt", type=click.Choice(["ndjson", "csv"]), default="ndjson")
 @click.option("--dedup/--no-dedup", default=False, help="Drop repeated rrnames (newly-observed semantics).")
 @click.option("--psl", "psl_path", default=None, help="Public-suffix list file for SLD extraction.")
-@click.option("--top", "top_n", default=10, show_default=True, help="Rows in top-SLD tables.")
-@click.option("--shards", default=1, show_default=True, help="Partition by SLD hash and merge (output independent of N).")
+@click.option("--top", "top_n", default=10, show_default=True, type=click.IntRange(min=1), help="Rows in top-SLD tables.")
 @click.option("--config", default=None, help="JSON file of option overrides (flags win).")
 @click.pass_context
-def cmd_stats(ctx, inputs, outdir, fmt, dedup, psl_path, top_n, shards, config):
+def cmd_stats(ctx, inputs, outdir, fmt, dedup, psl_path, top_n, config):
     """Aggregate measurement tables and series from pDNS inputs."""
     _apply_config_file(ctx)
     fmt, dedup, psl_path = ctx.params["fmt"], ctx.params["dedup"], ctx.params["psl_path"]
-    top_n, shards = int(ctx.params["top_n"]), int(ctx.params["shards"])
-    psl = _load_psl(psl_path)
+    top_n = ctx.params["top_n"]
     stats = IngestStats()
     stream = _input_streams(inputs, fmt, stats, dedup)
-    if shards <= 1:
-        bundle = StatsBundle(psl=psl).accumulate_all(stream)
-    else:
-        parts = [StatsBundle(psl=psl) for _ in range(shards)]
-        for entry in stream:
-            digest = blake2b(entry.rrname.labels[-1].encode(), digest_size=4).digest()
-            parts[int.from_bytes(digest, "big") % shards].accumulate(entry)
-        bundle = parts[0]
-        for part in parts[1:]:
-            bundle = bundle.merge(part)
+    bundle = StatsBundle(psl=_load_psl(psl_path)).accumulate_all(stream)
     outdir = Path(outdir)
     bundle.emit_all(outdir, top_n=top_n)
     _write_ingest_stats(outdir, stats)
@@ -186,14 +179,14 @@ def cmd_filter(
     alexa = read_domain_list(p["alexa_path"]) if p["alexa_path"] else frozenset()
     cfg = FilterConfig(
         prefilter_types=frozenset(
-            RRType.parse(t) for t in str(p["types"]).split(",") if t.strip()
+            RRType.parse(t) for t in p["types"].split(",") if t.strip()
         ),
         known=known,
-        min_level=int(p["min_level"]),
-        min_distinct_fqdns=int(p["min_subdomains"]),
+        min_level=p["min_level"],
+        min_distinct_fqdns=p["min_subdomains"],
         post_filters=PostFilterConfig(
-            drop_daily_seen=bool(p["drop_daily_seen"]),
-            drop_single_entry=bool(p["drop_single_entry"]),
+            drop_daily_seen=p["drop_daily_seen"],
+            drop_single_entry=p["drop_single_entry"],
             drop_alexa_top=bool(p["alexa_path"]),
             alexa_domains=alexa,
             observation_days=p["observation_days"],
@@ -235,7 +228,7 @@ def cmd_classify(ctx, inputs, outdir, fmt, profiles_path, labels_path, min_match
         ProfileSet.from_file(p["profiles_path"]) if p["profiles_path"] else ProfileSet.default()
     )
     psl = _load_psl(p["psl_path"])
-    min_matches = int(p["min_matches"])
+    min_matches = p["min_matches"]
     labels = read_labels(p["labels_path"]) if p["labels_path"] else None
     stats = IngestStats()
     stream = _input_streams(inputs, p["fmt"], stats, dedup=False)

@@ -284,13 +284,12 @@ class FirstSeenState:
         self.capacity = capacity
         self.added = 0
         self._lock = threading.Lock()
+        self._bloom = None
         if policy == "exact":
             self._seen: set[str] = set()
-            self._bloom = None
         else:
             if capacity is None:
                 raise ValueError("approximate policy requires a capacity")
-            self._seen = set()
             self._bloom = _BloomFilter(capacity, fp_rate)
 
     def __len__(self) -> int:

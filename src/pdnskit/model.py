@@ -25,7 +25,6 @@ __all__ = [
     "level",
     "label_length",
     "is_suffix",
-    "second_level_domain",
     "sld_name",
 ]
 
@@ -95,28 +94,17 @@ class RRType(str):
 
 _RRTYPE_CACHE: dict[str, RRType] = {}
 
-RR_A = RRType.parse("A")
-RR_AAAA = RRType.parse("AAAA")
-RR_MX = RRType.parse("MX")
-RR_NS = RRType.parse("NS")
-RR_CNAME = RRType.parse("CNAME")
-RR_TXT = RRType.parse("TXT")
-RR_NULL = RRType.parse("NULL")
-RR_PTR = RRType.parse("PTR")
-RR_SRV = RRType.parse("SRV")
-
 
 @dataclass(frozen=True, slots=True)
 class Fqdn:
     """A parsed hostname: lowercase labels, leftmost first, no root dot.
 
-    `name` is the normalized dotted form, `raw` the string as ingested.
-    Equality and hashing consider the normalized labels only.
+    `name` is the normalized dotted form. Equality and hashing consider the
+    labels only.
     """
 
     labels: tuple[str, ...]
     name: str = field(compare=False)
-    raw: str = field(compare=False, repr=False)
 
     @property
     def level(self) -> int:
@@ -155,7 +143,7 @@ def parse_fqdn(raw: str) -> Fqdn:
             raise EmptyLabelError(f"empty label in {raw!r}")
         if _byte_len(lab) > MAX_LABEL_BYTES:
             raise LabelTooLongError(f"label exceeds {MAX_LABEL_BYTES} bytes in {raw!r}")
-    return Fqdn(labels=tuple(labels), name=s, raw=raw)
+    return Fqdn(labels=tuple(labels), name=s)
 
 
 def fqdn_from_labels(labels: Iterable[str]) -> Fqdn:
@@ -235,8 +223,7 @@ class PublicSuffixList:
         if len(fqdn.labels) <= n:
             return None
         labels = fqdn.labels[-(n + 1):]
-        name = ".".join(labels)
-        return Fqdn(labels=labels, name=name, raw=name)
+        return Fqdn(labels=labels, name=".".join(labels))
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,32 +247,14 @@ class PdnsEntry:
         return self.domain is None or is_suffix(self.rrname, self.domain)
 
 
-def second_level_domain(
-    entry: PdnsEntry, psl: Optional[PublicSuffixList] = None
-) -> Fqdn:
+def sld_name(entry: PdnsEntry, psl: Optional[PublicSuffixList] = None) -> str:
     """The registrable/second-level domain an entry is grouped under.
 
     Prefers the feed's `domain` field when it is a suffix of rrname;
-    otherwise falls back to the last two labels of rrname, or to the
-    public-suffix list when one is configured (handles suffixes such as
-    `com.au`). The result is always a suffix of rrname.
+    otherwise falls back to the public-suffix list when one is configured
+    (handles suffixes such as `com.au`), or to the last two labels of
+    rrname. The result is always a suffix of rrname, in dotted form.
     """
-    rrname = entry.rrname
-    dom = entry.domain
-    if dom is not None and is_suffix(rrname, dom):
-        return dom
-    if psl is not None:
-        reg = psl.registrable(rrname)
-        if reg is not None:
-            return reg
-    labels = rrname.labels[-2:]
-    name = ".".join(labels)
-    return Fqdn(labels=labels, name=name, raw=name)
-
-
-def sld_name(entry: PdnsEntry, psl: Optional[PublicSuffixList] = None) -> str:
-    """Dotted-string form of `second_level_domain`, avoiding allocation on
-    the common path (used by per-entry aggregation loops)."""
     rrname = entry.rrname
     dom = entry.domain
     if dom is not None:

@@ -2,9 +2,11 @@
 
 Stages: (0) record-type prefilter, (1) known-domain removal, (2) minimum
 level, (4) special-use removal, then the grouping stage (3) that keeps
-SLDs with enough distinct hostnames. The per-entry stages commute, so the
-grouping stage runs last; reported stage ids keep the conventional 0-4
-numbering. Optional post-filters prune the candidate list further.
+SLDs with enough distinct hostnames. The per-entry stages are defined once,
+as the table `stage_table` builds from a `FilterConfig`, and `run_pipeline`
+drives that table. They commute, so the grouping stage runs last; reported
+stage ids keep the conventional 0-4 numbering. Optional post-filters prune
+the candidate list further.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from pdnskit.model import PdnsEntry, PublicSuffixList, RRType, sld_name
-from pdnskit.tables import fmt_share, read_domain_list, write_csv, write_json
+from pdnskit.tables import read_domain_list, write_csv, write_json
 
 __all__ = [
     "ConfigError",
@@ -27,11 +29,8 @@ __all__ = [
     "CandidateRow",
     "CandidateReport",
     "SPECIAL_USE_RULES",
-    "prefilter_rrtype",
-    "filter_known_domains",
-    "filter_min_level",
-    "filter_special_use",
-    "filter_min_subdomains",
+    "Stage",
+    "stage_table",
     "run_pipeline",
 ]
 
@@ -137,49 +136,12 @@ class FilterConfig:
 # Per-entry stages (stateless, order-independent)
 
 
-def prefilter_rrtype(
-    stream: Iterable[PdnsEntry], types: frozenset[RRType]
-) -> Iterator[PdnsEntry]:
-    """Stage 0: keep entries whose record type is in `types`."""
-    for entry in stream:
-        if entry.rrtype in types:
-            yield entry
+class Stage(NamedTuple):
+    """One per-entry stage: `keep(entry, sld)` is True for entries it passes."""
 
-
-def filter_known_domains(
-    stream: Iterable[PdnsEntry],
-    lists: KnownLists,
-    dropped_tunnels: Optional[Counter] = None,
-    dropped_cdn: Optional[Counter] = None,
-    psl: Optional[PublicSuffixList] = None,
-) -> Iterator[PdnsEntry]:
-    """Stage 1: drop entries under known CDN or known tunnel SLDs.
-
-    Dropped known-tunnel volume is itself a result (it measures how much
-    of the traffic is already-attributed tunnel activity), so callers can
-    pass counters to keep per-SLD tallies.
-    """
-    cdn, tunnels = lists.cdn, lists.known_tunnels
-    for entry in stream:
-        sld = sld_name(entry, psl)
-        if sld in tunnels:
-            if dropped_tunnels is not None:
-                dropped_tunnels[sld] += 1
-            continue
-        if sld in cdn:
-            if dropped_cdn is not None:
-                dropped_cdn[sld] += 1
-            continue
-        yield entry
-
-
-def filter_min_level(
-    stream: Iterable[PdnsEntry], min_level: int
-) -> Iterator[PdnsEntry]:
-    """Stage 2: keep hostnames with at least `min_level` labels."""
-    for entry in stream:
-        if len(entry.rrname.labels) >= min_level:
-            yield entry
+    stage_id: str  # conventional numbering: "0".."4"
+    name: str
+    keep: Callable[[PdnsEntry, str], bool]
 
 
 def _special_use_match(entry: PdnsEntry, rules: frozenset[str]) -> bool:
@@ -197,14 +159,22 @@ def _special_use_match(entry: PdnsEntry, rules: frozenset[str]) -> bool:
     return False
 
 
-def filter_special_use(
-    stream: Iterable[PdnsEntry], rules: frozenset[str] = frozenset(SPECIAL_USE_RULES)
-) -> Iterator[PdnsEntry]:
-    """Stage 4: drop infrastructure and mail-authentication entries
-    (reverse-DNS `.arpa` names; DMARC/DKIM/SPF names and TXT payloads)."""
-    for entry in stream:
-        if not _special_use_match(entry, rules):
-            yield entry
+def stage_table(config: FilterConfig) -> tuple[Stage, ...]:
+    """The per-entry stages bound to `config`, in the order `run_pipeline`
+    applies them: (0) record types in `prefilter_types`; (1) SLD on neither
+    the CDN nor the known-tunnel list; (2) at least `min_level` labels;
+    (4) no reverse-DNS `.arpa` name and no DMARC/DKIM/SPF name or TXT
+    payload. Each predicate takes the entry and its SLD."""
+    types = config.prefilter_types
+    known = config.known.cdn | config.known.known_tunnels
+    min_level = config.min_level
+    rules = config.special_use_rules
+    return (
+        Stage("0", "rrtype-prefilter", lambda entry, sld: entry.rrtype in types),
+        Stage("1", "known-domains", lambda entry, sld: sld not in known),
+        Stage("2", "min-level", lambda entry, sld: len(entry.rrname.labels) >= min_level),
+        Stage("4", "special-use", lambda entry, sld: not _special_use_match(entry, rules)),
+    )
 
 
 @dataclass
@@ -230,23 +200,6 @@ class SldGroup:
         self.rrtype_mix[str(entry.rrtype)] += 1
         if entry.bailiwick is not None:
             self.bailiwicks[entry.bailiwick.name] += 1
-
-
-def filter_min_subdomains(
-    stream: Iterable[PdnsEntry],
-    min_distinct: int = 2,
-    psl: Optional[PublicSuffixList] = None,
-) -> dict[str, SldGroup]:
-    """Stage 3 (grouping): keep SLDs with at least `min_distinct` distinct
-    hostnames; returns the surviving groups keyed by SLD."""
-    groups: dict[str, SldGroup] = {}
-    for entry in stream:
-        sld = sld_name(entry, psl)
-        group = groups.get(sld)
-        if group is None:
-            group = groups[sld] = SldGroup(sld=sld)
-        group.add(entry)
-    return {sld: g for sld, g in groups.items() if len(g.fqdns) >= min_distinct}
 
 
 # ----------------------------------------------------------------------
@@ -443,26 +396,23 @@ def run_pipeline(
 ) -> CandidateReport:
     """Run all stages over the stream in one pass with full accounting.
 
-    Per-entry stages are applied in the order 0, 1, 2, 4 (their outcome is
-    order-independent); the grouping stage 3 runs last so distinct-FQDN
+    The per-entry stages of `stage_table` run in table order (their outcome
+    is order-independent); the grouping stage 3 runs last so distinct-FQDN
     counts reflect only tunnel-plausible entries. `keep_entries` retains
     the surviving entries on the report for testing and re-analysis.
     """
-    types = config.prefilter_types
-    lists = config.known
-    watch = lists.watchlist
-    min_level = config.min_level
-    rules = config.special_use_rules
+    stages = stage_table(config)
+    keeps = [stage.keep for stage in stages]
+    known_index = [stage.stage_id for stage in stages].index("1")
+    known_tunnels = config.known.known_tunnels
+    watch = config.known.watchlist
     psl = config.psl
 
     n_read = 0
     all_days = set()
     watch_groups: dict[str, SldGroup] = {}
-    out0 = out1 = out2 = out4 = 0
-    slds0: set[str] = set()
-    slds1: set[str] = set()
-    slds2: set[str] = set()
-    slds4: set[str] = set()
+    passed = [0] * len(stages)
+    passed_slds: list[set[str]] = [set() for _ in stages]
     dropped_tunnels: Counter = Counter()
     dropped_cdn: Counter = Counter()
     groups: dict[str, SldGroup] = {}
@@ -477,50 +427,37 @@ def run_pipeline(
             if wg is None:
                 wg = watch_groups[sld] = SldGroup(sld=sld)
             wg.add(entry)
-        # stage 0: record-type prefilter
-        if entry.rrtype not in types:
-            continue
-        out0 += 1
-        slds0.add(sld)
-        # stage 1: known domains
-        if sld in lists.known_tunnels:
-            dropped_tunnels[sld] += 1
-            continue
-        if sld in lists.cdn:
-            dropped_cdn[sld] += 1
-            continue
-        out1 += 1
-        slds1.add(sld)
-        # stage 2: minimum level
-        if len(entry.rrname.labels) < min_level:
-            continue
-        out2 += 1
-        slds2.add(sld)
-        # stage 4: special-use removal
-        if _special_use_match(entry, rules):
-            continue
-        out4 += 1
-        slds4.add(sld)
-        # stage 3: grouping
-        group = groups.get(sld)
-        if group is None:
-            group = groups[sld] = SldGroup(sld=sld)
-        group.add(entry)
-        if survivors is not None:
-            survivors.append(entry)
+        for i, keep in enumerate(keeps):
+            if not keep(entry, sld):
+                if i == known_index:
+                    (dropped_tunnels if sld in known_tunnels else dropped_cdn)[sld] += 1
+                break
+            passed[i] += 1
+            passed_slds[i].add(sld)
+        else:
+            # stage 3: grouping
+            group = groups.get(sld)
+            if group is None:
+                group = groups[sld] = SldGroup(sld=sld)
+            group.add(entry)
+            if survivors is not None:
+                survivors.append(entry)
 
     surviving = {
         sld: g for sld, g in groups.items() if len(g.fqdns) >= config.min_distinct_fqdns
     }
     grouped_entries = sum(g.entry_count for g in surviving.values())
 
-    stage_counts = [
-        StageCount("0", "rrtype-prefilter", n_read, out0, len(slds0)),
-        StageCount("1", "known-domains", out0, out1, len(slds1)),
-        StageCount("2", "min-level", out1, out2, len(slds2)),
-        StageCount("4", "special-use", out2, out4, len(slds4)),
-        StageCount("3", "min-subdomains", out4, grouped_entries, len(surviving)),
-    ]
+    stage_counts = []
+    entries_in = n_read
+    for stage, entries_out, slds in zip(stages, passed, passed_slds):
+        stage_counts.append(
+            StageCount(stage.stage_id, stage.name, entries_in, entries_out, len(slds))
+        )
+        entries_in = entries_out
+    stage_counts.append(
+        StageCount("3", "min-subdomains", entries_in, grouped_entries, len(surviving))
+    )
 
     observation_days = config.post_filters.observation_days or len(all_days)
     post_filtered: list[tuple[CandidateRow, str]] = []

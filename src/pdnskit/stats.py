@@ -1,7 +1,8 @@
 """Mergeable streaming aggregates over pDNS entries.
 
-One `StatsBundle` per stream shard; shards merge pointwise, so parallel
-partitioned aggregation gives the same numbers as a single pass.
+One `StatsBundle` per stream shard; shards merge pointwise, so shards
+aggregated in separate processes and merged with `StatsBundle.merge` give
+the same numbers as a single pass.
 """
 
 from __future__ import annotations
@@ -86,13 +87,11 @@ class StatsBundle:
         self,
         psl: Optional[PublicSuffixList] = None,
         fqdn_mode: str = "exact",
-        track_type_fqdns: bool = True,
     ):
         if fqdn_mode not in ("exact", "hash64"):
             raise ValueError(f"unknown fqdn_mode: {fqdn_mode!r}")
         self.psl = psl
         self.fqdn_mode = fqdn_mode
-        self.track_type_fqdns = track_type_fqdns
         self.total = 0
         self.rrtype_counts: Counter = Counter()
         self.per_day_rrtype: Counter = Counter()  # (date, rrtype) -> count
@@ -104,7 +103,6 @@ class StatsBundle:
         self.sld_fqdns: dict[str, set] = {}  # sld -> distinct rrnames
         self.sld_type_fqdns: dict = {}  # (sld, rrtype) -> distinct rrnames
         self.sld_rdata_sum: Counter = Counter()
-        self.sld_rdata_sq_sum: Counter = Counter()
         self.min_day: Optional[date] = None
         self.max_day: Optional[date] = None
 
@@ -130,14 +128,12 @@ class StatsBundle:
         if fqdns is None:
             fqdns = self.sld_fqdns[sld] = set()
         fqdns.add(rrname)
-        if self.track_type_fqdns:
-            key = (sld, rrtype)
-            tf = self.sld_type_fqdns.get(key)
-            if tf is None:
-                tf = self.sld_type_fqdns[key] = set()
-            tf.add(rrname)
+        key = (sld, rrtype)
+        tf = self.sld_type_fqdns.get(key)
+        if tf is None:
+            tf = self.sld_type_fqdns[key] = set()
+        tf.add(rrname)
         self.sld_rdata_sum[sld] += size
-        self.sld_rdata_sq_sum[sld] += size * size
         if self.min_day is None or day < self.min_day:
             self.min_day = day
         if self.max_day is None or day > self.max_day:
@@ -156,11 +152,7 @@ class StatsBundle:
         """
         if self.fqdn_mode != other.fqdn_mode:
             raise ValueError("cannot merge bundles with different fqdn modes")
-        out = StatsBundle(
-            psl=self.psl or other.psl,
-            fqdn_mode=self.fqdn_mode,
-            track_type_fqdns=self.track_type_fqdns and other.track_type_fqdns,
-        )
+        out = StatsBundle(psl=self.psl or other.psl, fqdn_mode=self.fqdn_mode)
         out.total = self.total + other.total
         for name in (
             "rrtype_counts",
@@ -171,7 +163,6 @@ class StatsBundle:
             "sld_type_entries",
             "sld_day_entries",
             "sld_rdata_sum",
-            "sld_rdata_sq_sum",
         ):
             counter = Counter(getattr(self, name))
             counter.update(getattr(other, name))
@@ -183,14 +174,13 @@ class StatsBundle:
                 out.sld_fqdns[sld] |= names
             else:
                 out.sld_fqdns[sld] = set(names)
-        if out.track_type_fqdns:
-            for key, names in self.sld_type_fqdns.items():
+        for key, names in self.sld_type_fqdns.items():
+            out.sld_type_fqdns[key] = set(names)
+        for key, names in other.sld_type_fqdns.items():
+            if key in out.sld_type_fqdns:
+                out.sld_type_fqdns[key] |= names
+            else:
                 out.sld_type_fqdns[key] = set(names)
-            for key, names in other.sld_type_fqdns.items():
-                if key in out.sld_type_fqdns:
-                    out.sld_type_fqdns[key] |= names
-                else:
-                    out.sld_type_fqdns[key] = set(names)
         days = [d for d in (self.min_day, other.min_day) if d is not None]
         out.min_day = min(days) if days else None
         days = [d for d in (self.max_day, other.max_day) if d is not None]
@@ -229,8 +219,6 @@ class StatsBundle:
         if measure == "fqdns":
             if scope is None:
                 return {sld: len(v) for sld, v in self.sld_fqdns.items()}
-            if not self.track_type_fqdns:
-                raise ValueError("per-type distinct counts were not tracked")
             return {
                 sld: len(v)
                 for (sld, t), v in self.sld_type_fqdns.items()

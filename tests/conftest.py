@@ -7,7 +7,8 @@ from datetime import datetime, timezone
 
 import pytest
 
-from pdnskit.model import PdnsEntry, RRType, parse_fqdn, parse_time_seen
+from pdnskit.model import PdnsEntry, RRType, parse_fqdn, parse_time_seen, sld_name
+from pdnskit.pipeline import stage_table
 
 TABLE_RECORD = {
     "domain": "teriava.com.",
@@ -38,6 +39,12 @@ def make_entry(
         rrtype=RRType.parse(rrtype),
         rdata=tuple(rdata),
     )
+
+
+def keep_stage(stage_id: str, entries, config) -> list[PdnsEntry]:
+    """The entries that one stage of the production stage table passes."""
+    (stage,) = [s for s in stage_table(config) if s.stage_id == stage_id]
+    return [e for e in entries if stage.keep(e, sld_name(e, config.psl))]
 
 
 def ndjson_line(**overrides) -> str:

@@ -58,14 +58,6 @@ class TestStatsCommand:
         for name in ("rrtype_shares.csv", "top_slds.csv", "sld_cdf.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_shards_do_not_change_output(self, demo_corpus, tmp_path):
-        corpus, _ = demo_corpus
-        out1, out4 = tmp_path / "s1", tmp_path / "s4"
-        assert run_cli("stats", corpus, "--out", out1).exit_code == 0
-        assert run_cli("stats", corpus, "--out", out4, "--shards", 4).exit_code == 0
-        for name in ("rrtype_shares.csv", "top_slds.csv", "sld_cdf.csv", "levels_per_day.csv"):
-            assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
-
     def test_deterministic_across_runs(self, demo_corpus, tmp_path):
         corpus, _ = demo_corpus
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -296,6 +288,27 @@ class TestExitCodes:
         assert (
             main(["filter", str(corpus), "--out", str(tmp_path), "--min-level", "0"]) == 3
         )
+
+    @pytest.mark.parametrize(
+        "args, config, code",
+        [
+            (["--top", "-1"], None, 1),
+            (["--top", "0"], None, 1),
+            ([], {"top_n": -1}, 3),
+            ([], {"top_n": 0}, 3),
+        ],
+    )
+    def test_top_below_one_rejected(self, demo_corpus, tmp_path, capsys, args, config, code):
+        corpus, _ = demo_corpus
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            args = args + ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main(["stats", str(corpus), "--out", str(out)] + args) == code
+        errors = [line for line in capsys.readouterr().err.splitlines() if "--top" in line]
+        assert len(errors) == 1 and "x>=1" in errors[0]
+        assert not out.exists()
 
     def test_success_is_zero(self, demo_corpus, tmp_path):
         corpus, _ = demo_corpus

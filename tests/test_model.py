@@ -15,7 +15,6 @@ from pdnskit.model import (
     level,
     parse_fqdn,
     parse_time_seen,
-    second_level_domain,
     sld_name,
 )
 
@@ -27,7 +26,6 @@ class TestParseFqdn:
         f = parse_fqdn("www.foo.com.")
         assert f.labels == ("www", "foo", "com")
         assert f.level == 3
-        assert f.raw == "www.foo.com."
         assert f.name == "www.foo.com"
 
     def test_single_label(self):
@@ -112,22 +110,21 @@ class TestLabelLength:
 class TestSecondLevelDomain:
     def test_domain_field_wins(self):
         entry = make_entry("dsu9jr2czl.teriava.com", domain="teriava.com")
-        assert second_level_domain(entry).name == "teriava.com"
+        assert sld_name(entry) == "teriava.com"
 
     def test_fallback_last_two_labels(self):
         entry = make_entry("t.vasi.li")
-        assert second_level_domain(entry).name == "vasi.li"
+        assert sld_name(entry) == "vasi.li"
 
     def test_psl_override(self):
         psl = PublicSuffixList(["com", "au", "com.au"])
         entry = make_entry("x.seek.com.au")
-        assert second_level_domain(entry, psl).name == "seek.com.au"
         assert sld_name(entry, psl) == "seek.com.au"
 
     def test_suffix_mismatch_uses_rrname(self):
         entry = make_entry("a.b.example.net", domain="other.org")
         assert not entry.domain_matches_rrname()
-        assert second_level_domain(entry).name == "example.net"
+        assert sld_name(entry) == "example.net"
 
     def test_result_is_suffix_of_rrname(self):
         for entry in (
@@ -135,8 +132,7 @@ class TestSecondLevelDomain:
             make_entry("x.y.bar.org"),
             make_entry("jp.example.io", domain="mismatch.net"),
         ):
-            sld = second_level_domain(entry)
-            assert is_suffix(entry.rrname, sld)
+            assert is_suffix(entry.rrname, parse_fqdn(sld_name(entry)))
 
 
 class TestPublicSuffixList:

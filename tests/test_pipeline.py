@@ -1,5 +1,3 @@
-from collections import Counter
-
 import pytest
 
 from pdnskit.fingerprint import ProfileSet
@@ -10,18 +8,13 @@ from pdnskit.pipeline import (
     FilterConfig,
     KnownLists,
     PostFilterConfig,
-    filter_known_domains,
-    filter_min_level,
-    filter_min_subdomains,
-    filter_special_use,
-    prefilter_rrtype,
     run_pipeline,
 )
 from pdnskit.tunnelgen import BackgroundSpec, GenConfig, TunnelSpec, generate
 
-from conftest import make_entry
+from conftest import keep_stage, make_entry
 
-NULL_TXT = frozenset((RRType.parse("NULL"), RRType.parse("TXT")))
+DEFAULTS = FilterConfig()
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +47,7 @@ class TestPrefilterRrtype:
     def test_null_passes_a_dropped(self):
         null_entry = make_entry("x.t.example.net", "NULL")
         a_entry = make_entry("y.t.example.net", "A")
-        out = list(prefilter_rrtype([null_entry, a_entry], NULL_TXT))
+        out = keep_stage("0", [null_entry, a_entry], DEFAULTS)
         assert out == [null_entry]
 
     def test_share_shaped_fixture(self):
@@ -67,7 +60,8 @@ class TestPrefilterRrtype:
             for _ in range(n):
                 entries.append(make_entry(f"h{i}.x.com", rrtype))
                 i += 1
-        survivors = list(prefilter_rrtype(entries, frozenset({RRType.parse("NULL")})))
+        null_only = FilterConfig(prefilter_types=frozenset({RRType.parse("NULL")}))
+        survivors = keep_stage("0", entries, null_only)
         assert len(survivors) / len(entries) == pytest.approx(0.2117, abs=1e-9)
         # keeping NULL only reduces the stream by more than 70%
         assert 1 - len(survivors) / len(entries) > 0.70
@@ -75,89 +69,94 @@ class TestPrefilterRrtype:
 
 class TestFilterKnownDomains:
     def test_known_tunnel_counted(self):
-        lists = KnownLists.default()
-        dropped = Counter()
+        config = FilterConfig(known=KnownLists.default())
         entries = [
             make_entry("x1y2z3.a.53r.de", "NULL", "53r.de"),
             make_entry("other.site.net", "NULL", "site.net"),
         ]
-        out = list(filter_known_domains(entries, lists, dropped_tunnels=dropped))
+        out = keep_stage("1", entries, config)
         assert [e.rrname.name for e in out] == ["other.site.net"]
-        assert dropped == {"53r.de": 1}
+        report = run_pipeline(entries, config)
+        assert report.dropped_known_tunnels == [("53r.de", 1)]
+        assert report.dropped_cdn == []
 
     def test_cdn_domain_dropped(self):
-        lists = KnownLists(cdn=frozenset({"cnr.io"}))
-        dropped = Counter()
+        config = FilterConfig(known=KnownLists(cdn=frozenset({"cnr.io"})))
         entries = [make_entry("a.cnr.io", "TXT", "cnr.io")]
-        assert list(filter_known_domains(entries, lists, dropped_cdn=dropped)) == []
-        assert dropped == {"cnr.io": 1}
+        assert keep_stage("1", entries, config) == []
+        report = run_pipeline(entries, config)
+        assert report.dropped_cdn == [("cnr.io", 1)]
+        assert report.dropped_known_tunnels == []
 
     def test_unknown_sld_passes(self):
-        lists = KnownLists.default()
         entry = make_entry("a.unknown-thing.net", "NULL")
-        assert list(filter_known_domains([entry], lists)) == [entry]
+        assert keep_stage("1", [entry], DEFAULTS) == [entry]
 
 
 class TestFilterMinLevel:
     def test_default_threshold(self):
         level3 = make_entry("t.example.com", "NULL")
         level4 = make_entry("data1.t.example.com", "NULL")
-        assert list(filter_min_level([level3, level4], 4)) == [level4]
+        assert keep_stage("2", [level3, level4], DEFAULTS) == [level4]
 
     def test_feed_rrname_dropped(self, table_entry):
-        assert list(filter_min_level([table_entry], 4)) == []
+        assert keep_stage("2", [table_entry], DEFAULTS) == []
 
 
 class TestFilterSpecialUse:
     def test_arpa_dropped(self):
         entry = make_entry("1.2.3.10.in-addr.arpa", "PTR")
-        assert list(filter_special_use([entry])) == []
+        assert keep_stage("4", [entry], DEFAULTS) == []
 
     def test_dmarc_label_dropped(self):
         entry = make_entry("_dmarc.example.com", "TXT")
-        assert list(filter_special_use([entry])) == []
+        assert keep_stage("4", [entry], DEFAULTS) == []
 
     def test_dkim_name_and_rdata_single_drop(self):
         entry = make_entry(
             "selector1._domainkey.example.com", "TXT", rdata=("v=DKIM1; k=rsa; p=abc",)
         )
         # both the name rule and the rdata rule fire; the entry is dropped once
-        survivors = list(filter_special_use([entry, make_entry("ok.deep.example.com", "TXT")]))
+        survivors = keep_stage("4", [entry, make_entry("ok.deep.example.com", "TXT")], DEFAULTS)
         assert len(survivors) == 1
         assert survivors[0].rrname.name == "ok.deep.example.com"
 
     def test_spf_rdata_dropped_case_insensitively(self):
         entry = make_entry("deep.x.example.com", "TXT", rdata=("V=SPF1 -all",))
-        assert list(filter_special_use([entry])) == []
+        assert keep_stage("4", [entry], DEFAULTS) == []
 
     def test_spf_rdata_on_null_not_checked(self):
         entry = make_entry("deep.x.example.com", "NULL", rdata=("v=spf1 -all",))
-        assert list(filter_special_use([entry])) == [entry]
+        assert keep_stage("4", [entry], DEFAULTS) == [entry]
 
     def test_disabled_rules(self):
         entry = make_entry("1.2.3.10.in-addr.arpa", "PTR")
-        assert list(filter_special_use([entry], frozenset())) == [entry]
+        no_rules = FilterConfig(special_use_rules=frozenset())
+        assert keep_stage("4", [entry], no_rules) == [entry]
 
 
 class TestFilterMinSubdomains:
+    # Three-label names, so only the grouping stage decides.
+    CONFIG = FilterConfig(min_level=3, min_distinct_fqdns=2)
+
     def test_counts(self):
         entries = []
         for sld, n in (("one.com", 1), ("uno.org", 1), ("two.net", 2), ("three.io", 3), ("nine.de", 9)):
             for i in range(n):
                 entries.append(make_entry(f"sub{i}.{sld}", "NULL", sld))
-        groups = filter_min_subdomains(entries, 2)
-        assert set(groups) == {"two.net", "three.io", "nine.de"}
+        report = run_pipeline(entries, self.CONFIG)
+        assert set(report.candidate_slds()) == {"two.net", "three.io", "nine.de"}
 
     def test_single_fqdn_dropped(self):
         entries = [make_entry("only.lonely.net", "NULL", "lonely.net")] * 3
-        assert filter_min_subdomains(entries, 2) == {}
+        assert run_pipeline(entries, self.CONFIG).candidates == []
 
     def test_two_distinct_kept(self):
         entries = [
             make_entry("a.pair.net", "NULL", "pair.net"),
             make_entry("b.pair.net", "NULL", "pair.net"),
         ]
-        assert set(filter_min_subdomains(entries, 2)) == {"pair.net"}
+        assert run_pipeline(entries, self.CONFIG).candidate_slds() == ["pair.net"]
 
 
 class TestRunPipeline:

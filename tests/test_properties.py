@@ -1,6 +1,7 @@
 """Property-based checks of the structural invariants."""
 
 import string
+from collections import Counter
 from datetime import date
 
 import pytest
@@ -8,19 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdnskit.fingerprint import ProfileSet, classify, detect_encoding
-from pdnskit.model import FqdnError, RRType, parse_fqdn
-from pdnskit.pipeline import (
-    FilterConfig,
-    KnownLists,
-    filter_known_domains,
-    filter_min_level,
-    filter_special_use,
-    prefilter_rrtype,
-    run_pipeline,
-)
+from pdnskit.model import FqdnError, RRType, parse_fqdn, sld_name
+from pdnskit.pipeline import FilterConfig, KnownLists, run_pipeline, stage_table
 from pdnskit.stats import StatsBundle
 
-from conftest import make_entry
+from conftest import keep_stage, make_entry
 
 LABEL_CHARS = string.ascii_lowercase + string.digits + "-_"
 
@@ -37,8 +30,11 @@ def hostname(draw):
 
 
 @st.composite
-def entry_st(draw):
+def entry_st(draw, sld_pool=None):
+    """A random entry; with `sld_pool`, its name ends in one of those SLDs."""
     name = draw(hostname())
+    if sld_pool is not None:
+        name = f"{name}.{draw(st.sampled_from(sld_pool))}"
     day = draw(st.integers(min_value=1, max_value=9))
     rdata = tuple(draw(st.lists(st.text(alphabet=LABEL_CHARS, max_size=40), max_size=2)))
     return make_entry(
@@ -151,14 +147,11 @@ class TestStatsProperties:
         assert day_bucket_totals == day_totals
 
 
+STAGE_IDS = {"types": "0", "known": "1", "level": "2", "special": "4"}
+
+
 def apply_stage(name, entries, config):
-    if name == "types":
-        return list(prefilter_rrtype(entries, config.prefilter_types))
-    if name == "known":
-        return list(filter_known_domains(entries, config.known))
-    if name == "level":
-        return list(filter_min_level(entries, config.min_level))
-    return list(filter_special_use(entries, config.special_use_rules))
+    return keep_stage(STAGE_IDS[name], entries, config)
 
 
 STAGE_ORDERS = [
@@ -211,6 +204,62 @@ class TestPipelineProperties:
         for prev, cur in zip(stages, stages[1:]):
             assert cur.entries_in == prev.entries_out
             assert cur.entries_out <= cur.entries_in
+
+
+# What each per-entry stage keeps, restated from the method's description
+# without the production predicates.
+STAGE_ORACLE = {
+    "0": lambda e, sld, c: e.rrtype in c.prefilter_types,
+    "1": lambda e, sld, c: sld not in c.known.cdn and sld not in c.known.known_tunnels,
+    "2": lambda e, sld, c: e.rrname.level >= c.min_level,
+    "4": lambda e, sld, c: not (
+        e.rrname.labels[-1] == "arpa"
+        or any(lab in ("_dmarc", "_domainkey", "_spf") or lab.endswith("_domainkey")
+               for lab in e.rrname.labels)
+        or (e.rrtype == "TXT" and any(
+            v.lower().startswith(("v=spf1", "v=dkim1", "v=dmarc1")) for v in e.rdata))
+    ),
+}
+
+SLD_POOL = ("cdn-a.com", "cdn-b.net", "tun.org", "watched.io", "plain.de")
+
+
+class TestStageTable:
+    @given(st.lists(st.one_of(entry_st(), entry_st(sld_pool=SLD_POOL)), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_table_one_stage_at_a_time_matches_run_pipeline(self, entries):
+        config = FilterConfig(
+            known=KnownLists(
+                cdn=frozenset({"cdn-a.com", "cdn-b.net"}),
+                known_tunnels=frozenset({"tun.org"}),
+                watchlist=frozenset({"watched.io"}),
+            ),
+            min_level=3,
+        )
+        report = run_pipeline(entries, config)
+        stages = stage_table(config)
+        assert [s.stage_id for s in report.stage_counts] == ["0", "1", "2", "4", "3"]
+        current = entries
+        for stage, count in zip(stages, report.stage_counts):
+            assert (count.stage_id, count.name) == (stage.stage_id, stage.name)
+            assert count.entries_in == len(current)
+            kept = keep_stage(stage.stage_id, current, config)
+            oracle = STAGE_ORACLE[stage.stage_id]
+            assert kept == [e for e in current if oracle(e, sld_name(e), config)]
+            if stage.stage_id == "1":
+                kept_ids = {id(e) for e in kept}
+                dropped = Counter(sld_name(e) for e in current if id(e) not in kept_ids)
+                tallied = Counter(dict(report.dropped_known_tunnels + report.dropped_cdn))
+                assert tallied == dropped
+                assert {s for s, _ in report.dropped_cdn} <= config.known.cdn
+            assert count.entries_out == len(kept)
+            assert count.slds_out == len({sld_name(e) for e in kept})
+            current = kept
+        assert report.stage_counts[4].entries_in == len(current)
+        watched = [e for e in entries if sld_name(e) == "watched.io"]
+        assert [(h.sld, h.entry_count) for h in report.watchlist_hits] == (
+            [("watched.io", len(watched))] if watched else []
+        )
 
 
 class TestClassifyProperties:

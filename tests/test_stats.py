@@ -27,10 +27,12 @@ def naive_recount(entries):
         "buckets_per_day": Counter(),
         "sld_entries": Counter(),
         "sld_fqdns": {},
+        "sld_type_fqdns": {},
         "sld_type_entries": Counter(),
         "sld_day_entries": Counter(),
         "sld_rdata_sum": Counter(),
-        "sld_rdata_sq_sum": Counter(),
+        "min_day": min((e.time_seen.date() for e in entries), default=None),
+        "max_day": max((e.time_seen.date() for e in entries), default=None),
     }
     for e in entries:
         day = e.time_seen.date()
@@ -50,10 +52,10 @@ def naive_recount(entries):
         out["buckets_per_day"][(day, bucket)] += 1
         out["sld_entries"][sld] += 1
         out["sld_fqdns"].setdefault(sld, set()).add(e.rrname.name)
+        out["sld_type_fqdns"].setdefault((sld, e.rrtype), set()).add(e.rrname.name)
         out["sld_type_entries"][(sld, e.rrtype)] += 1
         out["sld_day_entries"][(day, sld)] += 1
         out["sld_rdata_sum"][sld] += size
-        out["sld_rdata_sq_sum"][sld] += size * size
     return out
 
 
@@ -68,8 +70,10 @@ def assert_bundle_matches_naive(bundle, entries):
     assert bundle.sld_type_entries == naive["sld_type_entries"]
     assert bundle.sld_day_entries == naive["sld_day_entries"]
     assert bundle.sld_fqdns == naive["sld_fqdns"]
+    assert bundle.sld_type_fqdns == naive["sld_type_fqdns"]
     assert bundle.sld_rdata_sum == naive["sld_rdata_sum"]
-    assert bundle.sld_rdata_sq_sum == naive["sld_rdata_sq_sum"]
+    assert bundle.min_day == naive["min_day"]
+    assert bundle.max_day == naive["max_day"]
 
 
 def bundles_identical(a, b) -> bool:
@@ -86,7 +90,6 @@ def bundles_identical(a, b) -> bool:
         and a.sld_fqdns == b.sld_fqdns
         and a.sld_type_fqdns == b.sld_type_fqdns
         and a.sld_rdata_sum == b.sld_rdata_sum
-        and a.sld_rdata_sq_sum == b.sld_rdata_sq_sum
         and a.min_day == b.min_day
         and a.max_day == b.max_day
     )

@@ -6,7 +6,7 @@ import pytest
 
 from pdnskit.fingerprint import ProfileSet
 from pdnskit.ingest import IngestStats, read_stream
-from pdnskit.pipeline import SPECIAL_USE_RULES, filter_special_use
+from pdnskit.pipeline import SPECIAL_USE_RULES, FilterConfig
 from pdnskit.tunnelgen import (
     BACKGROUND_KINDS,
     BackgroundSpec,
@@ -21,6 +21,10 @@ from pdnskit.tunnelgen import (
     read_labels,
     write_corpus,
 )
+
+from conftest import keep_stage
+
+ALL_SPECIAL_USE = FilterConfig(special_use_rules=frozenset(SPECIAL_USE_RULES))
 
 
 @pytest.fixture(scope="module")
@@ -111,13 +115,13 @@ class TestGenerate:
     def test_spf_background_is_dropped_by_special_use(self, profiles):
         cfg = GenConfig(seed=8, background=[BackgroundSpec("spf-txt", "mailer.org", 9)])
         entries = [item.entry for item in generate(cfg, profiles)]
-        survivors = list(filter_special_use(entries, frozenset(SPECIAL_USE_RULES)))
+        survivors = keep_stage("4", entries, ALL_SPECIAL_USE)
         assert survivors == []
 
     def test_dkim_background_is_dropped_by_special_use(self, profiles):
         cfg = GenConfig(seed=8, background=[BackgroundSpec("dkim-txt", "sender.net", 9)])
         entries = [item.entry for item in generate(cfg, profiles)]
-        assert list(filter_special_use(entries, frozenset(SPECIAL_USE_RULES))) == []
+        assert keep_stage("4", entries, ALL_SPECIAL_USE) == []
 
     def test_rdata_sizes_exercise_all_buckets(self, profiles):
         from pdnskit.stats import rdata_wire_size
