@@ -72,16 +72,24 @@ def _apply_config_file(ctx: click.Context) -> None:
                 raise ConfigError(f"config file {path}: {exc.format_message()}") from exc
 
 
-def _input_streams(inputs, fmt, stats: IngestStats, dedup: bool, dedup_state=None):
-    def gen():
-        for path in inputs:
-            yield from read_stream(path, fmt=fmt, stats=stats)
+def _input_streams(inputs, fmt, stats: IngestStats, dedup: bool):
+    stream = (entry for path in inputs for entry in read_stream(path, fmt=fmt, stats=stats))
+    return first_seen_filter(stream, FirstSeenState(), stats=stats) if dedup else stream
 
-    stream = gen()
-    if dedup:
-        state = dedup_state or FirstSeenState(policy="exact")
-        stream = first_seen_filter(stream, state, stats=stats)
-    return stream
+
+class RRTypeList(click.ParamType):
+    """Record types as a comma-separated string or a JSON list of strings."""
+
+    name = "types"
+
+    def convert(self, value, param, ctx):
+        names = value.split(",") if isinstance(value, str) else value
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            self.fail(f"expected a comma-separated string or a list of strings, got {value!r}", param, ctx)
+        try:
+            return frozenset(RRType.parse(n) for n in names if n.strip())
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
 
 
 def _load_psl(path: Optional[str]) -> Optional[PublicSuffixList]:
@@ -142,7 +150,7 @@ def cmd_stats(ctx, inputs, outdir, fmt, dedup, psl_path, top_n, config):
 @click.argument("inputs", nargs=-1, required=True)
 @click.option("--out", "outdir", required=True, type=click.Path(file_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["ndjson", "csv"]), default="ndjson")
-@click.option("--types", default="NULL,TXT", show_default=True, help="Record types kept by the prefilter.")
+@click.option("--types", default="NULL,TXT", show_default=True, type=RRTypeList(), help="Record types kept by the prefilter.")
 @click.option("--min-level", default=4, show_default=True)
 @click.option("--min-subdomains", default=2, show_default=True, help="Distinct FQDNs an SLD needs to stay a candidate.")
 @click.option("--cdn-list", default=None, help="File of CDN SLDs to drop at stage 1.")
@@ -178,9 +186,7 @@ def cmd_filter(
         )
     alexa = read_domain_list(p["alexa_path"]) if p["alexa_path"] else frozenset()
     cfg = FilterConfig(
-        prefilter_types=frozenset(
-            RRType.parse(t) for t in p["types"].split(",") if t.strip()
-        ),
+        prefilter_types=p["types"],
         known=known,
         min_level=p["min_level"],
         min_distinct_fqdns=p["min_subdomains"],
@@ -385,9 +391,6 @@ def main(argv=None) -> int:
         cli.main(args=argv, prog_name="pdnskit", standalone_mode=False)
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.FileError as exc:
         exc.show()
         return 2
@@ -397,9 +400,6 @@ def main(argv=None) -> int:
     except (ConfigError, GenConfigError) as exc:
         click.echo(f"config error: {exc}", err=True)
         return 3
-    except UnreadableSourceError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
-        return 2
     except OSError as exc:
         click.echo(f"i/o error: {exc}", err=True)
         return 2

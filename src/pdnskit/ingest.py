@@ -11,7 +11,9 @@ import math
 import sys
 import threading
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from hashlib import blake2b
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
@@ -87,25 +89,33 @@ def _parse_name_field(value, what: str) -> Optional[Fqdn]:
     return parse_fqdn(value)
 
 
+def _parse_rrtype(value) -> RRType:
+    if not value or isinstance(value, str) and not value.strip():
+        raise RecordError("MissingField", "record has no rrtype")
+    if isinstance(value, str):
+        try:
+            return RRType.parse(value)
+        except ValueError:
+            pass
+    raise RecordError("BadField", f"bad rrtype: {value!r:.60}")
+
+
 def _parse_rdata(value) -> tuple[str, ...]:
-    if value is None:
-        return ()
-    if isinstance(value, list):
-        return tuple(str(v) for v in value)
     if isinstance(value, str):
         text = value.strip()
-        if not text:
-            return ()
-        if text.startswith("["):
-            try:
-                parsed = json.loads(text)
-            except json.JSONDecodeError:
-                raise RecordError("BadRdata", f"unparseable rdata: {text[:60]!r}")
-            if not isinstance(parsed, list):
-                raise RecordError("BadRdata", "rdata JSON is not an array")
-            return tuple(str(v) for v in parsed)
-        return (text,)
-    raise RecordError("BadRdata", f"unsupported rdata value: {type(value).__name__}")
+        if not text.startswith("["):
+            return (text,) if text else ()
+        try:
+            value = json.loads(text)  # an array, as it starts with "["
+        except (ValueError, RecursionError):
+            raise RecordError("BadRdata", f"unparseable rdata: {text[:60]!r}") from None
+    if value is None:
+        return ()
+    if not isinstance(value, list):
+        raise RecordError("BadRdata", f"unsupported rdata value: {type(value).__name__}")
+    if not all(isinstance(v, str) for v in value):
+        raise RecordError("BadRdata", "rdata item is not a string")
+    return tuple(value)
 
 
 def parse_record(obj: dict) -> PdnsEntry:
@@ -117,9 +127,7 @@ def parse_record(obj: dict) -> PdnsEntry:
     rrname_raw = obj.get("rrname")
     if not rrname_raw:
         raise RecordError("MissingField", "record has no rrname")
-    rrtype_raw = obj.get("rrtype")
-    if not rrtype_raw:
-        raise RecordError("MissingField", "record has no rrtype")
+    rrtype = _parse_rrtype(obj.get("rrtype"))
     time_raw = obj.get("time_seen")
     if not time_raw:
         raise RecordError("MissingField", "record has no time_seen")
@@ -133,80 +141,72 @@ def parse_record(obj: dict) -> PdnsEntry:
         bailiwick=_parse_name_field(obj.get("bailiwick"), "bailiwick"),
         rrname=parse_fqdn(str(rrname_raw)),
         rrclass=str(obj.get("rrclass") or "IN"),
-        rrtype=RRType.parse(str(rrtype_raw)),
+        rrtype=rrtype,
         rdata=_parse_rdata(obj.get("rdata")),
     )
 
 
-def _open_source(source: Source) -> IO[str]:
+@contextmanager
+def _open_source(source: Source) -> Iterator[IO[str]]:
+    """A path, `-` (stdin) or a binary file object as UTF-8 text, gunzipped
+    when it starts with the gzip magic; a text object as it is. Only a file
+    opened here is closed; the wrappers around any other are detached, as
+    their finalizers would close it."""
     if source == "-":
-        return sys.stdin
-    if hasattr(source, "read"):
-        first = source.read(0)
-        if isinstance(first, bytes):
-            buffered = source if hasattr(source, "peek") else io.BufferedReader(source)
-            if buffered.peek(2)[:2] == b"\x1f\x8b":
-                return io.TextIOWrapper(gzip.GzipFile(fileobj=buffered), encoding="utf-8")
-            return io.TextIOWrapper(buffered, encoding="utf-8")
-        return source
+        source = sys.stdin.buffer
+    owned = not hasattr(source, "read")
+    if owned:
+        try:
+            source = open(source, "rb")
+        except OSError as exc:
+            raise UnreadableSourceError(f"cannot open {source}: {exc}") from exc
+    elif not isinstance(source.read(0), bytes):
+        yield source
+        return
+    buffered = source if hasattr(source, "peek") else io.BufferedReader(source)
+    binary = gzip.GzipFile(fileobj=buffered) if buffered.peek(2)[:2] == b"\x1f\x8b" else buffered
+    text = io.TextIOWrapper(binary, encoding="utf-8")
     try:
-        fh = open(source, "rb")
-    except OSError as exc:
-        raise UnreadableSourceError(f"cannot open {source}: {exc}") from exc
-    buffered = io.BufferedReader(fh)
-    if buffered.peek(2)[:2] == b"\x1f\x8b":
-        return io.TextIOWrapper(gzip.GzipFile(fileobj=buffered), encoding="utf-8")
-    return io.TextIOWrapper(buffered, encoding="utf-8")
+        yield text
+    finally:
+        if owned:
+            source.close()
+        else:
+            text.detach()
+            if buffered is not source:
+                buffered.detach()
 
 
-def _iter_ndjson(fh: IO[str], stats: IngestStats) -> Iterator[PdnsEntry]:
-    loads = json.loads
-    for line in fh:
-        if not line.strip():
-            continue
-        stats.read += 1
-        try:
-            obj = loads(line)
-            if not isinstance(obj, dict):
-                raise RecordError("BadRecord", "line is not a JSON object")
-            entry = parse_record(obj)
-        except RecordError as exc:
-            stats.rejected_by_error[exc.kind] += 1
-            continue
-        except FqdnError as exc:
-            stats.rejected_by_error[exc.kind] += 1
-            continue
-        except json.JSONDecodeError:
-            stats.rejected_by_error["BadRecord"] += 1
-            continue
-        if not entry.domain_matches_rrname():
-            stats.warnings["SuffixMismatch"] += 1
-        stats.accepted += 1
-        yield entry
+def _decode_ndjson(line: str) -> dict:
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError):
+        raise RecordError("BadRecord", "line is not valid JSON") from None
+    if not isinstance(obj, dict):
+        raise RecordError("BadRecord", "line is not a JSON object")
+    return obj
 
 
-def _iter_csv(fh: IO[str], stats: IngestStats) -> Iterator[PdnsEntry]:
-    reader = csv.reader(fh)
-    first = True
-    for row in reader:
-        if not row:
-            continue
-        if first:
-            first = False
-            if tuple(c.strip() for c in row[:2]) == ("domain", "time_seen"):
-                continue  # tolerate a header row
-        stats.read += 1
-        try:
-            if len(row) != len(CSV_COLUMNS):
-                raise RecordError("BadRecord", f"expected {len(CSV_COLUMNS)} columns, got {len(row)}")
-            entry = parse_record(dict(zip(CSV_COLUMNS, row)))
-        except (RecordError, FqdnError) as exc:
-            stats.rejected_by_error[exc.kind] += 1
-            continue
-        if not entry.domain_matches_rrname():
-            stats.warnings["SuffixMismatch"] += 1
-        stats.accepted += 1
-        yield entry
+def _csv_rows(fh: IO[str]) -> Iterator[list[str]]:
+    rows = filter(None, csv.reader(fh))
+    first = next(rows, None)
+    if first is not None and [c.strip() for c in first[:2]] != ["domain", "time_seen"]:
+        yield first  # not a header row
+    yield from rows
+
+
+def _decode_csv(row: list[str]) -> dict:
+    if len(row) != len(CSV_COLUMNS):
+        raise RecordError("BadRecord", f"expected {len(CSV_COLUMNS)} columns, got {len(row)}")
+    return dict(zip(CSV_COLUMNS, row))
+
+
+# Per format: the records of an open text stream (NDJSON: non-blank lines),
+# and the decoding of one record into a field dict, raising RecordError.
+_FORMATS = {
+    "ndjson": (partial(filter, str.strip), _decode_ndjson),
+    "csv": (_csv_rows, _decode_csv),
+}
 
 
 def read_stream(
@@ -218,17 +218,25 @@ def read_stream(
 
     Gzip inputs are detected by magic bytes. Malformed records are counted
     in `stats` and skipped; they never abort the stream. Memory stays
-    bounded by a single record.
+    bounded by a single record. Only a file opened from a path is closed.
     """
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown format: {fmt!r} (expected 'ndjson' or 'csv')")
+    records, decode = _FORMATS[fmt]
     if stats is None:
         stats = IngestStats()
-    fh = _open_source(source)
-    if fmt == "ndjson":
-        yield from _iter_ndjson(fh, stats)
-    elif fmt == "csv":
-        yield from _iter_csv(fh, stats)
-    else:
-        raise ValueError(f"unknown format: {fmt!r} (expected 'ndjson' or 'csv')")
+    with _open_source(source) as fh:
+        for record in records(fh):
+            stats.read += 1
+            try:
+                entry = parse_record(decode(record))
+            except (RecordError, FqdnError) as exc:
+                stats.rejected_by_error[exc.kind] += 1
+                continue
+            if not entry.domain_matches_rrname():
+                stats.warnings["SuffixMismatch"] += 1
+            stats.accepted += 1
+            yield entry
 
 
 class _BloomFilter:
@@ -318,29 +326,18 @@ def first_seen_filter(
     stream: Iterable[PdnsEntry],
     state: FirstSeenState,
     stats: Optional[IngestStats] = None,
-    key: str = "rrname",
 ) -> Iterator[PdnsEntry]:
-    """Pass each entry iff its dedup key was not seen before in this state.
+    """Pass each entry iff its rrname was not seen before in this state.
 
-    The feed treats "new" as the full hostname, so the default key is the
-    normalized rrname alone; `key="rrname+rrtype"` is available for
-    sensitivity studies. `stats` is the one the reader counted the entries
-    into: each dropped duplicate moves from `accepted` to `deduplicated`,
-    so `accepted` counts the entries passed on and the identity holds.
+    The feed treats "new" as the full hostname, so the dedup key is the
+    normalized rrname alone. `stats` is the one the reader counted the
+    entries into: each dropped duplicate moves from `accepted` to
+    `deduplicated`, so `accepted` counts the entries passed on and the
+    identity holds.
     """
-    if key == "rrname":
-        for entry in stream:
-            if state.check_and_add(entry.rrname.name):
-                yield entry
-            elif stats is not None:
-                stats.accepted -= 1
-                stats.deduplicated += 1
-    elif key == "rrname+rrtype":
-        for entry in stream:
-            if state.check_and_add(entry.rrname.name + "\x00" + entry.rrtype):
-                yield entry
-            elif stats is not None:
-                stats.accepted -= 1
-                stats.deduplicated += 1
-    else:
-        raise ValueError(f"unknown dedup key: {key!r}")
+    for entry in stream:
+        if state.check_and_add(entry.rrname.name):
+            yield entry
+        elif stats is not None:
+            stats.accepted -= 1
+            stats.deduplicated += 1

@@ -61,7 +61,7 @@ class RRType(str):
 
     Behaves as a plain string (hashable, sortable, JSON-friendly). The
     common types observed in pDNS feeds are enumerated in `KNOWN`; any
-    other name still parses, with `is_known` False.
+    other well-formed name still parses, with `is_known` False.
     """
 
     __slots__ = ()
@@ -76,15 +76,16 @@ class RRType(str):
 
     @classmethod
     def parse(cls, text: str) -> "RRType":
-        name = text.strip().upper()
-        if not name:
-            raise ValueError("empty rrtype")
-        cached = _RRTYPE_CACHE.get(name)
+        """Stripped and uppercased; ValueError unless ASCII letters, digits and hyphens."""
+        cached = _RRTYPE_CACHE.get(text)
         if cached is not None:
             return cached
-        rr = cls(name)
+        name = text.strip()
+        if not (name.isascii() and name.replace("-", "").isalnum()):
+            raise ValueError(f"bad rrtype: {text!r}")
+        rr = cls(name.upper())
         if len(_RRTYPE_CACHE) < 4096:  # guard against adversarial inputs
-            _RRTYPE_CACHE[name] = rr
+            _RRTYPE_CACHE[text] = rr
         return rr
 
     @property

@@ -1,3 +1,4 @@
+import gzip
 import json
 import subprocess
 import sys
@@ -58,6 +59,21 @@ class TestStatsCommand:
         for name in ("rrtype_shares.csv", "top_slds.csv", "sld_cdf.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_gzip_on_stdin_read_like_a_path(self, demo_corpus, tmp_path):
+        corpus, _ = demo_corpus
+        from_path, from_stdin = tmp_path / "path", tmp_path / "stdin"
+        assert main(["stats", str(corpus), "--out", str(from_path)]) == 0
+        result = subprocess.run(
+            [sys.executable, "-m", "pdnskit", "stats", "-", "--out", str(from_stdin)],
+            input=gzip.compress(corpus.read_bytes()), capture_output=True,
+        )
+        assert result.returncode == 0, result.stderr
+        ingest = json.loads((from_stdin / "ingest_stats.json").read_text())
+        assert ingest["read"] > 0 and ingest["rejected_by_error"] == {}
+        assert sorted(p.name for p in from_stdin.iterdir()) == sorted(p.name for p in from_path.iterdir())
+        for path in sorted(from_path.iterdir()):
+            assert path.read_bytes() == (from_stdin / path.name).read_bytes(), path.name
+
     def test_deterministic_across_runs(self, demo_corpus, tmp_path):
         corpus, _ = demo_corpus
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -97,6 +113,17 @@ class TestFilterCommand:
         assert stage0["entries_out"] < stage0["entries_in"]
         for candidate in report["candidates"]:
             assert set(candidate["rrtype_mix"]) == {"NULL"}
+
+    def test_types_list_in_config_file(self, demo_corpus, tmp_path):
+        corpus, _ = demo_corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"types": ["NULL", "TXT"]}), encoding="utf-8")
+        from_flag, from_config = tmp_path / "flag", tmp_path / "config"
+        assert run_cli("filter", corpus, "--out", from_flag, "--types", "NULL,TXT").exit_code == 0
+        assert run_cli("filter", corpus, "--out", from_config, "--config", cfg).exit_code == 0
+        stage_counts = (from_config / "stage_counts.csv").read_bytes()
+        assert stage_counts == (from_flag / "stage_counts.csv").read_bytes()
+        assert json.loads((from_config / "candidates.json").read_text())["candidates"]
 
     def test_watchlist_annotation(self, tmp_path):
         lines = [
@@ -308,6 +335,29 @@ class TestExitCodes:
         assert main(["stats", str(corpus), "--out", str(out)] + args) == code
         errors = [line for line in capsys.readouterr().err.splitlines() if "--top" in line]
         assert len(errors) == 1 and "x>=1" in errors[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, config, code",
+        [
+            (["--types", "NULL,BOGUS TYPE"], None, 1),
+            (["--types", '["NULL"]'], None, 1),
+            ([], {"types": ["NULL", "BOGUS TYPE"]}, 3),
+            ([], {"types": "NULL,A.B"}, 3),
+            ([], {"types": ["NULL", 16]}, 3),
+            ([], {"types": {"NULL": True}}, 3),
+        ],
+    )
+    def test_bad_types_rejected(self, demo_corpus, tmp_path, capsys, args, config, code):
+        corpus, _ = demo_corpus
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            args = args + ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main(["filter", str(corpus), "--out", str(out)] + args) == code
+        errors = [line for line in capsys.readouterr().err.splitlines() if "--types" in line]
+        assert len(errors) == 1
         assert not out.exists()
 
     def test_success_is_zero(self, demo_corpus, tmp_path):

@@ -1,12 +1,19 @@
+import csv
+import gc
 import gzip
 import io
 import json
+import sys
+import warnings
 from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdnskit.ingest import (
+    CSV_COLUMNS,
     CapacityExceededError,
     FirstSeenState,
     IngestStats,
@@ -17,6 +24,29 @@ from pdnskit.ingest import (
 )
 
 from conftest import TABLE_RECORD, make_entry, ndjson_line, write_ndjson
+
+NOT_A_RECORD = "{not json"
+
+
+def encode_records(records, fmt: str) -> str:
+    """Records as NDJSON or CSV text. Each record is a dict of overrides to
+    TABLE_RECORD, or a raw line; CSV writes a list value as a JSON string
+    and None as an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for record in records:
+        if isinstance(record, str):
+            buf.write(record + "\n")
+            continue
+        fields = dict(TABLE_RECORD, **record)
+        if fmt == "ndjson":
+            buf.write(json.dumps(fields) + "\n")
+        else:
+            writer.writerow(
+                "" if v is None else v if isinstance(v, str) else json.dumps(v)
+                for v in (fields[c] for c in CSV_COLUMNS)
+            )
+    return buf.getvalue()
 
 
 class TestParseRecord:
@@ -73,28 +103,71 @@ class TestReadStream:
         assert stats.consistent()
 
     def test_malformed_records_never_abort(self, tmp_path):
-        lines = [
-            ndjson_line(),
-            "{not json",
-            ndjson_line(rrname="bad..name.com."),
-            ndjson_line(time_seen="yesterday"),
-            ndjson_line(rrname=("x" * 64) + ".com."),
-            ndjson_line(rrname="q." + ".".join(["y" * 60] * 5) + "."),
-            ndjson_line(),
+        records = [
+            {},
+            NOT_A_RECORD,
+            "[" * 5000 + "]" * 5000,  # deeper than the JSON decoder's recursion limit
+            {"rrname": "bad..name.com."},
+            {"time_seen": "yesterday"},
+            {"rrname": ("x" * 64) + ".com."},
+            {"rrname": "q." + ".".join(["y" * 60] * 5) + "."},
+            {"rrtype": " "},
+            {"rrtype": ["A"]},
+            {"rrtype": "A B"},
+            {"rdata": ["127.0.0.1", 1]},
+            {},
         ]
-        path = tmp_path / "mixed.ndjson"
-        write_ndjson(path, lines)
-        stats = IngestStats()
-        entries = list(read_stream(path, stats=stats))
-        assert len(entries) == 2
-        assert stats.rejected_by_error == {
-            "BadRecord": 1,
-            "EmptyLabel": 1,
-            "BadTimestamp": 1,
-            "LabelTooLong": 1,
-            "NameTooLong": 1,
-        }
-        assert stats.consistent()
+        for fmt in ("ndjson", "csv"):
+            path = tmp_path / f"mixed.{fmt}"
+            path.write_text(encode_records(records, fmt), encoding="utf-8")
+            stats = IngestStats()
+            entries = list(read_stream(path, fmt=fmt, stats=stats))
+            assert len(entries) == 2, fmt
+            assert stats.rejected_by_error == {
+                "BadRecord": 2,
+                "EmptyLabel": 1,
+                "BadTimestamp": 1,
+                "LabelTooLong": 1,
+                "NameTooLong": 1,
+                "MissingField": 1,
+                "BadField": 2,
+                "BadRdata": 1,
+            }, fmt
+            assert stats.consistent()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(NOT_A_RECORD),
+                st.fixed_dictionaries(
+                    {},
+                    optional={
+                        "domain": st.sampled_from(["teriava.com.", "other.org.", "", None]),
+                        "time_seen": st.sampled_from(["2017-07-02 00:00:01", "yesterday", ""]),
+                        "rrname": st.sampled_from(["a.teriava.com.", "b..teriava.com.", "", None]),
+                        "rrclass": st.sampled_from(["CH", "", None]),
+                        "rrtype": st.sampled_from(["NULL", " txt ", "TYPE65", " ", "A B", ["A"], None]),
+                        "rdata": st.sampled_from(
+                            [["a", "b"], [], [1], "10 mx.teriava.com.", '["x"]', "[1", "", None]
+                        ),
+                    },
+                ),
+            ),
+            max_size=8,
+        )
+    )
+    def test_ndjson_and_csv_read_alike(self, records):
+        results = []
+        for fmt in ("ndjson", "csv"):
+            stats = IngestStats()
+            source = io.BytesIO(encode_records(records, fmt).encode("utf-8"))
+            results.append((list(read_stream(source, fmt=fmt, stats=stats)), stats))
+        (ndjson_entries, ndjson_stats), (csv_entries, csv_stats) = results
+        assert ndjson_entries == csv_entries
+        assert ndjson_stats == csv_stats
+        assert ndjson_stats.read == len(records)
+        assert ndjson_stats.consistent()
 
     def test_suffix_mismatch_kept_and_warned(self, tmp_path):
         path = tmp_path / "s.ndjson"
@@ -114,6 +187,34 @@ class TestReadStream:
     def test_file_object_input(self):
         buf = io.StringIO(ndjson_line() + "\n")
         assert len(list(read_stream(buf))) == 1
+
+    def test_closes_only_what_it_opens(self, tmp_path, monkeypatch):
+        data = (ndjson_line() + "\n") * 3
+        plain, packed = tmp_path / "c.ndjson", tmp_path / "c.ndjson.gz"
+        plain.write_text(data, encoding="utf-8")
+        packed.write_bytes(gzip.compress(data.encode("utf-8")))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for path in (plain, packed):
+                assert len(list(read_stream(path))) == 3
+                stream = read_stream(path)
+                next(stream)
+                stream.close()
+            gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+        # A caller's file object and stdin stay open, gzip or not.
+        for payload in (data.encode("utf-8"), gzip.compress(data.encode("utf-8"))):
+            buf = io.BytesIO(payload)
+            assert len(list(read_stream(buf))) == 3
+            gc.collect()
+            assert not buf.closed
+            stdin = io.TextIOWrapper(io.BufferedReader(io.BytesIO(payload)), encoding="utf-8")
+            monkeypatch.setattr(sys, "stdin", stdin)
+            stats = IngestStats()
+            assert len(list(read_stream("-", stats=stats))) == 3
+            gc.collect()
+            assert not stdin.closed and stats.rejected == 0
 
     def test_unreadable_source_is_fatal(self, tmp_path):
         with pytest.raises(UnreadableSourceError):
@@ -205,13 +306,6 @@ class TestFirstSeen:
         second = make_entry("a.x.com", rrtype="TXT")
         out = list(first_seen_filter([first, second], state))
         assert len(out) == 1
-
-    def test_rrname_rrtype_key_option(self):
-        state = FirstSeenState()
-        first = make_entry("a.x.com", rrtype="A")
-        second = make_entry("a.x.com", rrtype="TXT")
-        out = list(first_seen_filter([first, second], state, key="rrname+rrtype"))
-        assert len(out) == 2
 
     def test_empty_stream(self):
         assert list(first_seen_filter([], FirstSeenState())) == []

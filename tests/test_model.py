@@ -162,10 +162,12 @@ class TestRRType:
     def test_unknown_never_fails(self):
         rr = RRType.parse("weird-thing")
         assert rr == "WEIRD-THING"
+        assert RRType.parse(" nsap-ptr ") == "NSAP-PTR"
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            RRType.parse("  ")
+        for text in ("  ", "", "A B", '["A"]', "-", "\u00df", "A.B"):
+            with pytest.raises(ValueError):
+                RRType.parse(text)
 
 
 class TestParseTimeSeen:
