@@ -8,6 +8,7 @@ import gzip
 import io
 import json
 import math
+import re
 import sys
 import threading
 from collections import Counter
@@ -15,6 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from hashlib import blake2b
+from operator import methodcaller
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
 
@@ -78,15 +80,33 @@ class IngestStats:
         return self.read == self.accepted + self.rejected + self.deduplicated
 
 
-def _parse_name_field(value, what: str) -> Optional[Fqdn]:
+def _name_text(value, what: str) -> Optional[str]:
+    """The stripped text of a name field; None when it is missing or blank."""
     if value is None:
         return None
     if not isinstance(value, str):
         raise RecordError("BadField", f"{what} is not a string")
-    value = value.strip()
-    if not value:
-        return None
-    return parse_fqdn(value)
+    return value.strip() or None
+
+
+# `domain` and `bailiwick` repeat across records (a feed has far fewer SLDs
+# than hostnames), so their parses are kept by raw text. The cap keeps a
+# long tail of distinct names from growing the process: emptied when full.
+_NAME_CACHE: dict[str, Fqdn] = {}
+_NAME_CACHE_CAP = 256
+
+
+def _parse_name_field(value, what: str) -> Optional[Fqdn]:
+    fqdn = _NAME_CACHE.get(value) if isinstance(value, str) else None
+    if fqdn is None:
+        text = _name_text(value, what)
+        if text is None:
+            return None
+        fqdn = parse_fqdn(text)
+        if len(_NAME_CACHE) >= _NAME_CACHE_CAP:
+            _NAME_CACHE.clear()
+        _NAME_CACHE[value] = fqdn
+    return fqdn
 
 
 def _parse_rrtype(value) -> RRType:
@@ -124,8 +144,8 @@ def parse_record(obj: dict) -> PdnsEntry:
     Field names follow the feed schema; unknown fields (`keys`, `new_rr`,
     ...) are ignored. Raises RecordError or FqdnError on bad records.
     """
-    rrname_raw = obj.get("rrname")
-    if not rrname_raw:
+    rrname = _name_text(obj.get("rrname"), "rrname")
+    if rrname is None:
         raise RecordError("MissingField", "record has no rrname")
     rrtype = _parse_rrtype(obj.get("rrtype"))
     time_raw = obj.get("time_seen")
@@ -136,22 +156,22 @@ def parse_record(obj: dict) -> PdnsEntry:
     except ValueError:
         raise RecordError("BadTimestamp", f"bad time_seen: {time_raw!r}")
     return PdnsEntry(
-        domain=_parse_name_field(obj.get("domain"), "domain"),
-        time_seen=time_seen,
-        bailiwick=_parse_name_field(obj.get("bailiwick"), "bailiwick"),
-        rrname=parse_fqdn(str(rrname_raw)),
-        rrclass=str(obj.get("rrclass") or "IN"),
-        rrtype=rrtype,
-        rdata=_parse_rdata(obj.get("rdata")),
+        _parse_name_field(obj.get("domain"), "domain"),
+        time_seen,
+        _parse_name_field(obj.get("bailiwick"), "bailiwick"),
+        parse_fqdn(rrname),
+        str(obj.get("rrclass") or "IN"),
+        rrtype,
+        _parse_rdata(obj.get("rdata")),
     )
 
 
 @contextmanager
-def _open_source(source: Source) -> Iterator[IO[str]]:
-    """A path, `-` (stdin) or a binary file object as UTF-8 text, gunzipped
-    when it starts with the gzip magic; a text object as it is. Only a file
-    opened here is closed; the wrappers around any other are detached, as
-    their finalizers would close it."""
+def _open_source(source: Source) -> Iterator[IO]:
+    """A path, `-` (stdin) or a binary file object as a binary stream,
+    gunzipped when it starts with the gzip magic; a text object as it is.
+    Only a file opened here is closed; a buffer put around any other is
+    detached, as its finalizer would close it."""
     if source == "-":
         source = sys.stdin.buffer
     owned = not hasattr(source, "read")
@@ -164,47 +184,85 @@ def _open_source(source: Source) -> Iterator[IO[str]]:
         yield source
         return
     buffered = source if hasattr(source, "peek") else io.BufferedReader(source)
-    binary = gzip.GzipFile(fileobj=buffered) if buffered.peek(2)[:2] == b"\x1f\x8b" else buffered
-    text = io.TextIOWrapper(binary, encoding="utf-8")
     try:
-        yield text
+        if buffered.peek(2)[:2] == b"\x1f\x8b":
+            # GzipFile.readline is Python code; a buffer over it splits lines in C.
+            yield io.BufferedReader(gzip.GzipFile(fileobj=buffered), 1 << 16)
+        else:
+            yield buffered
     finally:
         if owned:
             source.close()
-        else:
-            text.detach()
-            if buffered is not source:
-                buffered.detach()
+        elif buffered is not source:
+            buffered.detach()
 
 
-def _decode_ndjson(line: str) -> dict:
+# A JSON text is one value between JSON whitespace. json.loads checks that
+# with two regex matches and three Python calls around the C scanner that
+# reads the value; a strip and one scanner call check the same.
+_scan_json_value = json.JSONDecoder().scan_once
+
+
+def _decode_ndjson(line: Union[bytes, str]) -> dict:
+    if isinstance(line, bytes):
+        try:
+            line = line.decode()
+        except UnicodeDecodeError:
+            raise RecordError("BadEncoding", "line is not valid UTF-8") from None
+    text = line.strip(" \t\n\r")
     try:
-        obj = json.loads(line)
-    except (ValueError, RecursionError):
-        raise RecordError("BadRecord", "line is not valid JSON") from None
+        obj, end = _scan_json_value(text, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = -1
+    if end != len(text):
+        raise RecordError("BadRecord", "line is not valid JSON")
     if not isinstance(obj, dict):
         raise RecordError("BadRecord", "line is not a JSON object")
     return obj
 
 
-def _csv_rows(fh: IO[str]) -> Iterator[list[str]]:
-    rows = filter(None, csv.reader(fh))
-    first = next(rows, None)
-    if first is not None and [c.strip() for c in first[:2]] != ["domain", "time_seen"]:
-        yield first  # not a header row
-    yield from rows
+def _csv_rows(fh: IO) -> Iterator[Union[list[str], csv.Error]]:
+    """The non-blank rows, less a leading header row. Byte lines are decoded
+    with each bad byte kept as a lone surrogate, for _decode_csv to count.
+    A row the reader rejects (a field over csv.field_size_limit) comes out
+    as its csv.Error, so the rows after it are still read."""
+    lines = (line if isinstance(line, str) else line.decode("utf-8", "surrogateescape") for line in fh)
+    reader = csv.reader(lines)
+    first = True
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            row = exc
+        if not row:
+            continue
+        if first:
+            first = False
+            if isinstance(row, list) and [c.strip() for c in row[:2]] == ["domain", "time_seen"]:
+                continue
+        yield row
 
 
-def _decode_csv(row: list[str]) -> dict:
+# What surrogateescape decoding makes of a byte that is not UTF-8.
+_UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _decode_csv(row: Union[list[str], csv.Error]) -> dict:
+    if isinstance(row, csv.Error):
+        raise RecordError("BadRecord", f"unreadable row: {row}")
+    if any(map(_UNDECODED_BYTE.search, row)):
+        raise RecordError("BadEncoding", "row is not valid UTF-8")
     if len(row) != len(CSV_COLUMNS):
         raise RecordError("BadRecord", f"expected {len(CSV_COLUMNS)} columns, got {len(row)}")
     return dict(zip(CSV_COLUMNS, row))
 
 
-# Per format: the records of an open text stream (NDJSON: non-blank lines),
-# and the decoding of one record into a field dict, raising RecordError.
+# Per format: the records of an open stream (NDJSON: non-blank lines), and
+# the decoding of one record into a field dict, raising RecordError.
 _FORMATS = {
-    "ndjson": (partial(filter, str.strip), _decode_ndjson),
+    "ndjson": (partial(filter, methodcaller("strip")), _decode_ndjson),
     "csv": (_csv_rows, _decode_csv),
 }
 
@@ -216,9 +274,11 @@ def read_stream(
 ) -> Iterator[PdnsEntry]:
     """Lazily yield entries from a file path, `-`, or open file object.
 
-    Gzip inputs are detected by magic bytes. Malformed records are counted
-    in `stats` and skipped; they never abort the stream. Memory stays
-    bounded by a single record. Only a file opened from a path is closed.
+    Gzip inputs are detected by magic bytes. Bytes are decoded as UTF-8
+    one record at a time, so a bad byte costs only its record. Malformed
+    records are counted in `stats` and skipped; they never abort the
+    stream. Memory stays bounded by a single record. Only a file opened
+    from a path is closed.
     """
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format: {fmt!r} (expected 'ndjson' or 'csv')")

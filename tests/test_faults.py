@@ -1,0 +1,117 @@
+"""Fault matrix: one bad record between good ones, read by `pdnskit stats`.
+
+Each row runs the real command in its own process and asserts that it
+exits 0 and that `ingest_stats.json` counts the bad record under its error
+kind while keeping the good records on both sides of it.
+"""
+
+import csv
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pdnskit
+from pdnskit.ingest import CSV_COLUMNS
+
+from conftest import TABLE_RECORD
+
+SRC = str(Path(pdnskit.__file__).resolve().parents[1])
+
+BAD_TIMESTAMPS = [
+    "2017-07-01T09:35:04",
+    "2017-07-01 09:35x04",
+    "2017-07-01 09:35:+4",
+    "2017-07-01 09:35: 4",
+    "２017-07-01 09:35:04",
+]
+
+
+def record_bytes(fmt: str, **overrides) -> bytes:
+    """One record as a line of NDJSON or CSV; a list in CSV is a JSON string."""
+    fields = dict(TABLE_RECORD, **overrides)
+    if fmt == "ndjson":
+        return json.dumps(fields).encode() + b"\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(
+        v if isinstance(v, str) else json.dumps(v) for v in (fields[c] for c in CSV_COLUMNS)
+    )
+    return buf.getvalue().encode()
+
+
+def good(fmt: str, i: int) -> bytes:
+    return record_bytes(fmt, rrname=f"good{i}.teriava.com.")
+
+
+def non_utf8(fmt: str) -> bytes:
+    # A Latin-1 byte inside an otherwise valid record.
+    return record_bytes(fmt, rrname="cafe-x.teriava.com.").replace(b"e-x", b"\xe9")
+
+
+FAULTS = [
+    # (id, formats, bad records between the good ones, expected rejections)
+    (
+        "lenient-timestamp",
+        ("ndjson", "csv"),
+        lambda fmt: b"".join(record_bytes(fmt, time_seen=t) for t in BAD_TIMESTAMPS),
+        {"BadTimestamp": len(BAD_TIMESTAMPS)},
+    ),
+    (
+        "non-string-rrname",
+        ("ndjson",),
+        lambda fmt: record_bytes(fmt, rrname=["x.y.teriava.com"]) + record_bytes(fmt, rrname=7),
+        {"BadField": 2},
+    ),
+    (
+        "blank-rrname",
+        ("ndjson", "csv"),
+        lambda fmt: record_bytes(fmt, rrname="   ") + record_bytes(fmt, rrname=""),
+        {"MissingField": 2},
+    ),
+    (
+        "oversized-csv-field",
+        ("csv",),
+        lambda fmt: record_bytes(fmt, rdata="x" * 140_000),
+        {"BadRecord": 1},
+    ),
+    (
+        "non-utf8-byte",
+        ("ndjson", "csv"),
+        non_utf8,
+        {"BadEncoding": 1},
+    ),
+]
+
+ROWS = [
+    pytest.param(fmt, make_bad, rejected, id=f"{name}-{fmt}")
+    for name, formats, make_bad, rejected in FAULTS
+    for fmt in formats
+]
+
+
+@pytest.mark.parametrize("fmt, make_bad, rejected", ROWS)
+def test_fault_is_counted_and_stream_continues(tmp_path, fmt, make_bad, rejected):
+    corpus = tmp_path / f"in.{fmt}"
+    corpus.write_bytes(good(fmt, 1) + good(fmt, 2) + make_bad(fmt) + good(fmt, 3))
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "pdnskit", "stats", str(corpus), "--out", str(out), "--format", fmt],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    n_bad = sum(rejected.values())
+    assert json.loads((out / "ingest_stats.json").read_text(encoding="utf-8")) == {
+        "read": 3 + n_bad,
+        "accepted": 3,
+        "rejected_by_error": rejected,
+        "deduplicated": 0,
+        "warnings": {},
+    }
+    summary = json.loads((out / "stats_summary.json").read_text(encoding="utf-8"))
+    assert summary["total_entries"] == 3

@@ -12,16 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdnskit import ingest
 from pdnskit.ingest import (
     CSV_COLUMNS,
     CapacityExceededError,
     FirstSeenState,
     IngestStats,
+    RecordError,
     UnreadableSourceError,
     first_seen_filter,
     parse_record,
     read_stream,
 )
+from pdnskit.model import Fqdn, FqdnError
 
 from conftest import TABLE_RECORD, make_entry, ndjson_line, write_ndjson
 
@@ -72,6 +75,55 @@ class TestParseRecord:
     def test_rdata_bare_string(self):
         entry = parse_record(dict(TABLE_RECORD, rdata="10 mx.example.com."))
         assert entry.rdata == ("10 mx.example.com.",)
+
+    def test_name_cache_holds_only_parsed_names_up_to_its_cap(self):
+        cache = ingest._NAME_CACHE
+        cache.clear()
+        bad = ["a..teriava.com.", "x" * 64 + ".com."]
+        for i in range(3 * ingest._NAME_CACHE_CAP):
+            domain = f"d{i % (2 * ingest._NAME_CACHE_CAP)}.com."
+            entry = parse_record(dict(TABLE_RECORD, domain=domain, rrname=f"h.{domain}"))
+            assert cache[domain] is entry.domain
+            with pytest.raises(FqdnError):
+                parse_record(dict(TABLE_RECORD, domain=bad[i % 2]))
+            assert len(cache) <= ingest._NAME_CACHE_CAP
+            assert not set(bad) & set(cache)
+        assert all(isinstance(f, Fqdn) for f in cache.values())
+
+
+json_value_st = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+json_space_st = st.text(alphabet=" \t\r\n\x0b\xa0", max_size=3)
+
+
+@given(
+    st.one_of(
+        st.builds(
+            lambda before, value, after, tail: before + json.dumps(value) + after + tail,
+            json_space_st, json_value_st, json_space_st, st.sampled_from(["", "x", "{}", "]", "\ufeff"]),
+        ),
+        st.builds(lambda before, value: before + json.dumps(value), st.sampled_from(["\ufeff", "x"]), json_value_st),
+        st.text(max_size=30),
+    )
+)
+@settings(max_examples=500)
+def test_ndjson_decode_accepts_what_json_loads_does(line):
+    try:
+        expected = json.loads(line)
+    except (ValueError, RecursionError):
+        expected = None
+    if not isinstance(expected, dict):
+        expected = None
+    for record in (line, line.encode()):
+        try:
+            got = ingest._decode_ndjson(record)
+        except RecordError as exc:
+            assert exc.kind == "BadRecord"
+            got = None
+        assert got == expected
 
 
 class TestReadStream:

@@ -176,7 +176,20 @@ class TestParseTimeSeen:
         assert dt == datetime(2017, 7, 1, 9, 35, 4, tzinfo=timezone.utc)
 
     @pytest.mark.parametrize(
-        "bad", ["2017-07-01", "2017/07/01 09:35:04", "2017-13-01 00:00:00", "garbage"]
+        "bad",
+        [
+            "2017-07-01",
+            "2017/07/01 09:35:04",
+            "2017-13-01 00:00:00",
+            "garbage",
+            "2017-07-01T09:35:04",
+            "2017-07-01 09:35x04",
+            "2017-07-01 09:35:+4",
+            "2017-07-01 09:35: 4",
+            "\uff12017-07-01 09:35:04",  # a full-width digit, which int() accepts
+            "2017-07-01 24:00:00",
+            "2017-07-01 09:35:04\n",
+        ],
     )
     def test_bad_inputs(self, bad):
         with pytest.raises(ValueError):

@@ -2,14 +2,25 @@
 
 import string
 from collections import Counter
-from datetime import date
+from dataclasses import FrozenInstanceError, dataclass, field, replace
+from datetime import date, datetime, timezone
+from typing import Optional
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdnskit.fingerprint import ProfileSet, classify, detect_encoding
-from pdnskit.model import FqdnError, RRType, parse_fqdn, sld_name
+from pdnskit.model import (
+    Fqdn,
+    FqdnError,
+    PdnsEntry,
+    RRType,
+    _parse_fqdn_general,
+    parse_fqdn,
+    parse_time_seen,
+    sld_name,
+)
 from pdnskit.pipeline import FilterConfig, KnownLists, run_pipeline, stage_table
 from pdnskit.stats import StatsBundle
 
@@ -82,6 +93,106 @@ class TestFqdnProperties:
             assert exc.kind in ("EmptyLabel", "LabelTooLong", "NameTooLong")
             outcomes += 1
         assert outcomes == 1
+
+
+@st.composite
+def name_near_limits(draw):
+    """ASCII or non-ASCII names, some with empty labels, labels of 62-64
+    characters, totals of 251-255 characters and a root dot."""
+    alphabet = LABEL_CHARS + "AZ" + draw(st.sampled_from(["", "Üé", "\u0101\u4e00"]))
+    label = st.one_of(
+        st.text(alphabet=alphabet, max_size=6),
+        st.integers(62, 64).flatmap(lambda n: st.text(alphabet=alphabet, min_size=n, max_size=n)),
+    )
+    name = ".".join(draw(st.lists(label, min_size=1, max_size=5)))
+    if draw(st.booleans()):
+        # Prepend full labels, then cut the front to the drawn total.
+        padded = ".".join(["p" * 63] * 5 + [name])
+        name = padded[len(padded) - draw(st.integers(251, 255)):]
+    return name + "." if draw(st.booleans()) else name
+
+
+def parse_outcome(parse, raw):
+    try:
+        f = parse(raw)
+    except FqdnError as exc:
+        return type(exc)
+    return f.labels, f.name
+
+
+# The generated dataclasses the hand-written constructors replace, as the
+# reference for equality, hashing and repr.
+@dataclass(frozen=True, slots=True)
+class RefFqdn:
+    labels: tuple
+    name: str = field(compare=False)
+
+
+@dataclass(frozen=True, slots=True)
+class RefPdnsEntry:
+    domain: Optional[Fqdn]
+    time_seen: datetime
+    bailiwick: Optional[Fqdn]
+    rrname: Fqdn
+    rrclass: str
+    rrtype: RRType
+    rdata: tuple
+
+
+class TestModelFastPaths:
+    @given(st.one_of(name_near_limits(), st.text(max_size=300)))
+    @settings(max_examples=1000)
+    def test_parse_fqdn_agrees_with_general_parser(self, raw):
+        assert parse_outcome(parse_fqdn, raw) == parse_outcome(_parse_fqdn_general, raw)
+
+    @given(labels_st, st.booleans())
+    @settings(max_examples=200)
+    def test_fqdn_constructor_keeps_value_semantics(self, labels, upper_name):
+        labels = tuple(labels)
+        name = ".".join(labels)
+        f = Fqdn(labels, name.upper() if upper_name else name)
+        assert f == Fqdn(labels=labels, name=name) == parse_fqdn(name)  # labels only
+        assert hash(f) == hash(parse_fqdn(name)) == hash(RefFqdn(labels, f.name))
+        assert f != Fqdn(labels + ("x",), name)
+        assert repr(f) == repr(RefFqdn(labels, f.name)).replace("RefFqdn", "Fqdn")
+        for attr in ("labels", "name"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(f, attr, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(f, attr)
+
+    @given(entry_st(), rrtype_st)
+    @settings(max_examples=200)
+    def test_entry_constructor_keeps_value_semantics(self, e, rrtype):
+        values = (e.domain, e.time_seen, e.bailiwick, e.rrname, e.rrclass, e.rrtype, e.rdata)
+        ref = RefPdnsEntry(*values)
+        same = PdnsEntry(**{name: getattr(e, name) for name in RefPdnsEntry.__dataclass_fields__})
+        assert e == same and hash(e) == hash(same) == hash(ref)
+        assert repr(e) == repr(ref).replace("RefPdnsEntry", "PdnsEntry")
+        other = replace(e, rrtype=RRType.parse(rrtype))
+        assert (other == e) == (rrtype == e.rrtype)
+        with pytest.raises(FrozenInstanceError):
+            e.rrname = parse_fqdn("x.com")
+
+    @given(st.from_regex(r"\A\d{4}-\d\d-\d\d \d\d:\d\d:\d\d\Z", fullmatch=True))
+    @settings(max_examples=500)
+    def test_time_seen_agrees_with_field_parse(self, text):
+        try:
+            expected = datetime(
+                int(text[0:4]), int(text[5:7]), int(text[8:10]),
+                int(text[11:13]), int(text[14:16]), int(text[17:19]),
+                tzinfo=timezone.utc,
+            )
+        except ValueError:
+            expected = ValueError
+        try:
+            got = parse_time_seen(text)
+        except ValueError:
+            got = ValueError
+        if text.isascii():
+            assert got == expected
+        else:
+            assert got is ValueError
 
 
 class TestDetectEncodingProperties:
