@@ -17,7 +17,7 @@ from typing import Optional
 import click
 
 from pdnskit import __version__
-from pdnskit.fingerprint import UNKNOWN, ProfileSet, SldVotes, classify
+from pdnskit.fingerprint import UNKNOWN, ProfileError, ProfileSet, SldVotes, classify
 from pdnskit.ingest import (
     FirstSeenState,
     IngestStats,
@@ -397,7 +397,7 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except (ConfigError, GenConfigError) as exc:
+    except (ConfigError, GenConfigError, ProfileError) as exc:
         click.echo(f"config error: {exc}", err=True)
         return 3
     except OSError as exc:

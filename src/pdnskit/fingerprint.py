@@ -13,7 +13,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from pdnskit.model import Fqdn, PdnsEntry, RRType
 
@@ -26,6 +27,7 @@ __all__ = [
     "AttributeVector",
     "ImplementationProfile",
     "ProviderRule",
+    "ProfileError",
     "ProfileSet",
     "Attribution",
     "SldAttribution",
@@ -58,8 +60,6 @@ ATTRIBUTE_NAMES = (
 
 UNKNOWN = "unknown"
 
-_ASCII_DIGITS = frozenset("0123456789")
-_ASCII_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
 # Character classes tallied by `detect_encoding`. Every class but _DIRTY
 # lies inside the base64-like charset.
@@ -116,17 +116,15 @@ def detect_encoding(text: str, min_share: float = 0.95) -> str:
     return ENCODING_NONE
 
 
-def _char_class(c: str) -> str:
-    if c in _ASCII_DIGITS:
-        return "digit"
-    if c in _ASCII_LETTERS:
-        return "letter"
-    return "other"
+_FIRST_CHAR_CLASS = {
+    **dict.fromkeys("0123456789", "digit"),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz", "letter"),
+}
 
 
-@dataclass(frozen=True, slots=True)
-class AttributeVector:
-    """The eight structural attributes of one entry's hostname."""
+class AttributeVector(NamedTuple):
+    """The eight structural attributes of one entry's hostname. Hashable,
+    so that equal vectors share one classification (see `classify`)."""
 
     payload_len: int  # bytes (dots included) of all labels at level >= 4
     level: int
@@ -150,19 +148,24 @@ def extract_attributes(
     """
     labels = entry.rrname.labels
     n = len(labels)
-    payload_labels = labels[: n - 3] if n > 3 else ()
-    payload = ".".join(payload_labels)
     name = entry.rrname.name
-    found = frozenset(m for m in markers if m in name)
+    if n > 3:
+        payload = "".join(labels[: n - 3])
+        # The n - 4 dots between the payload labels are one byte each.
+        payload_len = (len(payload) if payload.isascii() else len(payload.encode())) + n - 4
+        label4_len = len(labels[n - 4])
+        label5_len = len(labels[n - 5]) if n >= 5 else None
+    else:
+        payload, payload_len, label4_len, label5_len = "", 0, None, None
     return AttributeVector(
-        payload_len=len(payload) if payload.isascii() else len(payload.encode()),
-        level=n,
-        label4_len=len(labels[n - 4]) if n >= 4 else None,
-        label5_len=len(labels[n - 5]) if n >= 5 else None,
-        rrtype=entry.rrtype,
-        encoding=detect_encoding("".join(payload_labels)),
-        first_char=_char_class(labels[0][0]),
-        markers=found,
+        payload_len,
+        n,
+        label4_len,
+        label5_len,
+        entry.rrtype,
+        detect_encoding(payload),
+        _FIRST_CHAR_CLASS.get(labels[0][0], "other"),
+        frozenset([m for m in markers if m in name]),
     )
 
 
@@ -230,6 +233,10 @@ class ImplementationProfile:
                 raise ValueError(f"profile {self.name}: unknown char class {cls!r}")
 
 
+class ProfileError(ValueError):
+    """A profile file is unreadable as a profile set."""
+
+
 def _profile_from_section(name: str, sec) -> ImplementationProfile:
     provider = None
     if sec.get("provider_sld"):
@@ -264,11 +271,20 @@ def _compile(p: ImplementationProfile) -> tuple:
     )
 
 
+# Classifications kept per profile set, by attribute vector, provider and
+# threshold. Tunnel names repeat a few templates, so a feed has few distinct
+# keys; the cap keeps a long tail of them from growing the process: the memo
+# is emptied when full.
+_MEMO_CAP = 1024
+
+
 class ProfileSet:
     """An ordered collection of profiles sharing one marker vocabulary.
 
     The set is compiled once, here, into the form `classify` scores: one
-    flat row per profile and the profiles carrying a provider rule.
+    flat row per profile and a map from provider SLD shape (TLD, SLD label
+    length) to the first provider profile in file order claiming it. It
+    also holds `classify`'s memo of results.
     """
 
     def __init__(self, profiles: Sequence[ImplementationProfile]):
@@ -284,7 +300,12 @@ class ProfileSet:
         )
         self._order = {p.name: i for i, p in enumerate(self.profiles)}
         self._rows = tuple(_compile(p) for p in self.profiles)
-        self._providers = tuple(p for p in self.profiles if p.provider is not None)
+        self._provider_by_sld: dict[tuple[str, int], str] = {}
+        for p in self.profiles:
+            if p.provider is not None:
+                key = (p.provider.tld, p.provider.label_len)
+                self._provider_by_sld.setdefault(key, p.name)
+        self._memo: dict[tuple, Attribution] = {}
 
     def __iter__(self):
         return iter(self.profiles)
@@ -297,12 +318,20 @@ class ProfileSet:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ProfileSet":
+        """The profile set a file describes. Raises ProfileError when the
+        content is not a valid profile set, OSError when it is unreadable."""
         parser = configparser.ConfigParser(interpolation=None)
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-        return cls(
-            [_profile_from_section(name, parser[name]) for name in parser.sections()]
-        )
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                parser.read_file(fh)
+            return cls(
+                [_profile_from_section(name, parser[name]) for name in parser.sections()]
+            )
+        except KeyError as exc:
+            raise ProfileError(f"bad profile file {path}: missing key {exc}") from exc
+        except (configparser.Error, ValueError) as exc:
+            message = " ".join(str(exc).split())  # configparser's span several lines
+            raise ProfileError(f"bad profile file {path}: {message}") from exc
 
     @classmethod
     def default(cls) -> "ProfileSet":
@@ -317,7 +346,8 @@ class Attribution:
 
     implementation: str  # profile name or "unknown"
     match_count: int
-    per_attribute: dict[str, bool] = field(default_factory=dict)
+    # Read-only in what `classify` returns: equal entries share one result.
+    per_attribute: Mapping[str, bool] = field(default_factory=dict)
     provider_rule: bool = False
     tied_with: tuple[str, ...] = ()
 
@@ -367,9 +397,13 @@ def match_profile(
 _ABSENT = math.nan
 
 
+_NO_ATTRIBUTES: Mapping[str, bool] = MappingProxyType({})
+
+
 def _explain(attrs: AttributeVector, profile: ImplementationProfile, **extra) -> Attribution:
     scored = match_profile(attrs, profile)
-    return Attribution(profile.name, scored.match_count, scored.per_attribute, **extra)
+    per = MappingProxyType(scored.per_attribute)
+    return Attribution(profile.name, scored.match_count, per, **extra)
 
 
 def classify(
@@ -383,14 +417,36 @@ def classify(
     order and report the tied names. Below the threshold the entry stays
     unknown.
 
-    Every profile is scored from the set's compiled rows with the same
-    comparisons `match_profile` makes; only the winner's per-attribute
-    explanation is built, by `match_profile` itself.
+    The result depends only on the attribute vector, the provider rule
+    the SLD matches and `min_matches`, so it is computed once per distinct
+    key and kept in the profile set's memo; entries with equal keys get
+    the same read-only `Attribution`.
     """
     attrs = extract_attributes(entry, markers=profiles.markers)
-    for profile in profiles._providers:
-        if profile.provider.matches(entry.rrname):
-            return _explain(attrs, profile, provider_rule=True)
+    labels = entry.rrname.labels
+    provider = (
+        profiles._provider_by_sld.get((labels[-1], len(labels[-2])))
+        if len(labels) >= 2
+        else None
+    )
+    key = (attrs, provider, min_matches)
+    memo = profiles._memo
+    result = memo.get(key)
+    if result is None:
+        if provider is not None:
+            result = _explain(attrs, profiles.by_name[provider], provider_rule=True)
+        else:
+            result = _score(attrs, profiles, min_matches)
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        memo[key] = result
+    return result
+
+
+def _score(attrs: AttributeVector, profiles: ProfileSet, min_matches: int) -> Attribution:
+    """Score every profile from the set's compiled rows with the same
+    comparisons `match_profile` makes; only the winner's per-attribute
+    explanation is built, by `match_profile` itself."""
     payload_len, level = attrs.payload_len, attrs.level
     label4 = _ABSENT if attrs.label4_len is None else attrs.label4_len
     label5 = _ABSENT if attrs.label5_len is None else attrs.label5_len
@@ -421,7 +477,7 @@ def classify(
             # is reset when a winner is found and unused if none is.
             tied.append(profile.name)
     if best is None:
-        return Attribution(implementation=UNKNOWN, match_count=0, per_attribute={})
+        return Attribution(implementation=UNKNOWN, match_count=0, per_attribute=_NO_ATTRIBUTES)
     return _explain(attrs, best, tied_with=tuple(tied))
 
 

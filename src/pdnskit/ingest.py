@@ -155,12 +155,15 @@ def parse_record(obj: dict) -> PdnsEntry:
         time_seen = parse_time_seen(str(time_raw))
     except ValueError:
         raise RecordError("BadTimestamp", f"bad time_seen: {time_raw!r}")
+    rrclass = obj.get("rrclass") or "IN"
+    if not isinstance(rrclass, str):
+        raise RecordError("BadField", f"rrclass is not a string: {rrclass!r:.60}")
     return PdnsEntry(
         _parse_name_field(obj.get("domain"), "domain"),
         time_seen,
         _parse_name_field(obj.get("bailiwick"), "bailiwick"),
         parse_fqdn(rrname),
-        str(obj.get("rrclass") or "IN"),
+        rrclass,
         rrtype,
         _parse_rdata(obj.get("rdata")),
     )

@@ -91,9 +91,11 @@ class GenConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "GenConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
         try:
+            with open(path, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+            if not isinstance(obj, dict):
+                raise TypeError("the top level must be a JSON object")
             return cls(
                 seed=int(obj.get("seed", 1)),
                 start_date=date.fromisoformat(obj.get("start_date", "2017-07-01")),

@@ -302,6 +302,19 @@ class TestReportCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+GOOD_PROFILE = (
+    b"[toy]\n"
+    b"rrtypes = TXT\n"
+    b"levels = 4..5\n"
+    b"label4_len = 10..20\n"
+    b"label5_len = 10..20\n"
+    b"payload_len = 10..41\n"
+    b"encodings = hex\n"
+    b"first_char = letter\n"
+    b"markers = toytool\n"
+)
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self):
         assert main(["stats"]) == 1  # missing inputs
@@ -335,6 +348,66 @@ class TestExitCodes:
         assert main(["stats", str(corpus), "--out", str(out)] + args) == code
         errors = [line for line in capsys.readouterr().err.splitlines() if "--top" in line]
         assert len(errors) == 1 and "x>=1" in errors[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["classify", "gen", "env"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b"[bad\n" + GOOD_PROFILE, id="no-section-header"),
+            pytest.param(GOOD_PROFILE + GOOD_PROFILE, id="duplicate-section"),
+            pytest.param(GOOD_PROFILE.replace(b"payload_len = 10..41\n", b""), id="missing-key"),
+            pytest.param(GOOD_PROFILE.replace(b"10..41", b"41..10"), id="empty-range"),
+            pytest.param(GOOD_PROFILE.replace(b"10..41", b"ten"), id="non-numeric-range"),
+            pytest.param(GOOD_PROFILE.replace(b"= hex", b"= rot13"), id="unknown-encoding"),
+            pytest.param(GOOD_PROFILE.replace(b"= letter", b"= vowel"), id="unknown-char-class"),
+            pytest.param(GOOD_PROFILE.replace(b"= TXT", b"= BOGUS TYPE"), id="bad-rrtype"),
+            pytest.param(GOOD_PROFILE + b"provider_sld = xchar.de\n", id="bad-provider"),
+            pytest.param(GOOD_PROFILE.replace(b"toytool", b"toyt\xe9ol"), id="non-utf8"),
+            pytest.param(b"", id="empty-file"),
+        ],
+    )
+    def test_bad_profile_file_is_three(
+        self, demo_corpus, tmp_path, capsys, monkeypatch, via, content
+    ):
+        corpus, _ = demo_corpus
+        path = tmp_path / "profiles.conf"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        if via == "gen":
+            args = ["gen", "--demo", "--out", str(out), "--profiles", str(path)]
+        elif via == "classify":
+            args = ["classify", str(corpus), "--out", str(out), "--profiles", str(path)]
+        else:
+            monkeypatch.setenv("PDNSKIT_PROFILES", str(path))
+            args = ["classify", str(corpus), "--out", str(out)]
+        assert main(args) == 3
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("config error: bad profile file")
+        assert not out.exists()
+
+    def test_good_profile_file_loads(self, tmp_path):
+        # Each bad file above breaks this one in one way.
+        path = tmp_path / "profiles.conf"
+        path.write_bytes(GOOD_PROFILE)
+        assert [p.name for p in ProfileSet.from_file(path)] == ["toy"]
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b'{"seed": 1,', id="truncated-json"),
+            pytest.param(b"[1, 2]", id="top-level-array"),
+            pytest.param(b'"seed"', id="top-level-string"),
+            pytest.param(b'{"seed": "\xff"}', id="non-utf8"),
+        ],
+    )
+    def test_bad_gen_config_is_three(self, tmp_path, capsys, content):
+        cfg = tmp_path / "gen.json"
+        cfg.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 3
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("config error: bad generator config")
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -67,6 +67,12 @@ FAULTS = [
         {"BadField": 2},
     ),
     (
+        "non-string-rrclass",
+        ("ndjson",),
+        lambda fmt: record_bytes(fmt, rrclass=["IN"]) + record_bytes(fmt, rrclass=7),
+        {"BadField": 2},
+    ),
+    (
         "blank-rrname",
         ("ndjson", "csv"),
         lambda fmt: record_bytes(fmt, rrname="   ") + record_bytes(fmt, rrname=""),

@@ -1,10 +1,12 @@
 import base64
 import string
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pdnskit import fingerprint
 from pdnskit.fingerprint import (
     UNKNOWN,
     Attribution,
@@ -362,6 +364,72 @@ class TestCompiledScorer:
                 assert classify(entry, DEFAULT_PROFILES, min_matches=min_matches) == (
                     reference_classify(entry, DEFAULT_PROFILES, min_matches)
                 )
+
+
+def fresh_profiles():
+    """The default profiles in a set with an empty memo."""
+    return ProfileSet(DEFAULT_PROFILES.profiles)
+
+
+class TestClassifyMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        items=st.lists(
+            st.tuples(scored_entry_st(), st.sampled_from(MIN_MATCHES)), min_size=1, max_size=8
+        ),
+        picks=st.lists(st.integers(0, 7), min_size=1, max_size=24),
+    )
+    def test_repeated_stream_matches_reference(self, items, picks):
+        # Repeats and mixed thresholds through one profile set, with the
+        # memo capped at two keys so that it is emptied mid-stream.
+        stream = items + [items[i % len(items)] for i in picks]
+        profiles = fresh_profiles()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fingerprint, "_MEMO_CAP", 2)
+            for entry, min_matches in stream:
+                got = classify(entry, profiles, min_matches=min_matches)
+                assert got == reference_classify(entry, profiles, min_matches)
+                assert len(profiles._memo) <= 2
+
+    def test_equal_keys_share_one_result(self):
+        profiles = fresh_profiles()
+        first = one_generated("iodine-null", "tun-m.net", profiles, payload=71 * 3)
+        results = [classify(e, profiles) for e in first]
+        assert all(r is results[0] for r in results)
+        assert classify(first[0], profiles, min_matches=7) is not results[0]
+
+    def test_shared_explanation_is_read_only(self):
+        profiles = fresh_profiles()
+        entry = one_generated("dnscat2", "tun-n.io", profiles)[0]
+        unknown = make_entry("www.example.com", rrtype="A")
+        for result in (classify(entry, profiles), classify(unknown, profiles)):
+            with pytest.raises(TypeError):
+                result.per_attribute["markers"] = False
+            with pytest.raises(TypeError):
+                del result.per_attribute["level"]
+        for e in (entry, unknown):
+            assert classify(e, profiles) == reference_classify(e, profiles, 6)
+
+    def test_provider_decision_is_part_of_the_key(self):
+        # Equal attribute vectors; only the first SLD has the provider shape.
+        profiles = fresh_profiles()
+        provider, plain = make_entry("xj29ab.53r.de"), make_entry("xj29ab.53rr.de")
+        assert extract_attributes(provider, profiles.markers) == extract_attributes(
+            plain, profiles.markers
+        )
+        for entry in (provider, plain, provider):
+            assert classify(entry, profiles) == reference_classify(entry, profiles, 6)
+
+    def test_first_provider_in_file_order_wins(self):
+        yf = DEFAULT_PROFILES.by_name["your-freedom"]
+        twin = replace(yf, name="yf-twin")
+        entry = make_entry("xj29ab.53r.de", rrtype="A", domain="53r.de")
+        for order in ([yf, twin], [twin, yf]):
+            profiles = ProfileSet(order)
+            result = classify(entry, profiles)
+            assert result.implementation == order[0].name
+            assert result.provider_rule
+            assert result == reference_classify(entry, profiles, 6)
 
 
 _REF_HEX_CHARS = frozenset("0123456789abcdef")
