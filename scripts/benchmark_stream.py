@@ -136,7 +136,7 @@ def main(argv=None) -> int:
         "deduplicated": args.entries - bundle.total,
         "stats_total": bundle.total,
         "distinct_slds": len(bundle.sld_entries),
-        "distinct_fqdns": sum(len(v) for v in bundle.sld_fqdns.values()),
+        "distinct_fqdns": sum(bundle.sld_fqdn_counts().values()),
         "pipeline_candidates": len(report.candidates),
         "dropped_known_tunnel_entries": sum(n for _, n in report.dropped_known_tunnels),
     }

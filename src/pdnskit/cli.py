@@ -21,6 +21,7 @@ from pdnskit.fingerprint import UNKNOWN, ProfileError, ProfileSet, SldVotes, cla
 from pdnskit.ingest import (
     FirstSeenState,
     IngestStats,
+    TruncatedInputError,
     UnreadableSourceError,
     first_seen_filter,
     read_stream,
@@ -97,6 +98,9 @@ def _load_psl(path: Optional[str]) -> Optional[PublicSuffixList]:
 
 
 def _write_ingest_stats(outdir: Path, stats: IngestStats) -> None:
+    """Write `ingest_stats.json`, a command's last artifact. Then, if an
+    input was cut short, fail with exit 2: the artifacts cover only the
+    records before the cut."""
     write_json(
         outdir / "ingest_stats.json",
         {
@@ -107,6 +111,12 @@ def _write_ingest_stats(outdir: Path, stats: IngestStats) -> None:
             "warnings": dict(sorted(stats.warnings.items())),
         },
     )
+    truncated = stats.rejected_by_error["TruncatedInput"]
+    if truncated:
+        raise TruncatedInputError(
+            f"{truncated} gzip input(s) ended early; artifacts in {outdir} "
+            "cover the records before the cut"
+        )
 
 
 @click.group()
@@ -222,7 +232,7 @@ def cmd_filter(
     help="Implementation profile file (default: bundled; env PDNSKIT_PROFILES).",
 )
 @click.option("--labels", "labels_path", default=None, help="Labels sidecar; enables the confusion matrix.")
-@click.option("--min-matches", default=6, show_default=True, help="Attribute threshold out of 8.")
+@click.option("--min-matches", default=6, show_default=True, type=click.IntRange(0, 8), help="Attribute threshold out of 8.")
 @click.option("--psl", "psl_path", default=None)
 @click.option("--config", default=None, help="JSON file of option overrides (flags win).")
 @click.pass_context
@@ -271,7 +281,6 @@ def cmd_classify(ctx, inputs, outdir, fmt, profiles_path, labels_path, min_match
         ("sld", "implementation", "agreement", "unknown_fraction", "entry_count"),
         rows,
     )
-    _write_ingest_stats(outdir, stats)
     if labels is not None:
         write_csv(
             outdir / "confusion_matrix.csv",
@@ -296,6 +305,7 @@ def cmd_classify(ctx, inputs, outdir, fmt, profiles_path, labels_path, min_match
         write_json(outdir / "metrics.json", metrics)
         if tunnel_total:
             click.echo(f"classify: tunnel accuracy {metrics['tunnel_accuracy']:.4f} over {tunnel_total} entries")
+    _write_ingest_stats(outdir, stats)
     click.echo(f"classify: {n_entries} entries over {len(totals)} SLDs -> {outdir}")
 
 

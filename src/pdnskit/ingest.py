@@ -11,6 +11,7 @@ import math
 import re
 import sys
 import threading
+import zlib
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ __all__ = [
     "FirstSeenState",
     "RecordError",
     "UnreadableSourceError",
+    "TruncatedInputError",
     "CapacityExceededError",
     "read_stream",
     "first_seen_filter",
@@ -47,6 +49,15 @@ Source = Union[str, Path, IO]
 
 class UnreadableSourceError(OSError):
     """The input source could not be opened at all (fatal)."""
+
+
+class TruncatedInputError(OSError):
+    """A gzip input was cut short. Raised by a command once its artifacts,
+    which cover the records before the cut, are all written."""
+
+
+# What reading a gzip stream that was cut short, or corrupted, raises.
+_TRUNCATED_GZIP = (EOFError, zlib.error, gzip.BadGzipFile)
 
 
 class CapacityExceededError(RuntimeError):
@@ -169,6 +180,27 @@ def parse_record(obj: dict) -> PdnsEntry:
     )
 
 
+class _GzipChunks(io.RawIOBase):
+    """A gzip stream as raw reads of what one read decompresses. A buffer
+    over GzipFile itself fills each block with several reads, and drops the
+    whole block when a cut stream makes the last of them raise."""
+
+    def __init__(self, fileobj: IO):
+        self._gz = gzip.GzipFile(fileobj=fileobj)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        data = self._gz.read1(len(buf))
+        buf[: len(data)] = data
+        return len(data)
+
+    def close(self) -> None:
+        self._gz.close()  # leaves the file object it reads open
+        super().close()
+
+
 @contextmanager
 def _open_source(source: Source) -> Iterator[IO]:
     """A path, `-` (stdin) or a binary file object as a binary stream,
@@ -190,7 +222,7 @@ def _open_source(source: Source) -> Iterator[IO]:
     try:
         if buffered.peek(2)[:2] == b"\x1f\x8b":
             # GzipFile.readline is Python code; a buffer over it splits lines in C.
-            yield io.BufferedReader(gzip.GzipFile(fileobj=buffered), 1 << 16)
+            yield io.BufferedReader(_GzipChunks(buffered), 1 << 16)
         else:
             yield buffered
     finally:
@@ -280,8 +312,10 @@ def read_stream(
     Gzip inputs are detected by magic bytes. Bytes are decoded as UTF-8
     one record at a time, so a bad byte costs only its record. Malformed
     records are counted in `stats` and skipped; they never abort the
-    stream. Memory stays bounded by a single record. Only a file opened
-    from a path is closed.
+    stream. A gzip stream that ends before its end-of-stream marker ends
+    the source there: the cut record counts as `TruncatedInput` and the
+    entries before it are kept. Memory stays bounded by a single record.
+    Only a file opened from a path is closed.
     """
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format: {fmt!r} (expected 'ndjson' or 'csv')")
@@ -289,17 +323,23 @@ def read_stream(
     if stats is None:
         stats = IngestStats()
     with _open_source(source) as fh:
-        for record in records(fh):
+        # Only reading the source raises these; one try around the loop
+        # costs a record nothing, where one around each read would not.
+        try:
+            for record in records(fh):
+                stats.read += 1
+                try:
+                    entry = parse_record(decode(record))
+                except (RecordError, FqdnError) as exc:
+                    stats.rejected_by_error[exc.kind] += 1
+                    continue
+                if not entry.domain_matches_rrname():
+                    stats.warnings["SuffixMismatch"] += 1
+                stats.accepted += 1
+                yield entry
+        except _TRUNCATED_GZIP:
             stats.read += 1
-            try:
-                entry = parse_record(decode(record))
-            except (RecordError, FqdnError) as exc:
-                stats.rejected_by_error[exc.kind] += 1
-                continue
-            if not entry.domain_matches_rrname():
-                stats.warnings["SuffixMismatch"] += 1
-            stats.accepted += 1
-            yield entry
+            stats.rejected_by_error["TruncatedInput"] += 1
 
 
 class _BloomFilter:

@@ -3,16 +3,24 @@
 One `StatsBundle` per stream shard; shards merge pointwise, so shards
 aggregated in separate processes and merged with `StatsBundle.merge` give
 the same numbers as a single pass.
+
+Distinct names are held once, in one set per (SLD, record type); an SLD's
+distinct count is the size of its only set, or of the union of its sets
+when it has several types. `emit_all` groups the per-type counters in one
+scan, ranks each scope once and streams every table's rows to its file.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date, timedelta
 from hashlib import blake2b
+from itertools import accumulate, chain, count, repeat
+from operator import truediv
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from pdnskit.model import PdnsEntry, PublicSuffixList, RRType, sld_name
 from pdnskit.tables import fmt_share, write_csv, write_json
@@ -63,6 +71,22 @@ def _hash64(text: str) -> int:
     return int.from_bytes(blake2b(text.encode("utf-8"), digest_size=8).digest(), "big")
 
 
+def _cumulative_shares(counts: Iterable[int]) -> Iterator[float]:
+    """The cumulative share at each rank of counts ranked descending. The
+    order of equal counts cannot change a cumulative share, so only the
+    counts are ranked."""
+    ordered = sorted(counts, reverse=True)
+    return map(sum(ordered).__rtruediv__, accumulate(ordered))  # running sum / total
+
+
+def _top(counts: dict[str, int], n: int) -> list[tuple[str, int, float]]:
+    """Rows (sld, count, share of all counts) for the n largest counts, ties
+    broken lexicographically: `sorted(...)[:n]` without sorting them all."""
+    total = sum(counts.values())
+    top = heapq.nsmallest(n, counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [(sld, c, c / total) for sld, c in top]
+
+
 @dataclass(frozen=True)
 class CdfSeries:
     """Cumulative share of FQDNs (or entries) by SLD rank."""
@@ -78,9 +102,9 @@ class CdfSeries:
 class StatsBundle:
     """All streaming measurement counters, mergeable pointwise.
 
-    `fqdn_mode="exact"` keeps distinct rrnames per SLD as string sets;
-    `"hash64"` keeps 64-bit digests instead, trading a vanishing collision
-    probability for roughly half the memory on very large corpora.
+    `fqdn_mode="exact"` keeps distinct rrnames per (SLD, type) as string
+    sets; `"hash64"` keeps 64-bit digests instead, trading a vanishing
+    collision probability for roughly half the memory on very large corpora.
     """
 
     def __init__(
@@ -100,8 +124,9 @@ class StatsBundle:
         self.sld_entries: Counter = Counter()  # sld -> entry count
         self.sld_type_entries: Counter = Counter()  # (sld, rrtype) -> entry count
         self.sld_day_entries: Counter = Counter()  # (date, sld) -> entry count
-        self.sld_fqdns: dict[str, set] = {}  # sld -> distinct rrnames
-        self.sld_type_fqdns: dict = {}  # (sld, rrtype) -> distinct rrnames
+        # (sld, rrtype) -> distinct rrnames; keyed by the same tuples as
+        # sld_type_entries.
+        self.sld_type_fqdns: dict[tuple[str, RRType], set] = {}
         self.sld_rdata_sum: Counter = Counter()
         self.min_day: Optional[date] = None
         self.max_day: Optional[date] = None
@@ -122,17 +147,13 @@ class StatsBundle:
         self.level_per_day[(day, len(entry.rrname.labels))] += 1
         self.rdata_buckets_per_day[(day, _bucket(size))] += 1
         self.sld_entries[sld] += 1
-        self.sld_type_entries[(sld, rrtype)] += 1
-        self.sld_day_entries[(day, sld)] += 1
-        fqdns = self.sld_fqdns.get(sld)
-        if fqdns is None:
-            fqdns = self.sld_fqdns[sld] = set()
-        fqdns.add(rrname)
         key = (sld, rrtype)
-        tf = self.sld_type_fqdns.get(key)
-        if tf is None:
-            tf = self.sld_type_fqdns[key] = set()
-        tf.add(rrname)
+        self.sld_type_entries[key] += 1
+        self.sld_day_entries[(day, sld)] += 1
+        names = self.sld_type_fqdns.get(key)
+        if names is None:
+            names = self.sld_type_fqdns[key] = set()
+        names.add(rrname)
         self.sld_rdata_sum[sld] += size
         if self.min_day is None or day < self.min_day:
             self.min_day = day
@@ -167,13 +188,6 @@ class StatsBundle:
             counter = Counter(getattr(self, name))
             counter.update(getattr(other, name))
             setattr(out, name, counter)
-        for sld, names in self.sld_fqdns.items():
-            out.sld_fqdns[sld] = set(names)
-        for sld, names in other.sld_fqdns.items():
-            if sld in out.sld_fqdns:
-                out.sld_fqdns[sld] |= names
-            else:
-                out.sld_fqdns[sld] = set(names)
         for key, names in self.sld_type_fqdns.items():
             out.sld_type_fqdns[key] = set(names)
         for key, names in other.sld_type_fqdns.items():
@@ -189,6 +203,34 @@ class StatsBundle:
 
     # ------------------------------------------------------------------
     # Derived tables
+
+    @property
+    def sld_fqdns(self) -> dict[str, set]:
+        """sld -> distinct rrnames, derived from the per-(SLD, type) sets as
+        a fresh copy: changing it changes nothing in the bundle. For counts,
+        `sld_fqdn_counts` copies no set."""
+        view: dict[str, set] = {}
+        for (sld, _), names in self.sld_type_fqdns.items():
+            if sld in view:
+                view[sld] |= names
+            else:
+                view[sld] = set(names)
+        return view
+
+    def sld_fqdn_counts(self) -> dict[str, int]:
+        """sld -> number of distinct rrnames. A single-type SLD counts its
+        one set; only an SLD with several types builds the union of its sets."""
+        counts: dict[str, int] = {}
+        several: dict[str, None] = {}
+        for (sld, _), names in self.sld_type_fqdns.items():
+            if sld in counts:
+                several[sld] = None
+            counts[sld] = len(names)
+        for sld in several:
+            counts[sld] = len(
+                set().union(*(self.sld_type_fqdns.get((sld, t), ()) for t in self.rrtype_counts))
+            )
+        return counts
 
     def rrtype_shares(self, full: bool = False) -> list[tuple[str, int, float]]:
         """Rows (type, count, share) for the seven named types plus an
@@ -215,22 +257,29 @@ class StatsBundle:
             rows.extend((name, c, c / self.total) for name, c in rest)
         return rows
 
-    def _sld_measure(self, scope: Optional[RRType], measure: str) -> dict[str, int]:
+    def _keys_by_type(self) -> dict[RRType, list[tuple[str, RRType]]]:
+        """rrtype -> its (sld, rrtype) keys, in one scan. The keys index both
+        `sld_type_entries` and `sld_type_fqdns`."""
+        groups = defaultdict(list)
+        for key in self.sld_type_entries:
+            groups[key[1]].append(key)
+        return groups
+
+    def _sld_measure(
+        self, scope: Optional[RRType], measure: str, by_type: Optional[dict] = None
+    ) -> dict[str, int]:
+        """sld -> count of one measure in one scope. `by_type` is
+        `_keys_by_type()`, made once by a caller that reads several scopes."""
+        if measure not in ("fqdns", "entries"):
+            raise ValueError(f"unknown measure: {measure!r}")
+        if scope is None:
+            return self.sld_fqdn_counts() if measure == "fqdns" else self.sld_entries
+        if by_type is None:
+            by_type = self._keys_by_type()
+        keys = by_type.get(scope, ())
         if measure == "fqdns":
-            if scope is None:
-                return {sld: len(v) for sld, v in self.sld_fqdns.items()}
-            return {
-                sld: len(v)
-                for (sld, t), v in self.sld_type_fqdns.items()
-                if t == scope
-            }
-        if measure == "entries":
-            if scope is None:
-                return dict(self.sld_entries)
-            return {
-                sld: c for (sld, t), c in self.sld_type_entries.items() if t == scope
-            }
-        raise ValueError(f"unknown measure: {measure!r}")
+            return {key[0]: len(self.sld_type_fqdns[key]) for key in keys}
+        return {key[0]: self.sld_type_entries[key] for key in keys}
 
     def sld_cdf(
         self, scope: Optional[RRType] = None, measure: str = "fqdns"
@@ -238,17 +287,11 @@ class StatsBundle:
         """Cumulative distribution of distinct FQDNs (default) or entries
         over SLDs ranked by that same count, descending; ties broken
         lexicographically."""
-        counts = self._sld_measure(scope, measure)
-        if not counts:
+        shares = _cumulative_shares(self._sld_measure(scope, measure).values())
+        points = tuple(enumerate(shares, start=1))
+        if not points:
             raise EmptyBundleError("no SLDs in scope")
-        total = sum(counts.values())
-        ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        points = []
-        acc = 0
-        for rank, (_, count) in enumerate(ordered, start=1):
-            acc += count
-            points.append((rank, acc / total))
-        return CdfSeries(points=tuple(points), scope=scope, measure=measure)
+        return CdfSeries(points=points, scope=scope, measure=measure)
 
     def top_slds(
         self, n: int, scope: Optional[RRType] = None
@@ -257,9 +300,7 @@ class StatsBundle:
         counts = self._sld_measure(scope, "entries")
         if not counts:
             raise EmptyBundleError("no SLDs in scope")
-        total = sum(counts.values())
-        ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
-        return [(sld, c, c / total) for sld, c in ordered]
+        return _top(counts, n)
 
     def days(self) -> list[date]:
         """Every calendar day in the observed range, inclusive."""
@@ -278,13 +319,13 @@ class StatsBundle:
                 rows.append((iso, sld, self.sld_day_entries.get((day, sld), 0)))
         return rows
 
-    def sld_rdata_means(self) -> list[tuple[str, int, float]]:
-        """Rows (sld, entry count, mean rdata size), for scatter views."""
-        rows = []
-        for sld in sorted(self.sld_entries):
-            count = self.sld_entries[sld]
-            rows.append((sld, count, self.sld_rdata_sum[sld] / count))
-        return rows
+    def sld_rdata_means(self) -> Iterator[tuple[str, int, float]]:
+        """Rows (sld, entry count, mean rdata size) by SLD name, for scatter
+        views; made one at a time."""
+        slds = sorted(self.sld_entries)
+        counts = list(map(self.sld_entries.__getitem__, slds))
+        means = map(truediv, map(self.sld_rdata_sum.__getitem__, slds), counts)
+        return zip(slds, counts, means)
 
     # ------------------------------------------------------------------
     # Emission
@@ -306,7 +347,7 @@ class StatsBundle:
         emit(
             "rrtype_shares.csv",
             ("rrtype", "count", "share"),
-            [(t, c, fmt_share(s)) for t, c, s in shares],
+            ((t, c, fmt_share(s)) for t, c, s in shares),
         )
         emit(
             "rrtype_per_day.csv",
@@ -333,29 +374,34 @@ class StatsBundle:
                 key=lambda r: (r[0], RDATA_BUCKETS.index(r[1])),
             ),
         )
+        by_type = self._keys_by_type()
+        named = [rrtype for rrtype in NAMED_RRTYPES if rrtype in by_type]
         top = self.top_slds(top_n) if has_data else []
         emit(
             "top_slds.csv",
             ("sld", "count", "share"),
-            [(sld, c, fmt_share(s)) for sld, c, s in top],
+            ((sld, c, fmt_share(s)) for sld, c, s in top),
         )
-        by_type_rows = []
-        for rrtype in NAMED_RRTYPES:
-            if self.rrtype_counts.get(rrtype, 0) == 0:
-                continue
-            for sld, c, s in self.top_slds(top_n, scope=rrtype):
-                by_type_rows.append((str(rrtype), sld, c, fmt_share(s)))
-        emit("top_slds_by_type.csv", ("rrtype", "sld", "count", "share"), by_type_rows)
-        cdf_rows = []
-        if has_data:
-            for rank, share in self.sld_cdf().points:
-                cdf_rows.append(("all", rank, fmt_share(share)))
-            for rrtype in NAMED_RRTYPES:
-                if self.rrtype_counts.get(rrtype, 0) == 0:
-                    continue
-                for rank, share in self.sld_cdf(scope=rrtype).points:
-                    cdf_rows.append((str(rrtype), rank, fmt_share(share)))
-        emit("sld_cdf.csv", ("scope", "rank", "cumulative_share"), cdf_rows)
+        emit(
+            "top_slds_by_type.csv",
+            ("rrtype", "sld", "count", "share"),
+            (
+                (str(rrtype), sld, c, fmt_share(s))
+                for rrtype in named
+                for sld, c, s in _top(self._sld_measure(rrtype, "entries", by_type), top_n)
+            ),
+        )
+        scopes = ([("all", None)] + [(str(t), t) for t in named]) if has_data else []
+        emit(
+            "sld_cdf.csv",
+            ("scope", "rank", "cumulative_share"),
+            chain.from_iterable(
+                zip(repeat(name), count(1), map(fmt_share, _cumulative_shares(
+                    self._sld_measure(scope, "fqdns", by_type).values()
+                )))
+                for name, scope in scopes
+            ),
+        )
         emit(
             "sld_daily_top.csv",
             ("date", "sld", "count"),
@@ -364,12 +410,12 @@ class StatsBundle:
         emit(
             "sld_rdata_means.csv",
             ("sld", "count", "mean_rdata_size"),
-            [(sld, c, fmt_share(m)) for sld, c, m in self.sld_rdata_means()],
+            ((sld, c, fmt_share(m)) for sld, c, m in self.sld_rdata_means()),
         )
         summary = {
             "total_entries": self.total,
             "distinct_slds": len(self.sld_entries),
-            "distinct_fqdns": sum(len(v) for v in self.sld_fqdns.values()),
+            "distinct_fqdns": sum(self.sld_fqdn_counts().values()),
             "first_day": self.min_day.isoformat() if self.min_day else None,
             "last_day": self.max_day.isoformat() if self.max_day else None,
             "rrtype_shares": [

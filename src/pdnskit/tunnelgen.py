@@ -30,7 +30,7 @@ from pdnskit.fingerprint import (
     ImplementationProfile,
     ProfileSet,
 )
-from pdnskit.model import MAX_NAME_BYTES, PdnsEntry, RRType, parse_fqdn
+from pdnskit.model import MAX_NAME_BYTES, Fqdn, FqdnError, PdnsEntry, RRType, parse_fqdn
 
 __all__ = [
     "GenConfig",
@@ -43,6 +43,7 @@ __all__ = [
     "generate",
     "write_corpus",
     "queries_for_payload",
+    "MAX_TOTAL_QUERIES",
 ]
 
 BACKGROUND_KINDS = (
@@ -55,6 +56,10 @@ BACKGROUND_KINDS = (
 )
 
 _BASE36 = "abcdefghijklmnopqrstuvwxyz0123456789"
+
+# The most queries one config may generate over all its streams, so that a
+# size such as `"payload_bytes": 1e15` is refused instead of run for days.
+MAX_TOTAL_QUERIES = 10_000_000
 
 
 class GenConfigError(ValueError):
@@ -99,7 +104,7 @@ class GenConfig:
             return cls(
                 seed=int(obj.get("seed", 1)),
                 start_date=date.fromisoformat(obj.get("start_date", "2017-07-01")),
-                days=int(obj.get("days", 1)),
+                days=obj.get("days", 1),
                 tunnels=[TunnelSpec(**t) for t in obj.get("tunnels", [])],
                 background=[BackgroundSpec(**b) for b in obj.get("background", [])],
             )
@@ -300,30 +305,60 @@ def _timestamp(start: datetime, span_s: int, i: int, n: int, rng: Random) -> dat
     return start + timedelta(seconds=min(span_s - 1, slot + rng.randrange(width)))
 
 
+def _invalid(message: str) -> GenConfigError:
+    return GenConfigError(f"bad generator config: {message}")
+
+
+def _check_size(value, what: str) -> None:
+    """A size is an integer >= 1; a float such as 1e12, or a bool, is not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _invalid(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise _invalid(f"{what} must be >= 1")
+
+
+def _check_name(text, what: str) -> Fqdn:
+    if not isinstance(text, str):
+        raise _invalid(f"{what} must be a string, got {text!r}")
+    try:
+        return parse_fqdn(text)
+    except FqdnError as exc:
+        raise _invalid(f"{what}: {exc}") from None
+
+
 def _validate(config: GenConfig, profiles: ProfileSet) -> None:
-    if config.days < 1:
-        raise GenConfigError("days must be >= 1")
+    _check_size(config.days, "days")
+    try:
+        config.start_date + timedelta(days=config.days)
+    except OverflowError:
+        raise _invalid(f"{config.days} days from {config.start_date} end past the year 9999") from None
+    total = 0
     for spec in config.tunnels:
-        if spec.profile not in profiles.by_name:
-            raise UnknownProfileError(f"unknown profile: {spec.profile!r}")
-        if spec.payload_bytes < 1:
-            raise GenConfigError(f"{spec.sld}: payload_bytes must be >= 1")
-        if spec.queries is not None and spec.queries < 1:
-            raise GenConfigError(f"{spec.sld}: queries must be >= 1")
-        sld = parse_fqdn(spec.sld)
+        if not isinstance(spec.profile, str) or spec.profile not in profiles.by_name:
+            raise UnknownProfileError(f"bad generator config: unknown profile: {spec.profile!r}")
+        _check_size(spec.payload_bytes, f"{spec.sld}: payload_bytes")
+        if spec.queries is not None:
+            _check_size(spec.queries, f"{spec.sld}: queries")
+        sld = _check_name(spec.sld, "tunnel SLD")
         if len(sld.labels) != 2:
-            raise GenConfigError(
-                f"tunnel SLD must have exactly two labels, got {spec.sld!r}"
-            )
-        third = parse_fqdn(spec.third)
+            raise _invalid(f"tunnel SLD must have exactly two labels, got {spec.sld!r}")
+        third = _check_name(spec.third, "third-level label")
         if len(third.labels) != 1:
-            raise GenConfigError(f"third-level label must be a single label: {spec.third!r}")
+            raise _invalid(f"third-level label must be a single label: {spec.third!r}")
+        if spec.queries is None:
+            total += queries_for_payload(
+                profiles.by_name[spec.profile], sld.name, third.name, spec.payload_bytes
+            )
+        else:
+            total += spec.queries
     for spec in config.background:
         if spec.kind not in BACKGROUND_KINDS:
-            raise GenConfigError(f"unknown background class: {spec.kind!r}")
-        if spec.queries < 1:
-            raise GenConfigError(f"{spec.sld}: queries must be >= 1")
-        parse_fqdn(spec.sld)
+            raise _invalid(f"unknown background class: {spec.kind!r}")
+        _check_size(spec.queries, f"{spec.sld}: queries")
+        _check_name(spec.sld, "background SLD")
+        total += spec.queries
+    if total > MAX_TOTAL_QUERIES:
+        raise _invalid(f"{total} queries asked for, more than the {MAX_TOTAL_QUERIES} allowed")
 
 
 def _gen_tunnel(
@@ -434,15 +469,20 @@ def _gen_background(
 def generate(
     config: GenConfig, profiles: Optional[ProfileSet] = None
 ) -> Iterator[LabeledEntry]:
-    """Yield labeled entries for every configured stream, deterministically.
+    """Labeled entries for every configured stream, deterministically.
 
     The same config and seed always produce byte-identical corpora; each
     stream draws from its own derived seed, so adding one stream never
-    perturbs another.
+    perturbs another. The config is checked at the call: a bad one raises
+    GenConfigError before any entry is made.
     """
     if profiles is None:
         profiles = ProfileSet.default()
     _validate(config, profiles)
+    return _generate(config, profiles)
+
+
+def _generate(config: GenConfig, profiles: ProfileSet) -> Iterator[LabeledEntry]:
     start = datetime(
         config.start_date.year,
         config.start_date.month,

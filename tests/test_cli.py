@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from pdnskit.cli import cli, main
 from pdnskit.fingerprint import ProfileSet
-from pdnskit.tunnelgen import demo_config, generate, write_corpus
+from pdnskit.tunnelgen import MAX_TOTAL_QUERIES, demo_config, generate, write_corpus
 
 from conftest import ndjson_line, write_ndjson
 
@@ -350,6 +350,29 @@ class TestExitCodes:
         assert len(errors) == 1 and "x>=1" in errors[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, config, code",
+        [
+            (["--min-matches", "9"], None, 1),
+            (["--min-matches", "-3"], None, 1),
+            ([], {"min_matches": 9}, 3),
+            ([], {"min_matches": -1}, 3),
+        ],
+    )
+    def test_min_matches_outside_zero_to_eight_rejected(
+        self, demo_corpus, tmp_path, capsys, args, config, code
+    ):
+        corpus, _ = demo_corpus
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            args = args + ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main(["classify", str(corpus), "--out", str(out)] + args) == code
+        errors = [line for line in capsys.readouterr().err.splitlines() if "--min-matches" in line]
+        assert len(errors) == 1 and "0<=x<=8" in errors[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("via", ["classify", "gen", "env"])
     @pytest.mark.parametrize(
         "content",
@@ -399,6 +422,35 @@ class TestExitCodes:
             pytest.param(b"[1, 2]", id="top-level-array"),
             pytest.param(b'"seed"', id="top-level-string"),
             pytest.param(b'{"seed": "\xff"}', id="non-utf8"),
+            pytest.param(
+                b'{"tunnels": [{"profile": "iodine-null", "sld": "t.example", "payload_bytes": 1e12}]}',
+                id="float-payload-bytes",
+            ),
+            pytest.param(
+                b'{"tunnels": [{"profile": "iodine-null", "sld": "t.example", "payload_bytes": 1000000000000}]}',
+                id="payload-over-query-cap",
+            ),
+            pytest.param(
+                b'{"background": [{"kind": "plain-a", "sld": "x.example", "queries": 2.5}]}',
+                id="float-queries",
+            ),
+            pytest.param(
+                b'{"background": [{"kind": "plain-a", "sld": "x.example", "queries": %d}]}'
+                % (MAX_TOTAL_QUERIES + 1),
+                id="queries-over-cap",
+            ),
+            pytest.param(b'{"days": true}', id="bool-days"),
+            pytest.param(b'{"days": 1e3}', id="float-days"),
+            pytest.param(
+                b'{"tunnels": [{"profile": "iodine-null", "sld": "bad..example"}]}',
+                id="bad-sld-name",
+            ),
+            pytest.param(b'{"background": [{"kind": "plain-a", "sld": 7}]}', id="non-string-sld"),
+            pytest.param(b'{"tunnels": [{"profile": ["x"], "sld": "t.example"}]}', id="non-string-profile"),
+            pytest.param(
+                b'{"days": 100000000, "background": [{"kind": "plain-a", "sld": "x.example"}]}',
+                id="days-past-year-9999",
+            ),
         ],
     )
     def test_bad_gen_config_is_three(self, tmp_path, capsys, content):

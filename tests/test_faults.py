@@ -2,7 +2,9 @@
 
 Each row runs the real command in its own process and asserts that it
 exits 0 and that `ingest_stats.json` counts the bad record under its error
-kind while keeping the good records on both sides of it.
+kind while keeping the good records on both sides of it. A gzip input cut
+short is the one fault that ends the input: every command keeps the records
+before the cut, writes its artifacts and then exits 2.
 """
 
 import csv
@@ -11,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -121,3 +124,44 @@ def test_fault_is_counted_and_stream_continues(tmp_path, fmt, make_bad, rejected
     }
     summary = json.loads((out / "stats_summary.json").read_text(encoding="utf-8"))
     assert summary["total_entries"] == 3
+
+
+def cut_gzip(data: bytes) -> bytes:
+    """`data` as a gzip stream that stops after its last complete block:
+    every byte of `data` decodes, and no end-of-stream marker follows."""
+    compressor = zlib.compressobj(wbits=31)
+    return compressor.compress(data) + compressor.flush(zlib.Z_FULL_FLUSH)
+
+
+@pytest.mark.parametrize(
+    "command, artifact",
+    [
+        ("stats", "stats_summary.json"),
+        ("filter", "stage_counts.csv"),
+        ("classify", "attributions.csv"),
+    ],
+)
+def test_truncated_gzip_keeps_records_and_exits_two(tmp_path, command, artifact):
+    corpus = tmp_path / "in.ndjson.gz"
+    corpus.write_bytes(cut_gzip(good("ndjson", 1) + good("ndjson", 2) + good("ndjson", 3)))
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "pdnskit", command, str(corpus), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2, result.stderr
+    errors = result.stderr.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("i/o error: 1 gzip input(s) ended early")
+    assert json.loads((out / "ingest_stats.json").read_text(encoding="utf-8")) == {
+        "read": 4,
+        "accepted": 3,
+        "rejected_by_error": {"TruncatedInput": 1},
+        "deduplicated": 0,
+        "warnings": {},
+    }
+    assert (out / artifact).is_file()
+    if command == "stats":
+        summary = json.loads((out / "stats_summary.json").read_text(encoding="utf-8"))
+        assert summary["total_entries"] == 3

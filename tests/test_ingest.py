@@ -5,6 +5,7 @@ import io
 import json
 import sys
 import warnings
+import zlib
 from collections import Counter
 from datetime import datetime, timezone
 
@@ -235,6 +236,21 @@ class TestReadStream:
         with gzip.open(path, "wt", encoding="utf-8") as fh:
             fh.write(ndjson_line() + "\n")
         assert len(list(read_stream(path))) == 1
+
+    def test_truncated_gzip_keeps_the_records_before_the_cut(self):
+        lines = [ndjson_line(rrname=f"h{i}.teriava.com.") for i in range(6)]
+        packed = gzip.compress(("\n".join(lines) + "\n").encode("utf-8"))
+        full = [e.rrname.name for e in read_stream(io.BytesIO(packed))]
+        assert len(full) == 6
+        # Every cut from the second byte on is a gzip stream without its end;
+        # each line that decompresses whole before the cut is kept.
+        for cut in range(2, len(packed)):
+            decodable = zlib.decompressobj(wbits=31).decompress(packed[:cut])
+            stats = IngestStats()
+            names = [e.rrname.name for e in read_stream(io.BytesIO(packed[:cut]), stats=stats)]
+            assert names == full[: decodable.count(b"\n")], cut
+            assert stats.rejected_by_error == {"TruncatedInput": 1}, cut
+            assert stats.read == len(names) + 1 and stats.consistent(), cut
 
     def test_file_object_input(self):
         buf = io.StringIO(ndjson_line() + "\n")

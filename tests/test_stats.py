@@ -1,18 +1,25 @@
+import csv
 import json
 import random
+import tempfile
 from collections import Counter
 from datetime import date
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdnskit.model import RRType
 from pdnskit.stats import (
     EmptyBundleError,
     NAMED_RRTYPES,
     RDATA_BUCKETS,
+    CdfSeries,
     StatsBundle,
     rdata_wire_size,
 )
+from pdnskit.tables import write_json
 
 from conftest import make_entry
 
@@ -445,3 +452,242 @@ class TestEmit:
         StatsBundle().emit_all(tmp_path)
         content = (tmp_path / "rrtype_shares.csv").read_text()
         assert content.strip() == "rrtype,count,share"
+
+
+# ----------------------------------------------------------------------
+# The streaming emit against a verbatim copy of the list-building emit it
+# replaced, which kept `sld_fqdns` as stored sets, scanned every counter
+# once per scope and sorted every ranking in full.
+
+
+def legacy_fmt_share(x):
+    return f"{x:.6f}"
+
+
+def legacy_write_csv(path, header, rows):
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+def legacy_sld_measure(self, scope, measure):
+    if measure == "fqdns":
+        if scope is None:
+            return {sld: len(v) for sld, v in self.sld_fqdns.items()}
+        return {
+            sld: len(v)
+            for (sld, t), v in self.sld_type_fqdns.items()
+            if t == scope
+        }
+    if measure == "entries":
+        if scope is None:
+            return dict(self.sld_entries)
+        return {
+            sld: c for (sld, t), c in self.sld_type_entries.items() if t == scope
+        }
+    raise ValueError(f"unknown measure: {measure!r}")
+
+
+def legacy_sld_cdf(self, scope=None, measure="fqdns"):
+    counts = legacy_sld_measure(self, scope, measure)
+    if not counts:
+        raise EmptyBundleError("no SLDs in scope")
+    total = sum(counts.values())
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    points = []
+    acc = 0
+    for rank, (_, count) in enumerate(ordered, start=1):
+        acc += count
+        points.append((rank, acc / total))
+    return CdfSeries(points=tuple(points), scope=scope, measure=measure)
+
+
+def legacy_top_slds(self, n, scope=None):
+    counts = legacy_sld_measure(self, scope, "entries")
+    if not counts:
+        raise EmptyBundleError("no SLDs in scope")
+    total = sum(counts.values())
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
+    return [(sld, c, c / total) for sld, c in ordered]
+
+
+def legacy_sld_rdata_means(self):
+    rows = []
+    for sld in sorted(self.sld_entries):
+        count = self.sld_entries[sld]
+        rows.append((sld, count, self.sld_rdata_sum[sld] / count))
+    return rows
+
+
+def legacy_emit_all(self, outdir, top_n=10):
+    fmt_share, write_csv = legacy_fmt_share, legacy_write_csv
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    written = []
+
+    def emit(name, header, rows):
+        path = outdir / name
+        write_csv(path, header, rows)
+        written.append(path)
+
+    has_data = self.total > 0
+    shares = self.rrtype_shares(full=True) if has_data else []
+    emit(
+        "rrtype_shares.csv",
+        ("rrtype", "count", "share"),
+        [(t, c, fmt_share(s)) for t, c, s in shares],
+    )
+    emit(
+        "rrtype_per_day.csv",
+        ("date", "rrtype", "count"),
+        sorted(
+            ((d.isoformat(), str(t), c) for (d, t), c in self.per_day_rrtype.items())
+        ),
+    )
+    emit(
+        "levels_per_day.csv",
+        ("date", "level", "count"),
+        sorted(
+            ((d.isoformat(), lvl, c) for (d, lvl), c in self.level_per_day.items())
+        ),
+    )
+    emit(
+        "rdata_buckets_per_day.csv",
+        ("date", "bucket", "count"),
+        sorted(
+            (
+                (d.isoformat(), b, c)
+                for (d, b), c in self.rdata_buckets_per_day.items()
+            ),
+            key=lambda r: (r[0], RDATA_BUCKETS.index(r[1])),
+        ),
+    )
+    top = legacy_top_slds(self, top_n) if has_data else []
+    emit(
+        "top_slds.csv",
+        ("sld", "count", "share"),
+        [(sld, c, fmt_share(s)) for sld, c, s in top],
+    )
+    by_type_rows = []
+    for rrtype in NAMED_RRTYPES:
+        if self.rrtype_counts.get(rrtype, 0) == 0:
+            continue
+        for sld, c, s in legacy_top_slds(self, top_n, scope=rrtype):
+            by_type_rows.append((str(rrtype), sld, c, fmt_share(s)))
+    emit("top_slds_by_type.csv", ("rrtype", "sld", "count", "share"), by_type_rows)
+    cdf_rows = []
+    if has_data:
+        for rank, share in legacy_sld_cdf(self).points:
+            cdf_rows.append(("all", rank, fmt_share(share)))
+        for rrtype in NAMED_RRTYPES:
+            if self.rrtype_counts.get(rrtype, 0) == 0:
+                continue
+            for rank, share in legacy_sld_cdf(self, scope=rrtype).points:
+                cdf_rows.append((str(rrtype), rank, fmt_share(share)))
+    emit("sld_cdf.csv", ("scope", "rank", "cumulative_share"), cdf_rows)
+    emit(
+        "sld_daily_top.csv",
+        ("date", "sld", "count"),
+        self.daily_series([sld for sld, _, _ in top]),
+    )
+    emit(
+        "sld_rdata_means.csv",
+        ("sld", "count", "mean_rdata_size"),
+        [(sld, c, fmt_share(m)) for sld, c, m in legacy_sld_rdata_means(self)],
+    )
+    summary = {
+        "total_entries": self.total,
+        "distinct_slds": len(self.sld_entries),
+        "distinct_fqdns": sum(len(v) for v in self.sld_fqdns.values()),
+        "first_day": self.min_day.isoformat() if self.min_day else None,
+        "last_day": self.max_day.isoformat() if self.max_day else None,
+        "rrtype_shares": [
+            {"rrtype": t, "count": c, "share": round(s, 6)} for t, c, s in shares
+        ],
+        "top_slds": [
+            {"sld": sld, "count": c, "share": round(s, 6)} for sld, c, s in top
+        ],
+    }
+    path = outdir / "stats_summary.json"
+    write_json(path, summary)
+    written.append(path)
+    return written
+
+
+# A few SLDs and names, so that SLDs carry several types and counts tie.
+EMIT_SLDS = ("a.com", "b.net", "c.org", "d.io", "e.de", "f.in")
+
+
+@st.composite
+def emit_entry_st(draw):
+    sld = draw(st.sampled_from(EMIT_SLDS))
+    sub = draw(st.sampled_from(("", "w", "m1", "x.y", "t0.t", "long.er.name")))
+    day = draw(st.integers(min_value=1, max_value=4))
+    return make_entry(
+        f"{sub}.{sld}" if sub else sld,
+        rrtype=draw(st.sampled_from(("A", "TXT", "NULL", "MX", "CNAME", "SOA"))),
+        domain=sld if draw(st.booleans()) else None,
+        time_seen=f"2017-07-0{day} 12:00:00",
+        rdata=tuple(draw(st.lists(st.sampled_from(("1.2.3.4", "x" * 150, "é")), max_size=2))),
+    )
+
+
+class TestStreamingEmit:
+    @given(
+        st.lists(emit_entry_st(), max_size=60),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=60)),
+        st.sampled_from(("exact", "hash64")),
+        st.integers(min_value=1, max_value=len(EMIT_SLDS) + 2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_emit_matches_legacy_emit(self, entries, split, fqdn_mode, top_n):
+        if split is None:
+            bundle = StatsBundle(fqdn_mode=fqdn_mode).accumulate_all(entries)
+        else:  # a merged bundle
+            left = StatsBundle(fqdn_mode=fqdn_mode).accumulate_all(entries[:split])
+            right = StatsBundle(fqdn_mode=fqdn_mode).accumulate_all(entries[split:])
+            bundle = left.merge(right)
+        with tempfile.TemporaryDirectory() as tmp:
+            new = bundle.emit_all(Path(tmp) / "new", top_n=top_n)
+            old = legacy_emit_all(bundle, Path(tmp) / "old", top_n=top_n)
+            assert [p.name for p in new] == [p.name for p in old]
+            for a, b in zip(new, old):
+                assert a.read_bytes() == b.read_bytes(), a.name
+        assert bundle.sld_fqdn_counts() == {s: len(v) for s, v in bundle.sld_fqdns.items()}
+        for scope in (None,) + NAMED_RRTYPES:
+            for ours, theirs in (
+                (lambda: bundle.sld_cdf(scope, "fqdns"), lambda: legacy_sld_cdf(bundle, scope, "fqdns")),
+                (lambda: bundle.sld_cdf(scope, "entries"), lambda: legacy_sld_cdf(bundle, scope, "entries")),
+                (lambda: bundle.top_slds(top_n, scope), lambda: legacy_top_slds(bundle, top_n, scope)),
+            ):
+                try:
+                    want = theirs()
+                except EmptyBundleError:
+                    with pytest.raises(EmptyBundleError):
+                        ours()
+                    continue
+                assert ours() == want
+
+    def test_sld_fqdns_is_a_copy(self, tmp_path):
+        entries = random_entries(300, seed=13)  # SLDs of several types each
+        entries.append(make_entry("only.solo.example", "A", "solo.example"))
+        bundle = StatsBundle().accumulate_all(entries)
+        held = {key: set(names) for key, names in bundle.sld_type_fqdns.items()}
+        bundle.emit_all(tmp_path / "before")
+
+        view = bundle.sld_fqdns
+        assert view["solo.example"] == {"only.solo.example"}
+        for names in view.values():
+            names.add("intruder.example")
+        view["added.example"] = {"x.added.example"}
+        del view["solo.example"]
+
+        assert bundle.sld_type_fqdns == held
+        assert bundle.sld_fqdns == naive_recount(entries)["sld_fqdns"]
+        bundle.emit_all(tmp_path / "after")
+        for path in sorted((tmp_path / "before").iterdir()):
+            assert path.read_bytes() == (tmp_path / "after" / path.name).read_bytes(), path.name
