@@ -17,7 +17,6 @@ from typing import Optional
 import click
 
 from pdnskit import __version__
-from pdnskit.fingerprint import UNKNOWN, ProfileError, ProfileSet, SldVotes, classify
 from pdnskit.ingest import (
     FirstSeenState,
     IngestStats,
@@ -26,24 +25,29 @@ from pdnskit.ingest import (
     first_seen_filter,
     read_stream,
 )
-from pdnskit.model import PublicSuffixList, RRType, sld_name
-from pdnskit.pipeline import (
-    ConfigError,
-    FilterConfig,
-    KnownLists,
-    PostFilterConfig,
-    run_pipeline,
-)
-from pdnskit.stats import StatsBundle
-from pdnskit.tables import fmt_share, read_domain_list, write_csv, write_json
-from pdnskit.tunnelgen import (
-    GenConfig,
-    GenConfigError,
-    demo_config,
-    generate,
-    read_labels,
-    write_corpus,
-)
+from pdnskit.model import ConfigError, PublicSuffixList, RRType, sld_name
+from pdnskit.tables import fmt_share, read_domain_list, read_labels, write_csv, write_json
+
+
+# Each command imports the modules only it runs, so a process loads no more
+# than its command needs. The two library functions a command calls through
+# this module's namespace are bound here on first use (PEP 562), so
+# `cli.run_pipeline` and `cli.classify` resolve, and can be replaced to
+# trace them, before any command has run.
+def __getattr__(name: str):
+    if name == "run_pipeline":
+        from pdnskit.pipeline import run_pipeline as value
+    elif name == "classify":
+        from pdnskit.fingerprint import classify as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def _bound(name: str):
+    """The function bound at `cli.<name>`, as the command must call it."""
+    return globals().get(name) or __getattr__(name)
 
 
 def _apply_config_file(ctx: click.Context) -> None:
@@ -67,8 +71,12 @@ def _apply_config_file(ctx: click.Context) -> None:
             raise ConfigError(f"config file {path}: unknown option {name!r}")
         source = ctx.get_parameter_source(name)
         if source == click.core.ParameterSource.DEFAULT:
+            param = params[name]
             try:
-                ctx.params[name] = params[name].type_cast_value(ctx, value)
+                # click's integer types truncate 2.5 to 2 and read true as 1.
+                if isinstance(param.type, click.types.IntParamType) and isinstance(value, (bool, float)):
+                    raise click.BadParameter(f"{json.dumps(value)} is not an integer.", ctx, param)
+                ctx.params[name] = param.type_cast_value(ctx, value)
             except click.BadParameter as exc:
                 raise ConfigError(f"config file {path}: {exc.format_message()}") from exc
 
@@ -139,6 +147,8 @@ def cli():
 @click.pass_context
 def cmd_stats(ctx, inputs, outdir, fmt, dedup, psl_path, top_n, config):
     """Aggregate measurement tables and series from pDNS inputs."""
+    from pdnskit.stats import StatsBundle
+
     _apply_config_file(ctx)
     fmt, dedup, psl_path = ctx.params["fmt"], ctx.params["dedup"], ctx.params["psl_path"]
     top_n = ctx.params["top_n"]
@@ -180,6 +190,8 @@ def cmd_filter(
     observation_days, dedup, psl_path, config,
 ):
     """Reduce pDNS inputs to candidate tunnel SLDs with stage accounting."""
+    from pdnskit.pipeline import FilterConfig, KnownLists, PostFilterConfig
+
     _apply_config_file(ctx)
     p = ctx.params
     watchlist = p["watchlist"]
@@ -211,7 +223,7 @@ def cmd_filter(
     )
     stats = IngestStats()
     stream = _input_streams(inputs, p["fmt"], stats, p["dedup"])
-    report = run_pipeline(stream, cfg)
+    report = _bound("run_pipeline")(stream, cfg)
     outdir = Path(outdir)
     report.write(outdir)
     _write_ingest_stats(outdir, stats)
@@ -238,6 +250,8 @@ def cmd_filter(
 @click.pass_context
 def cmd_classify(ctx, inputs, outdir, fmt, profiles_path, labels_path, min_matches, psl_path, config):
     """Attribute entries and SLDs to tunnel implementations."""
+    from pdnskit.fingerprint import UNKNOWN, ProfileSet, SldVotes
+
     _apply_config_file(ctx)
     p = ctx.params
     profiles = (
@@ -249,6 +263,7 @@ def cmd_classify(ctx, inputs, outdir, fmt, profiles_path, labels_path, min_match
     stats = IngestStats()
     stream = _input_streams(inputs, p["fmt"], stats, dedup=False)
 
+    classify = _bound("classify")
     votes = SldVotes()
     confusion: Counter = Counter()
     n_entries = 0
@@ -321,6 +336,9 @@ def cmd_classify(ctx, inputs, outdir, fmt, profiles_path, labels_path, min_match
 @click.option("--profiles", "profiles_path", default=None, envvar="PDNSKIT_PROFILES")
 def cmd_gen(config_path, demo, outdir, name, seed, profiles_path):
     """Generate a labeled synthetic corpus (NDJSON + labels sidecar)."""
+    from pdnskit.fingerprint import ProfileSet
+    from pdnskit.tunnelgen import GenConfig, demo_config, generate, write_corpus
+
     if demo == bool(config_path):
         raise click.UsageError("pass exactly one of --config or --demo")
     cfg = demo_config() if demo else GenConfig.from_json_file(config_path)
@@ -333,6 +351,10 @@ def cmd_gen(config_path, demo, outdir, name, seed, profiles_path):
 
 
 # ----------------------------------------------------------------------
+
+
+# Lines of attributions.csv, its header included, that `report` quotes.
+_REPORT_ATT_LINES = 42
 
 
 def _require(path: Path) -> Path:
@@ -374,11 +396,10 @@ def cmd_report(stats_dir, filter_dir, classify_dir, out_path):
     if classify_dir:
         att_path = _require(Path(classify_dir) / "attributions.csv")
         lines.append("implementation attributions per SLD:")
-        for i, line in enumerate(att_path.read_text(encoding="utf-8").splitlines()):
-            lines.append(f"  {line}")
-            if i > 40:
-                lines.append("  ...")
-                break
+        att_lines = att_path.read_text(encoding="utf-8").splitlines()
+        lines.extend(f"  {line}" for line in att_lines[:_REPORT_ATT_LINES])
+        if len(att_lines) > _REPORT_ATT_LINES:
+            lines.append("  ...")
         metrics_path = Path(classify_dir) / "metrics.json"
         if metrics_path.exists():
             metrics = json.loads(metrics_path.read_text(encoding="utf-8"))
@@ -407,7 +428,7 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except (ConfigError, GenConfigError, ProfileError) as exc:
+    except ConfigError as exc:  # the generator's and profile errors subclass it
         click.echo(f"config error: {exc}", err=True)
         return 3
     except OSError as exc:

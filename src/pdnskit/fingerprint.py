@@ -16,7 +16,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from pdnskit.model import Fqdn, PdnsEntry, RRType
+from pdnskit.model import ConfigError, Fqdn, PdnsEntry, RRType
 
 __all__ = [
     "ENCODING_HEX",
@@ -233,7 +233,7 @@ class ImplementationProfile:
                 raise ValueError(f"profile {self.name}: unknown char class {cls!r}")
 
 
-class ProfileError(ValueError):
+class ProfileError(ConfigError):
     """A profile file is unreadable as a profile set."""
 
 

@@ -16,7 +16,6 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from hashlib import blake2b
 from operator import methodcaller
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
@@ -346,6 +345,9 @@ class _BloomFilter:
     """Fixed-size Bloom filter with the textbook m/k sizing."""
 
     def __init__(self, capacity: int, fp_rate: float):
+        global blake2b
+        from hashlib import blake2b  # only approximate dedup hashes: load it here
+
         if capacity < 1:
             raise ValueError("capacity must be positive")
         if not 0.0 < fp_rate < 1.0:

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 __all__ = [
+    "ConfigError",
     "RRType",
     "Fqdn",
     "PdnsEntry",
@@ -37,6 +38,11 @@ MAX_NAME_BYTES = 253  # dotted form without the trailing root dot
 _ASCII_LOWER = str.maketrans(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz"
 )
+
+
+class ConfigError(ValueError):
+    """A configuration is invalid: options, a filter or generator config, or
+    a profile file. Every command maps it to exit 3."""
 
 
 class FqdnError(ValueError):

@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from pdnskit.model import PdnsEntry, PublicSuffixList, RRType, sld_name
+from pdnskit.model import ConfigError, PdnsEntry, PublicSuffixList, RRType, sld_name
 from pdnskit.tables import read_domain_list, write_csv, write_json
 
 __all__ = [
@@ -40,10 +40,6 @@ _MAIL_AUTH_LABELS = frozenset({"_dmarc", "_domainkey", "_spf"})
 _MAIL_AUTH_RDATA_PREFIXES = ("v=spf1", "v=dkim1", "v=dmarc1")
 
 SAMPLE_FQDNS = 10
-
-
-class ConfigError(ValueError):
-    """A filter/generator configuration is invalid."""
 
 
 def _shipped(name: str) -> frozenset[str]:

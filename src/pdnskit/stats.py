@@ -16,7 +16,6 @@ import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date, timedelta
-from hashlib import blake2b
 from itertools import accumulate, chain, count, repeat
 from operator import truediv
 from pathlib import Path
@@ -68,6 +67,8 @@ def _bucket(size: int) -> str:
 
 
 def _hash64(text: str) -> int:
+    """A name's 64-bit digest. Only hash64 bundles call it, and building one
+    binds `blake2b`, so no other command loads hashlib."""
     return int.from_bytes(blake2b(text.encode("utf-8"), digest_size=8).digest(), "big")
 
 
@@ -114,6 +115,9 @@ class StatsBundle:
     ):
         if fqdn_mode not in ("exact", "hash64"):
             raise ValueError(f"unknown fqdn_mode: {fqdn_mode!r}")
+        if fqdn_mode == "hash64":
+            global blake2b
+            from hashlib import blake2b
         self.psl = psl
         self.fqdn_mode = fqdn_mode
         self.total = 0

@@ -1,4 +1,5 @@
-"""Small deterministic CSV/JSON emit helpers shared by stats and reports."""
+"""Small deterministic CSV/JSON helpers: table emission shared by stats and
+reports, and the domain-list and labels-sidecar readers."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
-__all__ = ["write_csv", "write_json", "fmt_share", "read_domain_list"]
+__all__ = ["write_csv", "write_json", "fmt_share", "read_domain_list", "read_labels"]
 
 
 # Fixed-precision share formatting so emitted tables are byte-stable. A bound
@@ -45,3 +46,18 @@ def read_domain_list(path: str | Path) -> frozenset[str]:
                 continue
             out.add(text.lower().rstrip("."))
     return frozenset(out)
+
+
+def read_labels(path: str | Path) -> dict[str, tuple[str, str]]:
+    """Load a labels sidecar: rrname -> (kind, class)."""
+    out: dict[str, tuple[str, str]] = {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is not None and header[:1] != ["rrname"]:
+            fh.seek(0)
+            reader = csv.reader(fh)
+        for row in reader:
+            if len(row) >= 3:
+                out[row[0]] = (row[1], row[2])
+    return out

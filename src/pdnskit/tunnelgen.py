@@ -30,7 +30,8 @@ from pdnskit.fingerprint import (
     ImplementationProfile,
     ProfileSet,
 )
-from pdnskit.model import MAX_NAME_BYTES, Fqdn, FqdnError, PdnsEntry, RRType, parse_fqdn
+from pdnskit.model import MAX_NAME_BYTES, ConfigError, Fqdn, FqdnError, PdnsEntry, RRType, parse_fqdn
+from pdnskit.tables import read_labels  # re-exported; the reader lives in tables
 
 __all__ = [
     "GenConfig",
@@ -62,7 +63,7 @@ _BASE36 = "abcdefghijklmnopqrstuvwxyz0123456789"
 MAX_TOTAL_QUERIES = 10_000_000
 
 
-class GenConfigError(ValueError):
+class GenConfigError(ConfigError):
     """The generator configuration is invalid."""
 
 
@@ -101,8 +102,11 @@ class GenConfig:
                 obj = json.load(fh)
             if not isinstance(obj, dict):
                 raise TypeError("the top level must be a JSON object")
+            seed = obj.get("seed", 1)
+            if isinstance(seed, bool) or not isinstance(seed, int):
+                raise TypeError(f"seed must be an integer, got {seed!r}")
             return cls(
-                seed=int(obj.get("seed", 1)),
+                seed=seed,
                 start_date=date.fromisoformat(obj.get("start_date", "2017-07-01")),
                 days=obj.get("days", 1),
                 tunnels=[TunnelSpec(**t) for t in obj.get("tunnels", [])],
@@ -577,18 +581,3 @@ def demo_config(seed: int = 7) -> GenConfig:
             BackgroundSpec("localhost-style", "locallink.com", 80),
         ],
     )
-
-
-def read_labels(path: str | Path) -> dict[str, tuple[str, str]]:
-    """Load a labels sidecar: rrname -> (kind, class)."""
-    out: dict[str, tuple[str, str]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None and header[:1] != ["rrname"]:
-            fh.seek(0)
-            reader = csv.reader(fh)
-        for row in reader:
-            if len(row) >= 3:
-                out[row[0]] = (row[1], row[2])
-    return out

@@ -292,6 +292,20 @@ class TestReportCommand:
         code = main(["report", "--stats", str(tmp_path / "hollow"), "--out", str(tmp_path / "r.txt")])
         assert code == 2
 
+    @pytest.mark.parametrize("n_lines, cut", [(41, False), (42, False), (43, True), (60, True)])
+    def test_attributions_cut_only_when_a_line_is_left_out(self, tmp_path, n_lines, cut):
+        cls_dir = tmp_path / "c"
+        cls_dir.mkdir()
+        rows = ["sld,implementation,agreement,unknown_fraction,entry_count"]
+        rows += [f"s{i}.example,unknown,1.000000,1.000000,1" for i in range(n_lines - 1)]
+        (cls_dir / "attributions.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "r.txt"
+        assert main(["report", "--classify", str(cls_dir), "--out", str(out)]) == 0
+        quoted = out.read_text().split("implementation attributions per SLD:\n")[1].splitlines()
+        shown = [line for line in quoted if line.startswith("  ") and line != "  ..."]
+        assert shown == [f"  {row}" for row in rows[:42]]
+        assert ("  ..." in quoted) == cut
+
     def test_stable_across_runs(self, demo_corpus, tmp_path):
         corpus, _ = demo_corpus
         stats_dir = tmp_path / "s"
@@ -439,6 +453,9 @@ class TestExitCodes:
                 % (MAX_TOTAL_QUERIES + 1),
                 id="queries-over-cap",
             ),
+            pytest.param(b'{"seed": 2.5}', id="float-seed"),
+            pytest.param(b'{"seed": true}', id="bool-seed"),
+            pytest.param(b'{"seed": "7"}', id="string-seed"),
             pytest.param(b'{"days": true}', id="bool-days"),
             pytest.param(b'{"days": 1e3}', id="float-days"),
             pytest.param(
@@ -484,6 +501,39 @@ class TestExitCodes:
         errors = [line for line in capsys.readouterr().err.splitlines() if "--types" in line]
         assert len(errors) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("stats", {"top_n": 2.5}),
+            ("stats", {"top_n": True}),
+            ("filter", {"min_level": 3.9}),
+            ("filter", {"min_level": 4.0}),
+            ("filter", {"min_subdomains": False}),
+            ("filter", {"observation_days": 7.5}),
+            ("classify", {"min_matches": 6.7}),
+            ("classify", {"min_matches": True}),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={json.dumps(x)}" for k, x in v.items()),
+    )
+    def test_non_integer_config_value_is_three(self, demo_corpus, tmp_path, capsys, command, config):
+        # click's integer types would truncate 2.5 to 2 and read true as 1.
+        corpus, _ = demo_corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, str(corpus), "--out", str(out), "--config", str(cfg)]) == 3
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("config error:")
+        assert "is not an integer" in errors[0]
+        assert not out.exists()
+
+    def test_integer_config_value_still_applies(self, demo_corpus, tmp_path):
+        corpus, _ = demo_corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"top_n": 2}), encoding="utf-8")
+        assert main(["stats", str(corpus), "--out", str(tmp_path / "out"), "--config", str(cfg)]) == 0
+        assert len((tmp_path / "out" / "top_slds.csv").read_text().splitlines()) == 1 + 2
 
     def test_success_is_zero(self, demo_corpus, tmp_path):
         corpus, _ = demo_corpus

@@ -342,6 +342,16 @@ class TestCsv:
             list(read_stream(path, fmt="parquet"))
 
 
+PINNED_KEYS = (
+    "a.teriava.com",
+    "x.y.z.example.org",
+    "mail.example.com",
+    "",
+    "b\u00fccher.example",
+    "h0.tun-alpha.net",
+)
+
+
 class TestFirstSeen:
     def entries(self, names):
         return [make_entry(n) for n in names]
@@ -404,6 +414,43 @@ class TestFirstSeen:
         )
         # At half capacity the observed rate must stay well under 3x target.
         assert dropped / len(fresh) <= rate * 3
+
+    def test_approximate_digests_pinned(self):
+        # Values of blake2b-128 double hashing; a change of hash function,
+        # digest size or byte order moves every one of them.
+        bloom = ingest._BloomFilter(1000, 0.01)
+        assert (bloom.n_bits, bloom.n_hashes) == (9586, 7)
+        assert {key: list(bloom._positions(key)) for key in PINNED_KEYS} == {
+            "a.teriava.com": [2838, 2919, 3000, 3081, 3162, 3243, 3324],
+            "x.y.z.example.org": [5603, 4380, 3157, 1934, 711, 9074, 7851],
+            "mail.example.com": [7103, 7240, 7377, 7514, 7651, 7788, 7925],
+            "": [8702, 7569, 6436, 5303, 4170, 3037, 1904],
+            "b\u00fccher.example": [8967, 5154, 1341, 7114, 3301, 9074, 5261],
+            "h0.tun-alpha.net": [6602, 6621, 6640, 6659, 6678, 6697, 6716],
+        }
+
+    @pytest.mark.parametrize(
+        "keys, kept, bits",
+        [
+            (  # 50 names, each seen 1 to 2 times
+                [f"h{i % 50}.x{i % 5}.com" for i in range(80)],
+                "1" * 50 + "0" * 30,
+                "0e91b8a8d0c9b35e5ef6ca9b8287ae454f13802d9a6269830791320316b15e4c6686a84d672de7",
+            ),
+            (  # 80 distinct names in a filter sized for 50: three false positives
+                [f"h{i % 60}.x{i % 7}.com" for i in range(80)],
+                "11111111111110111111111111111111111111111111110111111111011111111111101111111111",
+                "2fffebf4dfcb7bbffbd53f53e8efb3ed5ffbe2e33e5a33c74f044ab5ee70dfcb7365e94cefffbb",
+            ),
+        ],
+        ids=["duplicates", "false-positives"],
+    )
+    def test_approximate_first_seen_pinned(self, keys, kept, bits):
+        state = FirstSeenState(policy="approximate", capacity=50, fp_rate=0.05)
+        got = "".join("1" if state.check_and_add(key) else "0" for key in keys)
+        assert got == kept
+        assert len(state) == kept.count("1")
+        assert bytes(state._bloom.bits).hex() == bits
 
     def test_bad_policy(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from pdnskit.stats import (
     RDATA_BUCKETS,
     CdfSeries,
     StatsBundle,
+    _hash64,
     rdata_wire_size,
 )
 from pdnskit.tables import write_json
@@ -426,6 +427,23 @@ class TestInvariants:
         }
         with pytest.raises(ValueError):
             exact.merge(hashed)
+
+
+    def test_hash64_digests_pinned(self):
+        # blake2b-64 of each name, big-endian; a change of hash function,
+        # digest size or byte order moves every one of them.
+        pinned = {
+            "a.teriava.com": 13431445751671823334,
+            "x.y.z.example.org": 14425769799325882955,
+            "mail.example.com": 4348453094681021353,
+            "b\u00fccher.example": 3862957854026790104,
+            "h0.tun-alpha.net": 9716220115220502754,
+        }
+        bundle = StatsBundle(fqdn_mode="hash64")
+        assert {name: _hash64(name) for name in pinned} == pinned
+        assert _hash64("") == 16476032584258269876
+        bundle.accumulate_all(make_entry(name) for name in pinned)
+        assert set().union(*bundle.sld_type_fqdns.values()) == set(pinned.values())
 
 
 class TestEmit:
