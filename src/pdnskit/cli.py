@@ -9,8 +9,10 @@ flags override the file.
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import sys
-from collections import Counter
+import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -25,13 +27,13 @@ from pdnskit.ingest import (
     first_seen_filter,
     read_stream,
 )
-from pdnskit.model import ConfigError, PublicSuffixList, RRType, sld_name
-from pdnskit.tables import fmt_share, read_domain_list, read_labels, write_csv, write_json
+from pdnskit.model import ConfigError, PublicSuffixList, RRType
+from pdnskit.tables import read_domain_list, read_labels, write_json
 
 
 # Each command imports the modules only it runs, so a process loads no more
-# than its command needs. The two library functions a command calls through
-# this module's namespace are bound here on first use (PEP 562), so
+# than its command needs. The two library functions a command looks up on
+# this module with `getattr` are bound here on first use (PEP 562), so
 # `cli.run_pipeline` and `cli.classify` resolve, and can be replaced to
 # trace them, before any command has run.
 def __getattr__(name: str):
@@ -43,11 +45,6 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value
     return value
-
-
-def _bound(name: str):
-    """The function bound at `cli.<name>`, as the command must call it."""
-    return globals().get(name) or __getattr__(name)
 
 
 def _apply_config_file(ctx: click.Context) -> None:
@@ -81,11 +78,6 @@ def _apply_config_file(ctx: click.Context) -> None:
                 raise ConfigError(f"config file {path}: {exc.format_message()}") from exc
 
 
-def _input_streams(inputs, fmt, stats: IngestStats, dedup: bool):
-    stream = (entry for path in inputs for entry in read_stream(path, fmt=fmt, stats=stats))
-    return first_seen_filter(stream, FirstSeenState(), stats=stats) if dedup else stream
-
-
 class RRTypeList(click.ParamType):
     """Record types as a comma-separated string or a JSON list of strings."""
 
@@ -105,26 +97,46 @@ def _load_psl(path: Optional[str]) -> Optional[PublicSuffixList]:
     return PublicSuffixList.from_file(path) if path else None
 
 
-def _write_ingest_stats(outdir: Path, stats: IngestStats) -> None:
-    """Write `ingest_stats.json`, a command's last artifact. Then, if an
-    input was cut short, fail with exit 2: the artifacts cover only the
-    records before the cut."""
-    write_json(
-        outdir / "ingest_stats.json",
-        {
+def _run(ctx: click.Context, produce) -> None:
+    """Run a command that reads a corpus: resolve --config, read the inputs
+    (first-seen only under --dedup), let `produce(params, stream, outdir)`
+    write the command's artifacts and return its summary, then add
+    `ingest_stats.json`. The set is written into a temporary directory
+    inside --out and renamed into place once every write has succeeded, so
+    a failed run leaves --out as it was. Exits 2 if an input was cut short,
+    else echoes the summary."""
+    _apply_config_file(ctx)
+    p = ctx.params
+    stats = IngestStats()
+    stream = (entry for path in p["inputs"] for entry in read_stream(path, fmt=p["fmt"], stats=stats))
+    if p.get("dedup"):
+        stream = first_seen_filter(stream, FirstSeenState(), stats=stats)
+    outdir = Path(p["outdir"])
+    made = [d for d in (outdir, *outdir.parents) if not d.exists()]  # the last is the topmost
+    outdir.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging.", dir=outdir))
+    try:
+        summary = produce(p, stream, staging)
+        write_json(staging / "ingest_stats.json", {
             "read": stats.read,
             "accepted": stats.accepted,
             "rejected_by_error": dict(sorted(stats.rejected_by_error.items())),
             "deduplicated": stats.deduplicated,
             "warnings": dict(sorted(stats.warnings.items())),
-        },
-    )
+        })
+        for path in sorted(staging.iterdir()):
+            os.replace(path, outdir / path.name)
+    except BaseException:
+        shutil.rmtree(made[-1] if made else staging, ignore_errors=True)
+        raise
+    staging.rmdir()
     truncated = stats.rejected_by_error["TruncatedInput"]
     if truncated:
         raise TruncatedInputError(
             f"{truncated} gzip input(s) ended early; artifacts in {outdir} "
             "cover the records before the cut"
         )
+    click.echo(f"{summary} -> {outdir}")
 
 
 @click.group()
@@ -133,80 +145,81 @@ def cli():
     """Passive-DNS measurement statistics and tunnel-candidate filtering."""
 
 
+def _corpus_command(name: str, *options):
+    """Register `produce` as the command `name`, run through `_run`. It takes
+    CORPUS... --out DIR [--format] and `options`, then [--psl] [--config]."""
+
+    def register(produce):
+        @click.pass_context
+        def command(ctx, **_):
+            _run(ctx, produce)
+
+        command.__doc__ = produce.__doc__
+        for option in reversed((
+            click.argument("inputs", nargs=-1, required=True),
+            click.option("--out", "outdir", required=True, type=click.Path(file_okay=False)),
+            click.option("--format", "fmt", type=click.Choice(["ndjson", "csv"]), default="ndjson"),
+            *options,
+            click.option("--psl", "psl_path", default=None, help="Public-suffix list file for SLD extraction."),
+            click.option("--config", default=None, help="JSON file of option overrides (flags win)."),
+        )):
+            command = option(command)
+        return cli.command(name)(command)
+
+    return register
+
+
+_DEDUP = click.option("--dedup/--no-dedup", default=False, help="Drop repeated rrnames (newly-observed semantics).")
+
+
 # ----------------------------------------------------------------------
 
 
-@cli.command("stats")
-@click.argument("inputs", nargs=-1, required=True)
-@click.option("--out", "outdir", required=True, type=click.Path(file_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["ndjson", "csv"]), default="ndjson")
-@click.option("--dedup/--no-dedup", default=False, help="Drop repeated rrnames (newly-observed semantics).")
-@click.option("--psl", "psl_path", default=None, help="Public-suffix list file for SLD extraction.")
-@click.option("--top", "top_n", default=10, show_default=True, type=click.IntRange(min=1), help="Rows in top-SLD tables.")
-@click.option("--config", default=None, help="JSON file of option overrides (flags win).")
-@click.pass_context
-def cmd_stats(ctx, inputs, outdir, fmt, dedup, psl_path, top_n, config):
+@_corpus_command(
+    "stats",
+    _DEDUP,
+    click.option("--top", "top_n", default=10, show_default=True, type=click.IntRange(min=1), help="Rows in top-SLD tables."),
+)
+def cmd_stats(p, stream, outdir):
     """Aggregate measurement tables and series from pDNS inputs."""
     from pdnskit.stats import StatsBundle
 
-    _apply_config_file(ctx)
-    fmt, dedup, psl_path = ctx.params["fmt"], ctx.params["dedup"], ctx.params["psl_path"]
-    top_n = ctx.params["top_n"]
-    stats = IngestStats()
-    stream = _input_streams(inputs, fmt, stats, dedup)
-    bundle = StatsBundle(psl=_load_psl(psl_path)).accumulate_all(stream)
-    outdir = Path(outdir)
-    bundle.emit_all(outdir, top_n=top_n)
-    _write_ingest_stats(outdir, stats)
+    bundle = StatsBundle(psl=_load_psl(p["psl_path"])).accumulate_all(stream)
+    bundle.emit_all(outdir, top_n=p["top_n"])
     if bundle.total == 0:
         click.echo("warning: no entries accumulated; tables contain headers only", err=True)
-    click.echo(f"stats: {bundle.total} entries, {len(bundle.sld_entries)} SLDs -> {outdir}")
+    return f"stats: {bundle.total} entries, {len(bundle.sld_entries)} SLDs"
 
 
 # ----------------------------------------------------------------------
 
 
-@cli.command("filter")
-@click.argument("inputs", nargs=-1, required=True)
-@click.option("--out", "outdir", required=True, type=click.Path(file_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["ndjson", "csv"]), default="ndjson")
-@click.option("--types", default="NULL,TXT", show_default=True, type=RRTypeList(), help="Record types kept by the prefilter.")
-@click.option("--min-level", default=4, show_default=True)
-@click.option("--min-subdomains", default=2, show_default=True, help="Distinct FQDNs an SLD needs to stay a candidate.")
-@click.option("--cdn-list", default=None, help="File of CDN SLDs to drop at stage 1.")
-@click.option("--tunnel-list", default=None, help="File of known tunnel SLDs (default: bundled provider list).")
-@click.option("--watchlist", default=None, help="File of IOC SLDs to annotate ('builtin' for the bundled example).")
-@click.option("--drop-daily-seen", is_flag=True, default=False, help="Drop SLDs seen on every observation day.")
-@click.option("--drop-single-entry", is_flag=True, default=False, help="Drop SLDs left with a single entry.")
-@click.option("--alexa", "alexa_path", default=None, help="Ranked domain list; candidates on it are dropped.")
-@click.option("--observation-days", default=None, type=int, help="Override the day count for --drop-daily-seen.")
-@click.option("--dedup/--no-dedup", default=False)
-@click.option("--psl", "psl_path", default=None)
-@click.option("--config", default=None, help="JSON file of option overrides (flags win).")
-@click.pass_context
-def cmd_filter(
-    ctx, inputs, outdir, fmt, types, min_level, min_subdomains, cdn_list,
-    tunnel_list, watchlist, drop_daily_seen, drop_single_entry, alexa_path,
-    observation_days, dedup, psl_path, config,
-):
+@_corpus_command(
+    "filter",
+    click.option("--types", default="NULL,TXT", show_default=True, type=RRTypeList(), help="Record types kept by the prefilter."),
+    click.option("--min-level", default=4, show_default=True, type=click.IntRange(min=1)),
+    click.option("--min-subdomains", default=2, show_default=True, type=click.IntRange(min=1), help="Distinct FQDNs an SLD needs to stay a candidate."),
+    click.option("--cdn-list", default=None, help="File of CDN SLDs to drop at stage 1."),
+    click.option("--tunnel-list", default=None, help="File of known tunnel SLDs (default: bundled provider list)."),
+    click.option("--watchlist", default=None, help="File of IOC SLDs to annotate ('builtin' for the bundled example)."),
+    click.option("--drop-daily-seen", is_flag=True, default=False, help="Drop SLDs seen on every observation day."),
+    click.option("--drop-single-entry", is_flag=True, default=False, help="Drop SLDs left with a single entry."),
+    click.option("--alexa", "alexa_path", default=None, help="Ranked domain list; candidates on it are dropped."),
+    click.option("--observation-days", default=None, type=click.IntRange(min=1), help="Override the day count for --drop-daily-seen."),
+    _DEDUP,
+)
+def cmd_filter(p, stream, outdir):
     """Reduce pDNS inputs to candidate tunnel SLDs with stage accounting."""
+    from dataclasses import replace
+
     from pdnskit.pipeline import FilterConfig, KnownLists, PostFilterConfig
 
-    _apply_config_file(ctx)
-    p = ctx.params
-    watchlist = p["watchlist"]
-    if watchlist == "builtin":
-        known = KnownLists.from_files(cdn=p["cdn_list"], known_tunnels=p["tunnel_list"])
-        known = KnownLists(
-            cdn=known.cdn,
-            known_tunnels=known.known_tunnels,
-            watchlist=KnownLists.default(include_watchlist=True).watchlist,
-        )
-    else:
-        known = KnownLists.from_files(
-            cdn=p["cdn_list"], known_tunnels=p["tunnel_list"], watchlist=watchlist
-        )
-    alexa = read_domain_list(p["alexa_path"]) if p["alexa_path"] else frozenset()
+    builtin = p["watchlist"] == "builtin"
+    known = KnownLists.from_files(
+        cdn=p["cdn_list"], known_tunnels=p["tunnel_list"], watchlist=None if builtin else p["watchlist"]
+    )
+    if builtin:
+        known = replace(known, watchlist=KnownLists.default(include_watchlist=True).watchlist)
     cfg = FilterConfig(
         prefilter_types=p["types"],
         known=known,
@@ -216,112 +229,42 @@ def cmd_filter(
             drop_daily_seen=p["drop_daily_seen"],
             drop_single_entry=p["drop_single_entry"],
             drop_alexa_top=bool(p["alexa_path"]),
-            alexa_domains=alexa,
+            alexa_domains=read_domain_list(p["alexa_path"]) if p["alexa_path"] else frozenset(),
             observation_days=p["observation_days"],
         ),
         psl=_load_psl(p["psl_path"]),
     )
-    stats = IngestStats()
-    stream = _input_streams(inputs, p["fmt"], stats, p["dedup"])
-    report = _bound("run_pipeline")(stream, cfg)
-    outdir = Path(outdir)
+    report = getattr(sys.modules[__name__], "run_pipeline")(stream, cfg)
     report.write(outdir)
-    _write_ingest_stats(outdir, stats)
-    click.echo(
-        f"filter: {report.input_entries} entries -> {len(report.candidates)} candidate SLDs -> {outdir}"
-    )
+    return f"filter: {report.input_entries} entries -> {len(report.candidates)} candidate SLDs"
 
 
 # ----------------------------------------------------------------------
 
 
-@cli.command("classify")
-@click.argument("inputs", nargs=-1, required=True)
-@click.option("--out", "outdir", required=True, type=click.Path(file_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["ndjson", "csv"]), default="ndjson")
-@click.option(
-    "--profiles", "profiles_path", default=None, envvar="PDNSKIT_PROFILES",
-    help="Implementation profile file (default: bundled; env PDNSKIT_PROFILES).",
+@_corpus_command(
+    "classify",
+    click.option(
+        "--profiles", "profiles_path", default=None, envvar="PDNSKIT_PROFILES",
+        help="Implementation profile file (default: bundled; env PDNSKIT_PROFILES).",
+    ),
+    click.option("--labels", "labels_path", default=None, help="Labels sidecar; enables the confusion matrix."),
+    click.option("--min-matches", default=6, show_default=True, type=click.IntRange(0, 8), help="Attribute threshold out of 8."),
 )
-@click.option("--labels", "labels_path", default=None, help="Labels sidecar; enables the confusion matrix.")
-@click.option("--min-matches", default=6, show_default=True, type=click.IntRange(0, 8), help="Attribute threshold out of 8.")
-@click.option("--psl", "psl_path", default=None)
-@click.option("--config", default=None, help="JSON file of option overrides (flags win).")
-@click.pass_context
-def cmd_classify(ctx, inputs, outdir, fmt, profiles_path, labels_path, min_matches, psl_path, config):
+def cmd_classify(p, stream, outdir):
     """Attribute entries and SLDs to tunnel implementations."""
-    from pdnskit.fingerprint import UNKNOWN, ProfileSet, SldVotes
+    from pdnskit.fingerprint import ClassifyTally, ProfileSet
 
-    _apply_config_file(ctx)
-    p = ctx.params
-    profiles = (
-        ProfileSet.from_file(p["profiles_path"]) if p["profiles_path"] else ProfileSet.default()
-    )
-    psl = _load_psl(p["psl_path"])
-    min_matches = p["min_matches"]
+    profiles = ProfileSet.from_file(p["profiles_path"]) if p["profiles_path"] else ProfileSet.default()
     labels = read_labels(p["labels_path"]) if p["labels_path"] else None
-    stats = IngestStats()
-    stream = _input_streams(inputs, p["fmt"], stats, dedup=False)
-
-    classify = _bound("classify")
-    votes = SldVotes()
-    confusion: Counter = Counter()
-    n_entries = 0
-    for entry in stream:
-        n_entries += 1
-        result = classify(entry, profiles, min_matches=min_matches)
-        votes.add(sld_name(entry, psl), result)
-        if labels is not None:
-            kind, cls = labels.get(entry.rrname.name, ("?", "?"))
-            truth = cls if kind == "tunnel" else f"benign:{cls}"
-            confusion[(truth, result.implementation)] += 1
-
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    totals = votes.totals
-    for sld in sorted(totals, key=lambda s: (-totals[s], s)):
-        att = votes.resolve(sld, profiles)
-        rows.append(
-            (
-                sld,
-                att.implementation,
-                fmt_share(att.agreement),
-                fmt_share(att.unknown_fraction),
-                att.entry_count,
-            )
-        )
-    write_csv(
-        outdir / "attributions.csv",
-        ("sld", "implementation", "agreement", "unknown_fraction", "entry_count"),
-        rows,
+    classify, min_matches = getattr(sys.modules[__name__], "classify"), p["min_matches"]
+    tally = ClassifyTally(profiles, _load_psl(p["psl_path"]), labels).add_all(
+        (entry, classify(entry, profiles, min_matches=min_matches)) for entry in stream
     )
-    if labels is not None:
-        write_csv(
-            outdir / "confusion_matrix.csv",
-            ("true_class", "predicted", "count"),
-            [(t, pred, c) for (t, pred), c in sorted(confusion.items())],
-        )
-        tunnel_total = sum(c for (t, _), c in confusion.items() if not t.startswith("benign:") and t != "?")
-        tunnel_correct = sum(c for (t, pred), c in confusion.items() if t == pred)
-        benign_total = sum(c for (t, _), c in confusion.items() if t.startswith("benign:"))
-        benign_unknown = sum(
-            c for (t, pred), c in confusion.items() if t.startswith("benign:") and pred == UNKNOWN
-        )
-        metrics = {
-            "entries": n_entries,
-            "tunnel_entries": tunnel_total,
-            "tunnel_correct": tunnel_correct,
-            "tunnel_accuracy": round(tunnel_correct / tunnel_total, 6) if tunnel_total else None,
-            "benign_entries": benign_total,
-            "benign_unknown": benign_unknown,
-            "benign_unknown_rate": round(benign_unknown / benign_total, 6) if benign_total else None,
-        }
-        write_json(outdir / "metrics.json", metrics)
-        if tunnel_total:
-            click.echo(f"classify: tunnel accuracy {metrics['tunnel_accuracy']:.4f} over {tunnel_total} entries")
-    _write_ingest_stats(outdir, stats)
-    click.echo(f"classify: {n_entries} entries over {len(totals)} SLDs -> {outdir}")
+    metrics = tally.write(outdir)
+    if metrics and metrics["tunnel_entries"]:
+        click.echo(f"classify: tunnel accuracy {metrics['tunnel_accuracy']:.4f} over {metrics['tunnel_entries']} entries")
+    return f"classify: {tally.entries} entries over {len(tally.votes.totals)} SLDs"
 
 
 # ----------------------------------------------------------------------

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from pdnskit.model import ConfigError, Fqdn, PdnsEntry, RRType
+from pdnskit.model import ConfigError, Fqdn, PdnsEntry, PublicSuffixList, RRType, sld_name
+from pdnskit.tables import fmt_share, write_csv, write_json
 
 __all__ = [
     "ENCODING_HEX",
@@ -36,7 +37,7 @@ __all__ = [
     "extract_attributes",
     "match_profile",
     "classify",
-    "attribute_sld",
+    "ClassifyTally",
 ]
 
 ENCODING_HEX = "hex"
@@ -46,17 +47,6 @@ ENCODING_NONE = "none"
 ENCODINGS = (ENCODING_HEX, ENCODING_BASE32, ENCODING_BASE64, ENCODING_NONE)
 
 CHAR_CLASSES = ("digit", "letter", "other")
-
-ATTRIBUTE_NAMES = (
-    "payload_len",
-    "level",
-    "label4_len",
-    "label5_len",
-    "rrtype",
-    "encoding",
-    "first_char",
-    "markers",
-)
 
 UNKNOWN = "unknown"
 
@@ -534,12 +524,80 @@ class SldVotes:
         )
 
 
-def attribute_sld(
-    entries: Sequence[PdnsEntry], profiles: ProfileSet, min_matches: int = 6
-) -> SldAttribution:
-    """Vote per-entry attributions for one SLD's entries (see `SldVotes`).
-    Raises ValueError when there are none."""
-    votes = SldVotes()
-    for entry in entries:  # all under one key: they share the one SLD
-        votes.add("", classify(entry, profiles, min_matches=min_matches))
-    return votes.resolve("", profiles)
+class ClassifyTally:
+    """What `classify` reports over a corpus: each SLD's majority vote and,
+    given a labels sidecar (rrname -> (kind, class)), the confusion counts
+    of true class against prediction. A tunnel's true class is its profile
+    name and a benign one's is `benign:<class>`; an rrname missing from the
+    sidecar has the true class `?` and counts in neither metrics total."""
+
+    def __init__(
+        self,
+        profiles: ProfileSet,
+        psl: Optional[PublicSuffixList] = None,
+        labels: Optional[Mapping[str, tuple[str, str]]] = None,
+    ):
+        self.profiles, self.psl, self.labels = profiles, psl, labels
+        self.votes = SldVotes()
+        self.confusion: Counter = Counter()  # (true class, prediction) -> entries
+
+    def add_all(self, results: Iterable[tuple[PdnsEntry, Attribution]]) -> "ClassifyTally":
+        """Count each (entry, its attribution) pair."""
+        psl, labels, vote, confusion = self.psl, self.labels, self.votes.add, self.confusion
+        for entry, result in results:
+            vote(sld_name(entry, psl), result)
+            if labels is not None:
+                kind, cls = labels.get(entry.rrname.name, (None, None))
+                truth = "?" if kind is None else cls if kind == "tunnel" else f"benign:{cls}"
+                confusion[truth, result.implementation] += 1
+        return self
+
+    @property
+    def entries(self) -> int:
+        return self.votes.totals.total()
+
+    def attributions(self) -> Iterator[tuple[str, SldAttribution]]:
+        """(SLD, its attribution), most entries first, then by name."""
+        totals = self.votes.totals
+        for sld in sorted(totals, key=lambda s: (-totals[s], s)):
+            yield sld, self.votes.resolve(sld, self.profiles)
+
+    def write(self, outdir: Path) -> Optional[dict]:
+        """Write `attributions.csv` into `outdir` and, given labels,
+        `confusion_matrix.csv` and `metrics.json`; returns the metrics, or
+        None without labels."""
+        write_csv(
+            outdir / "attributions.csv",
+            ("sld", "implementation", "agreement", "unknown_fraction", "entry_count"),
+            (
+                (sld, att.implementation, fmt_share(att.agreement), fmt_share(att.unknown_fraction), att.entry_count)
+                for sld, att in self.attributions()
+            ),
+        )
+        if self.labels is None:
+            return None
+        confusion = sorted((truth, pred, c) for (truth, pred), c in self.confusion.items())
+        write_csv(outdir / "confusion_matrix.csv", ("true_class", "predicted", "count"), confusion)
+        metrics = self.metrics()
+        write_json(outdir / "metrics.json", metrics)
+        return metrics
+
+    def metrics(self) -> dict:
+        """Tunnel accuracy and the benign unknown rate over the labeled entries."""
+        tunnel = correct = benign = benign_unknown = 0
+        for (truth, pred), c in self.confusion.items():
+            if truth.startswith("benign:"):
+                benign += c
+                benign_unknown += c if pred == UNKNOWN else 0
+            elif truth != "?":
+                tunnel += c
+                correct += c if truth == pred else 0
+        return {
+            "entries": self.entries,
+            "tunnel_entries": tunnel,
+            "tunnel_correct": correct,
+            "tunnel_accuracy": round(correct / tunnel, 6) if tunnel else None,
+            "benign_entries": benign,
+            "benign_unknown": benign_unknown,
+            "benign_unknown_rate": round(benign_unknown / benign, 6) if benign else None,
+        }

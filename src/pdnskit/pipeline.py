@@ -349,13 +349,10 @@ class CandidateReport:
     def write(self, outdir: str | Path) -> list[Path]:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        paths = []
         json_path = outdir / "candidates.json"
         write_json(json_path, self.to_json_dict())
-        paths.append(json_path)
         text_path = outdir / "candidates.txt"
         text_path.write_text(self.to_text(), encoding="utf-8")
-        paths.append(text_path)
         csv_path = outdir / "stage_counts.csv"
         write_csv(
             csv_path,
@@ -365,8 +362,7 @@ class CandidateReport:
                 for s in self.stage_counts
             ],
         )
-        paths.append(csv_path)
-        return paths
+        return [json_path, text_path, csv_path]
 
 
 def _group_row(group: SldGroup, watchlist: bool) -> CandidateRow:

@@ -1,5 +1,6 @@
 import gzip
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -339,9 +340,19 @@ class TestExitCodes:
 
     def test_config_error_is_three(self, demo_corpus, tmp_path):
         corpus, _ = demo_corpus
-        assert (
-            main(["filter", str(corpus), "--out", str(tmp_path), "--min-level", "0"]) == 3
-        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"min_level": 0}), encoding="utf-8")
+        assert main(["filter", str(corpus), "--out", str(tmp_path / "out"), "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("option", ["--min-level", "--min-subdomains", "--observation-days"])
+    def test_filter_count_below_one_rejected(self, demo_corpus, tmp_path, capsys, option, value):
+        corpus, _ = demo_corpus
+        out = tmp_path / "out"
+        assert main(["filter", str(corpus), "--out", str(out), option, value, "--drop-daily-seen"]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if option in line]
+        assert len(errors) == 1 and "x>=1" in errors[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "args, config, code",
@@ -554,3 +565,27 @@ class TestExitCodes:
         )
         assert result.returncode == 0, result.stderr
         assert "0.1.0" in result.stdout
+
+
+def test_run_demo_script_writes_the_combined_report(tmp_path):
+    """The README's end-to-end entry point: gen, stats, filter, classify, report."""
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_demo.py"), str(tmp_path / "demo")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    report = (tmp_path / "demo" / "report.txt").read_text(encoding="utf-8")
+    stats = json.loads((tmp_path / "demo" / "stats" / "stats_summary.json").read_text(encoding="utf-8"))
+    candidates = (tmp_path / "demo" / "filter" / "candidates.txt").read_text(encoding="utf-8")
+    attributions = (tmp_path / "demo" / "classify" / "attributions.csv").read_text(encoding="utf-8")
+    assert f"corpus: {stats['total_entries']} entries, {stats['distinct_slds']} SLDs" in report
+    assert candidates.rstrip() in report
+    assert "implementation attributions per SLD:" in report
+    assert all(f"  {line}" in report for line in attributions.splitlines()[:5])
+    assert "labeled accuracy: " in report
+    assert sorted(p.name for p in (tmp_path / "demo").iterdir()) == [
+        "classify", "corpus", "filter", "report.txt", "stats"
+    ]

@@ -4,7 +4,9 @@ Each row runs the real command in its own process and asserts that it
 exits 0 and that `ingest_stats.json` counts the bad record under its error
 kind while keeping the good records on both sides of it. A gzip input cut
 short is the one fault that ends the input: every command keeps the records
-before the cut, writes its artifacts and then exits 2.
+before the cut, writes its artifacts and then exits 2. A write that fails
+part-way through an artifact set leaves the set a previous run wrote as it
+was.
 """
 
 import csv
@@ -165,3 +167,112 @@ def test_truncated_gzip_keeps_records_and_exits_two(tmp_path, command, artifact)
     if command == "stats":
         summary = json.loads((out / "stats_summary.json").read_text(encoding="utf-8"))
         assert summary["total_entries"] == 3
+
+
+# (command, the `write_csv` call that fails): each fails after another
+# artifact of its set has been written. `classify` runs with labels, so that
+# it writes a second CSV.
+WRITE_FAULTS = [
+    ("stats", 2),
+    ("filter", 1),  # after candidates.json and candidates.txt
+    ("classify", 2),  # confusion_matrix.csv, after attributions.csv
+]
+
+
+@pytest.mark.parametrize("command, failing_call", WRITE_FAULTS, ids=[f[0] for f in WRITE_FAULTS])
+def test_failed_write_leaves_previous_set(tmp_path, monkeypatch, command, failing_call):
+    from pdnskit import cli, fingerprint, pipeline, stats, tables
+
+    labels = tmp_path / "labels.csv"
+    labels.write_text("rrname,kind,class\ngood1.teriava.com,benign,plain-a\n", encoding="utf-8")
+    extra = ["--labels", str(labels)] if command == "classify" else []
+    first, second = tmp_path / "first.ndjson", tmp_path / "second.ndjson"
+    first.write_bytes(good("ndjson", 1) + good("ndjson", 2))
+    second.write_bytes(good("ndjson", 3) + good("ndjson", 4) + good("ndjson", 5))
+    out = tmp_path / "out"
+    assert cli.main([command, str(first), "--out", str(out), *extra]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+    write_csv, calls = tables.write_csv, []
+
+    def failing_write_csv(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == failing_call:
+            raise OSError(28, "No space left on device")
+        return write_csv(*args, **kwargs)
+
+    # Each module binds the name at import, so it is replaced where it is called.
+    for module in (tables, stats, pipeline, fingerprint):
+        monkeypatch.setattr(module, "write_csv", failing_write_csv)
+    assert cli.main([command, str(second), "--out", str(out), *extra]) == 2
+    assert len(calls) == failing_call
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "first.ndjson", "labels.csv", "out", "second.ndjson"
+    ]
+
+
+def test_out_on_its_own_filesystem(tmp_path, monkeypatch):
+    """`--out` as a mount point: a rename into it from outside fails with
+    EXDEV, so the set must be staged inside `--out` itself."""
+    import errno
+
+    from pdnskit import cli
+
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_bytes(good("ndjson", 1))
+    out = tmp_path / "out"
+    out.mkdir()
+    rename = os.replace
+
+    def replace_within_out(src, dst):
+        if out not in Path(src).parents or out not in Path(dst).parents:
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+        return rename(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_within_out)
+    for command, artifact in (("stats", "stats_summary.json"), ("filter", "candidates.json"), ("classify", "attributions.csv")):
+        assert cli.main([command, str(corpus), "--out", str(out)]) == 0
+        assert (out / artifact).exists()
+    assert not [path for path in out.iterdir() if path.name.startswith(".")]
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root writes into a read-only directory")
+def test_out_under_read_only_parent(tmp_path):
+    from pdnskit import cli
+
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_bytes(good("ndjson", 1))
+    parent = tmp_path / "ro"
+    (parent / "out").mkdir(parents=True)
+    parent.chmod(0o555)
+    try:
+        assert cli.main(["stats", str(corpus), "--out", str(parent / "out")]) == 0
+    finally:
+        parent.chmod(0o755)
+    assert sorted(path.name for path in parent.iterdir()) == ["out"]
+
+
+def test_truncated_labeled_classify_still_reports_accuracy(tmp_path, capsys):
+    from pdnskit import cli
+
+    corpus = tmp_path / "in.ndjson.gz"
+    corpus.write_bytes(cut_gzip(good("ndjson", 1) + good("ndjson", 2)))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("rrname,kind,class\ngood1.teriava.com,tunnel,iodine\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["classify", str(corpus), "--out", str(out), "--labels", str(labels)]) == 2
+    assert capsys.readouterr().out == "classify: tunnel accuracy 0.0000 over 1 entries\n"
+    assert json.loads((out / "metrics.json").read_text(encoding="utf-8"))["tunnel_entries"] == 1
+
+
+def test_failed_run_removes_the_directories_it_made(tmp_path):
+    from pdnskit import cli
+
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_bytes(good("ndjson", 1))
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text("{}", encoding="utf-8")
+    out = tmp_path / "a" / "b" / "out"
+    assert cli.main(["classify", str(corpus), "--out", str(out), "--profiles", str(profiles)]) == 3
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["c.ndjson", "profiles.json"]

@@ -12,8 +12,9 @@ from pdnskit.fingerprint import (
     Attribution,
     ImplementationProfile,
     ProfileSet,
+    ClassifyTally,
     ProviderRule,
-    attribute_sld,
+    SldVotes,
     classify,
     detect_encoding,
     extract_attributes,
@@ -176,6 +177,13 @@ class TestProviderRule:
         assert not rule.matches(parse_fqdn("x.53r.in"))
 
 
+def vote(entries, profiles):
+    """The one attribution `ClassifyTally` gives entries of a single SLD."""
+    tally = ClassifyTally(profiles).add_all((e, classify(e, profiles)) for e in entries)
+    ((_, att),) = tally.attributions()
+    return att
+
+
 class TestAttributeSld:
     def test_majority_with_unknowns(self, profiles):
         entries = one_generated("iodine-null", "tun-q.net", profiles, payload=640)
@@ -183,14 +191,14 @@ class TestAttributeSld:
         assert len(entries) == 9 or len(entries) == 10
         benign = [make_entry(f"w{i}.tun-q.net", "NULL") for i in range(len(entries) // 9 or 1)]
         mix = entries + benign
-        result = attribute_sld(mix, profiles)
+        result = vote(mix, profiles)
         assert result.implementation == "iodine-null"
         assert result.agreement == pytest.approx(len(entries) / len(mix))
         assert result.unknown_fraction == pytest.approx(len(benign) / len(mix))
 
     def test_all_unknown(self, profiles):
         entries = [make_entry(f"w{i}.plain.net", "A") for i in range(5)]
-        result = attribute_sld(entries, profiles)
+        result = vote(entries, profiles)
         assert result.implementation == "unknown"
         assert result.agreement == 0.0
 
@@ -198,14 +206,41 @@ class TestAttributeSld:
         a = one_generated("iodine-null", "tun-r.net", profiles, payload=71 * 4)
         b = one_generated("iodine-txt", "tun-r.net", profiles, payload=71 * 4)
         assert len(a) == len(b) == 4
-        result = attribute_sld(a + b, profiles)
+        result = vote(a + b, profiles)
         # iodine-null precedes iodine-txt in the profile file.
         assert result.implementation == "iodine-null"
         assert result.tied_with == ("iodine-txt",)
 
     def test_requires_entries(self, profiles):
         with pytest.raises(ValueError):
-            attribute_sld([], profiles)
+            SldVotes().resolve("tun-q.net", profiles)
+
+
+class TestClassifyTally:
+    def test_unlabeled_entries_count_in_neither_total(self, profiles):
+        tunnel = one_generated("iodine-null", "tun-q.net", profiles, payload=71 * 4)
+        benign = [make_entry(f"w{i}.plain.net", "A") for i in range(3)]
+        labels = {
+            tunnel[0].rrname.name: ("tunnel", "iodine-null"),
+            benign[0].rrname.name: ("benign", "plain-a"),
+        }
+        entries = tunnel + benign
+        tally = ClassifyTally(profiles, labels=labels).add_all((e, classify(e, profiles)) for e in entries)
+        assert tally.confusion == {
+            ("iodine-null", "iodine-null"): 1,
+            ("?", "iodine-null"): len(tunnel) - 1,
+            ("benign:plain-a", "unknown"): 1,
+            ("?", "unknown"): 2,
+        }
+        assert tally.metrics() == {
+            "entries": len(entries),
+            "tunnel_entries": 1,
+            "tunnel_correct": 1,
+            "tunnel_accuracy": 1.0,
+            "benign_entries": 1,
+            "benign_unknown": 1,
+            "benign_unknown_rate": 1.0,
+        }
 
 
 class TestProfileFile:
