@@ -95,23 +95,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--slds", type=int, default=2000, help="benign SLD population")
     parser.add_argument("--days", type=int, default=14)
-    parser.add_argument(
-        "--dedup", choices=["exact", "approximate", "off"], default="exact"
-    )
-    parser.add_argument("--fqdn-mode", choices=["exact", "hash64"], default="exact")
+    parser.add_argument("--dedup", choices=["exact", "off"], default="exact")
     args = parser.parse_args(argv)
 
-    bundle = StatsBundle(fqdn_mode=args.fqdn_mode)
+    bundle = StatsBundle()
     config = FilterConfig()
 
     stream = synth_entries(args.entries, args.seed, args.slds, args.days)
-    if args.dedup != "off":
-        state = FirstSeenState(
-            policy="exact" if args.dedup == "exact" else "approximate",
-            capacity=None if args.dedup == "exact" else args.entries,
-            fp_rate=1e-4,
-        )
-        stream = first_seen_filter(stream, state)
+    if args.dedup == "exact":
+        stream = first_seen_filter(stream, FirstSeenState())
 
     accumulate = bundle.accumulate
 
@@ -132,7 +124,6 @@ def main(argv=None) -> int:
         "peak_rss_mb": round(peak_rss_mb(), 1),
         "rss_before_mb": round(rss_before, 1),
         "dedup": args.dedup,
-        "fqdn_mode": args.fqdn_mode,
         "deduplicated": args.entries - bundle.total,
         "stats_total": bundle.total,
         "distinct_slds": len(bundle.sld_entries),

@@ -6,7 +6,6 @@ from pdnskit.model import (
     PublicSuffixList,
     RRType,
     label_length,
-    level,
     parse_fqdn,
     sld_name,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "PublicSuffixList",
     "RRType",
     "label_length",
-    "level",
     "parse_fqdn",
     "sld_name",
     "__version__",

@@ -58,7 +58,7 @@ def _apply_config_file(ctx: click.Context) -> None:
             overrides = json.load(fh)
     except OSError as exc:
         raise UnreadableSourceError(f"cannot open config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"bad config file {path}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -97,14 +97,16 @@ def _load_psl(path: Optional[str]) -> Optional[PublicSuffixList]:
     return PublicSuffixList.from_file(path) if path else None
 
 
-def _run(ctx: click.Context, produce) -> None:
+def _run(ctx: click.Context, produce, artifacts: tuple[str, ...]) -> None:
     """Run a command that reads a corpus: resolve --config, read the inputs
     (first-seen only under --dedup), let `produce(params, stream, outdir)`
     write the command's artifacts and return its summary, then add
     `ingest_stats.json`. The set is written into a temporary directory
     inside --out and renamed into place once every write has succeeded, so
-    a failed run leaves --out as it was. Exits 2 if an input was cut short,
-    else echoes the summary."""
+    a failed run leaves --out as it was; in the same step, those of the
+    command's `artifacts` that this run did not write are removed, so no
+    file of an earlier run passes for this one's. Exits 2 if an input was
+    cut short, else echoes the summary."""
     _apply_config_file(ctx)
     p = ctx.params
     stats = IngestStats()
@@ -124,8 +126,11 @@ def _run(ctx: click.Context, produce) -> None:
             "deduplicated": stats.deduplicated,
             "warnings": dict(sorted(stats.warnings.items())),
         })
-        for path in sorted(staging.iterdir()):
+        written = sorted(staging.iterdir())
+        for path in written:
             os.replace(path, outdir / path.name)
+        for name in set(artifacts).difference(path.name for path in written):
+            (outdir / name).unlink(missing_ok=True)
     except BaseException:
         shutil.rmtree(made[-1] if made else staging, ignore_errors=True)
         raise
@@ -145,14 +150,15 @@ def cli():
     """Passive-DNS measurement statistics and tunnel-candidate filtering."""
 
 
-def _corpus_command(name: str, *options):
+def _corpus_command(name: str, artifacts: tuple[str, ...], *options):
     """Register `produce` as the command `name`, run through `_run`. It takes
-    CORPUS... --out DIR [--format] and `options`, then [--psl] [--config]."""
+    CORPUS... --out DIR [--format] and `options`, then [--psl] [--config].
+    `artifacts` names every file it may write into --out."""
 
     def register(produce):
         @click.pass_context
         def command(ctx, **_):
-            _run(ctx, produce)
+            _run(ctx, produce, artifacts)
 
         command.__doc__ = produce.__doc__
         for option in reversed((
@@ -177,6 +183,11 @@ _DEDUP = click.option("--dedup/--no-dedup", default=False, help="Drop repeated r
 
 @_corpus_command(
     "stats",
+    (
+        "rrtype_shares.csv", "rrtype_per_day.csv", "levels_per_day.csv", "rdata_buckets_per_day.csv",
+        "top_slds.csv", "top_slds_by_type.csv", "sld_cdf.csv", "sld_daily_top.csv",
+        "sld_rdata_means.csv", "stats_summary.json",
+    ),
     _DEDUP,
     click.option("--top", "top_n", default=10, show_default=True, type=click.IntRange(min=1), help="Rows in top-SLD tables."),
 )
@@ -196,6 +207,7 @@ def cmd_stats(p, stream, outdir):
 
 @_corpus_command(
     "filter",
+    ("candidates.json", "candidates.txt", "stage_counts.csv"),
     click.option("--types", default="NULL,TXT", show_default=True, type=RRTypeList(), help="Record types kept by the prefilter."),
     click.option("--min-level", default=4, show_default=True, type=click.IntRange(min=1)),
     click.option("--min-subdomains", default=2, show_default=True, type=click.IntRange(min=1), help="Distinct FQDNs an SLD needs to stay a candidate."),
@@ -244,6 +256,7 @@ def cmd_filter(p, stream, outdir):
 
 @_corpus_command(
     "classify",
+    ("attributions.csv", "confusion_matrix.csv", "metrics.json"),
     click.option(
         "--profiles", "profiles_path", default=None, envvar="PDNSKIT_PROFILES",
         help="Implementation profile file (default: bundled; env PDNSKIT_PROFILES).",
@@ -306,6 +319,47 @@ def _require(path: Path) -> Path:
     return path
 
 
+def _quote(path: Path, render) -> list[str]:
+    """The report lines `render` makes of an artifact's text. An artifact
+    that is not UTF-8, or not the JSON `render` reads, is damaged: a fatal
+    I/O error that names it."""
+    try:
+        return render(path.read_text(encoding="utf-8"))
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise OSError(f"damaged artifact {path}: {type(exc).__name__}: {exc}") from None
+
+
+def _stats_lines(text: str) -> list[str]:
+    summary = json.loads(text)
+    return [
+        f"corpus: {summary['total_entries']} entries, "
+        f"{summary['distinct_slds']} SLDs, "
+        f"{summary['distinct_fqdns']} distinct FQDNs "
+        f"({summary['first_day']} .. {summary['last_day']})",
+        "",
+        "record type shares:",
+        *(f"  {row['rrtype']:<8} {row['count']:>12}  {row['share'] * 100:6.2f}%" for row in summary["rrtype_shares"]),
+        "",
+        "top SLDs by entries:",
+        *(f"  {row['sld']:<32} {row['count']:>12}  {row['share'] * 100:6.2f}%" for row in summary["top_slds"]),
+        "",
+    ]
+
+
+def _attribution_lines(text: str) -> list[str]:
+    att_lines = text.splitlines()
+    more = ["  ..."] if len(att_lines) > _REPORT_ATT_LINES else []
+    return ["implementation attributions per SLD:", *(f"  {line}" for line in att_lines[:_REPORT_ATT_LINES]), *more]
+
+
+def _accuracy_lines(text: str) -> list[str]:
+    metrics = json.loads(text)
+    if metrics.get("tunnel_accuracy") is None:
+        return []
+    return ["", f"labeled accuracy: {metrics['tunnel_accuracy']:.4f} "
+                f"over {metrics['tunnel_entries']} tunnel entries"]
+
+
 @cli.command("report")
 @click.option("--stats", "stats_dir", default=None, type=click.Path(file_okay=False))
 @click.option("--filter", "filter_dir", default=None, type=click.Path(file_okay=False))
@@ -317,39 +371,14 @@ def cmd_report(stats_dir, filter_dir, classify_dir, out_path):
         raise click.UsageError("pass at least one of --stats/--filter/--classify")
     lines = ["passive-DNS analysis summary", "=" * 28, ""]
     if stats_dir:
-        summary_path = _require(Path(stats_dir) / "stats_summary.json")
-        summary = json.loads(summary_path.read_text(encoding="utf-8"))
-        lines.append(f"corpus: {summary['total_entries']} entries, "
-                     f"{summary['distinct_slds']} SLDs, "
-                     f"{summary['distinct_fqdns']} distinct FQDNs "
-                     f"({summary['first_day']} .. {summary['last_day']})")
-        lines.append("")
-        lines.append("record type shares:")
-        for row in summary["rrtype_shares"]:
-            lines.append(f"  {row['rrtype']:<8} {row['count']:>12}  {row['share'] * 100:6.2f}%")
-        lines.append("")
-        lines.append("top SLDs by entries:")
-        for row in summary["top_slds"]:
-            lines.append(f"  {row['sld']:<32} {row['count']:>12}  {row['share'] * 100:6.2f}%")
-        lines.append("")
+        lines += _quote(_require(Path(stats_dir) / "stats_summary.json"), _stats_lines)
     if filter_dir:
-        candidates_path = _require(Path(filter_dir) / "candidates.txt")
-        lines.append(candidates_path.read_text(encoding="utf-8").rstrip())
-        lines.append("")
+        lines += _quote(_require(Path(filter_dir) / "candidates.txt"), lambda text: [text.rstrip(), ""])
     if classify_dir:
-        att_path = _require(Path(classify_dir) / "attributions.csv")
-        lines.append("implementation attributions per SLD:")
-        att_lines = att_path.read_text(encoding="utf-8").splitlines()
-        lines.extend(f"  {line}" for line in att_lines[:_REPORT_ATT_LINES])
-        if len(att_lines) > _REPORT_ATT_LINES:
-            lines.append("  ...")
+        lines += _quote(_require(Path(classify_dir) / "attributions.csv"), _attribution_lines)
         metrics_path = Path(classify_dir) / "metrics.json"
         if metrics_path.exists():
-            metrics = json.loads(metrics_path.read_text(encoding="utf-8"))
-            if metrics.get("tunnel_accuracy") is not None:
-                lines.append("")
-                lines.append(f"labeled accuracy: {metrics['tunnel_accuracy']:.4f} "
-                             f"over {metrics['tunnel_entries']} tunnel entries")
+            lines += _quote(metrics_path, _accuracy_lines)
         lines.append("")
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -7,10 +7,8 @@ import csv
 import gzip
 import io
 import json
-import math
 import re
 import sys
-import threading
 import zlib
 from collections import Counter
 from contextlib import contextmanager
@@ -35,7 +33,6 @@ __all__ = [
     "RecordError",
     "UnreadableSourceError",
     "TruncatedInputError",
-    "CapacityExceededError",
     "read_stream",
     "first_seen_filter",
     "parse_record",
@@ -57,10 +54,6 @@ class TruncatedInputError(OSError):
 
 # What reading a gzip stream that was cut short, or corrupted, raises.
 _TRUNCATED_GZIP = (EOFError, zlib.error, gzip.BadGzipFile)
-
-
-class CapacityExceededError(RuntimeError):
-    """Exact first-seen state hit its configured capacity."""
 
 
 class RecordError(ValueError):
@@ -341,90 +334,12 @@ def read_stream(
             stats.rejected_by_error["TruncatedInput"] += 1
 
 
-class _BloomFilter:
-    """Fixed-size Bloom filter with the textbook m/k sizing."""
-
-    def __init__(self, capacity: int, fp_rate: float):
-        global blake2b
-        from hashlib import blake2b  # only approximate dedup hashes: load it here
-
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        if not 0.0 < fp_rate < 1.0:
-            raise ValueError("fp_rate must be in (0, 1)")
-        ln2 = math.log(2.0)
-        self.n_bits = max(8, math.ceil(-capacity * math.log(fp_rate) / (ln2 * ln2)))
-        self.n_hashes = max(1, round(self.n_bits / capacity * ln2))
-        self.bits = bytearray((self.n_bits + 7) // 8)
-
-    def _positions(self, key: str) -> Iterable[int]:
-        digest = blake2b(key.encode("utf-8"), digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:], "big") | 1
-        for i in range(self.n_hashes):
-            yield (h1 + i * h2) % self.n_bits
-
-    def check_and_add(self, key: str) -> bool:
-        """Return True iff the key was (probably) not present; inserts it."""
-        new = False
-        bits = self.bits
-        for pos in self._positions(key):
-            byte, mask = pos >> 3, 1 << (pos & 7)
-            if not bits[byte] & mask:
-                new = True
-                bits[byte] |= mask
-        return new
-
-
 class FirstSeenState:
-    """Tracks which rrnames have been seen, for newly-observed filtering.
+    """The rrnames seen so far, for newly-observed filtering: one set, so a
+    truly new name is never dropped."""
 
-    `exact` policy never drops a truly-new name; `approximate` may drop a
-    new name with probability at most `fp_rate` (Bloom filter), in exchange
-    for fixed memory. check_and_add is atomic under a lock so concurrent
-    workers can share one state without admitting an rrname twice.
-    """
-
-    def __init__(
-        self,
-        policy: str = "exact",
-        capacity: Optional[int] = None,
-        fp_rate: float = 1e-4,
-    ):
-        if policy not in ("exact", "approximate"):
-            raise ValueError(f"unknown policy: {policy!r}")
-        self.policy = policy
-        self.capacity = capacity
-        self.added = 0
-        self._lock = threading.Lock()
-        self._bloom = None
-        if policy == "exact":
-            self._seen: set[str] = set()
-        else:
-            if capacity is None:
-                raise ValueError("approximate policy requires a capacity")
-            self._bloom = _BloomFilter(capacity, fp_rate)
-
-    def __len__(self) -> int:
-        return self.added
-
-    def check_and_add(self, key: str) -> bool:
-        """True iff key is new in this state; records it either way."""
-        with self._lock:
-            if self._bloom is not None:
-                if self._bloom.check_and_add(key):
-                    self.added += 1
-                    return True
-                return False
-            if key in self._seen:
-                return False
-            if self.capacity is not None and self.added >= self.capacity:
-                raise CapacityExceededError(
-                    f"exact first-seen state reached capacity {self.capacity}"
-                )
-            self._seen.add(key)
-            self.added += 1
-            return True
+    def __init__(self):
+        self.seen: set[str] = set()
 
 
 def first_seen_filter(
@@ -440,8 +355,11 @@ def first_seen_filter(
     `deduplicated`, so `accepted` counts the entries passed on and the
     identity holds.
     """
+    seen = state.seen
     for entry in stream:
-        if state.check_and_add(entry.rrname.name):
+        name = entry.rrname.name
+        if name not in seen:
+            seen.add(name)
             yield entry
         elif stats is not None:
             stats.accepted -= 1

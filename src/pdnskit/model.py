@@ -23,8 +23,6 @@ __all__ = [
     "NameTooLongError",
     "PublicSuffixList",
     "parse_fqdn",
-    "fqdn_from_labels",
-    "level",
     "label_length",
     "is_suffix",
     "sld_name",
@@ -181,16 +179,6 @@ def _parse_fqdn_general(raw: str) -> Fqdn:
     return Fqdn(tuple(labels), s)
 
 
-def fqdn_from_labels(labels: Iterable[str]) -> Fqdn:
-    """Build an Fqdn from already-normalized labels (revalidates)."""
-    return parse_fqdn(".".join(labels))
-
-
-def level(fqdn: Fqdn) -> int:
-    """Label count of the hostname; the TLD is level one."""
-    return len(fqdn.labels)
-
-
 def label_length(fqdn: Fqdn, level_index: int) -> Optional[int]:
     """Byte length of the label at `level_index`, counting the TLD as 1.
 
@@ -234,8 +222,12 @@ class PublicSuffixList:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PublicSuffixList":
+        """The list in a rules file; ConfigError if it is not UTF-8."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls(fh)
+            try:
+                return cls(fh)
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"bad public suffix list {path}: {exc}") from None
 
     def suffix_label_count(self, fqdn: Fqdn) -> int:
         """Number of labels in the longest matching public suffix."""

@@ -66,12 +66,6 @@ def _bucket(size: int) -> str:
     return RDATA_BUCKETS[2]
 
 
-def _hash64(text: str) -> int:
-    """A name's 64-bit digest. Only hash64 bundles call it, and building one
-    binds `blake2b`, so no other command loads hashlib."""
-    return int.from_bytes(blake2b(text.encode("utf-8"), digest_size=8).digest(), "big")
-
-
 def _cumulative_shares(counts: Iterable[int]) -> Iterator[float]:
     """The cumulative share at each rank of counts ranked descending. The
     order of equal counts cannot change a cumulative share, so only the
@@ -101,25 +95,10 @@ class CdfSeries:
 
 
 class StatsBundle:
-    """All streaming measurement counters, mergeable pointwise.
+    """All streaming measurement counters, mergeable pointwise."""
 
-    `fqdn_mode="exact"` keeps distinct rrnames per (SLD, type) as string
-    sets; `"hash64"` keeps 64-bit digests instead, trading a vanishing
-    collision probability for roughly half the memory on very large corpora.
-    """
-
-    def __init__(
-        self,
-        psl: Optional[PublicSuffixList] = None,
-        fqdn_mode: str = "exact",
-    ):
-        if fqdn_mode not in ("exact", "hash64"):
-            raise ValueError(f"unknown fqdn_mode: {fqdn_mode!r}")
-        if fqdn_mode == "hash64":
-            global blake2b
-            from hashlib import blake2b
+    def __init__(self, psl: Optional[PublicSuffixList] = None):
         self.psl = psl
-        self.fqdn_mode = fqdn_mode
         self.total = 0
         self.rrtype_counts: Counter = Counter()
         self.per_day_rrtype: Counter = Counter()  # (date, rrtype) -> count
@@ -140,9 +119,6 @@ class StatsBundle:
         day = entry.time_seen.date()
         rrtype = entry.rrtype
         sld = sld_name(entry, self.psl)
-        rrname = entry.rrname.name
-        if self.fqdn_mode == "hash64":
-            rrname = _hash64(rrname)
         size = rdata_wire_size(entry.rdata)
 
         self.total += 1
@@ -157,7 +133,7 @@ class StatsBundle:
         names = self.sld_type_fqdns.get(key)
         if names is None:
             names = self.sld_type_fqdns[key] = set()
-        names.add(rrname)
+        names.add(entry.rrname.name)
         self.sld_rdata_sum[sld] += size
         if self.min_day is None or day < self.min_day:
             self.min_day = day
@@ -175,9 +151,7 @@ class StatsBundle:
         Merging is associative and commutative with the empty bundle as
         identity.
         """
-        if self.fqdn_mode != other.fqdn_mode:
-            raise ValueError("cannot merge bundles with different fqdn modes")
-        out = StatsBundle(psl=self.psl or other.psl, fqdn_mode=self.fqdn_mode)
+        out = StatsBundle(psl=self.psl or other.psl)
         out.total = self.total + other.total
         for name in (
             "rrtype_counts",

@@ -8,6 +8,8 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from pdnskit.model import ConfigError
+
 __all__ = ["write_csv", "write_json", "fmt_share", "read_domain_list", "read_labels"]
 
 
@@ -36,28 +38,42 @@ def write_json(path: str | Path, obj) -> None:
 def read_domain_list(path: str | Path) -> frozenset[str]:
     """Load a one-domain-per-line file; `#` comments and blanks ignored.
 
-    Domains are normalized to lowercase without the trailing dot.
+    Domains are normalized to lowercase without the trailing dot. A file
+    that is not UTF-8 raises ConfigError.
     """
     out = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            out.add(text.lower().rstrip("."))
+        try:
+            for line in fh:
+                text = line.strip()
+                if not text or text.startswith("#"):
+                    continue
+                out.add(text.lower().rstrip("."))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"bad domain list {path}: {exc}") from None
     return frozenset(out)
 
 
 def read_labels(path: str | Path) -> dict[str, tuple[str, str]]:
-    """Load a labels sidecar: rrname -> (kind, class)."""
+    """Load a labels sidecar: rrname -> (kind, class), from the first three
+    fields of each row. Blank lines are skipped; a file that is not UTF-8
+    or not readable as CSV, or a row of fewer than three fields, raises
+    ConfigError."""
     out: dict[str, tuple[str, str]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None and header[:1] != ["rrname"]:
-            fh.seek(0)
+        try:
             reader = csv.reader(fh)
-        for row in reader:
-            if len(row) >= 3:
-                out[row[0]] = (row[1], row[2])
+            header = next(reader, None)
+            if header is not None and header[:1] != ["rrname"]:
+                fh.seek(0)
+                reader = csv.reader(fh)
+            for row in reader:
+                if len(row) >= 3:
+                    out[row[0]] = (row[1], row[2])
+                elif "".join(row).strip():
+                    raise ConfigError(
+                        f"bad labels file {path}: line {reader.line_num} has {len(row)} of 3 fields"
+                    )
+        except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a field over csv.field_size_limit
+            raise ConfigError(f"bad labels file {path}: {exc}") from None
     return out

@@ -6,7 +6,10 @@ kind while keeping the good records on both sides of it. A gzip input cut
 short is the one fault that ends the input: every command keeps the records
 before the cut, writes its artifacts and then exits 2. A write that fails
 part-way through an artifact set leaves the set a previous run wrote as it
-was.
+was, and a run removes those of its command's artifacts that it did not
+write. A side input that is not UTF-8, or a labels row short of fields,
+exits 3 and `report` on a damaged artifact exits 2, each with one line on
+stderr that names the file.
 """
 
 import csv
@@ -276,3 +279,114 @@ def test_failed_run_removes_the_directories_it_made(tmp_path):
     out = tmp_path / "a" / "b" / "out"
     assert cli.main(["classify", str(corpus), "--out", str(out), "--profiles", str(profiles)]) == 3
     assert sorted(path.name for path in tmp_path.iterdir()) == ["c.ndjson", "profiles.json"]
+
+
+def run_cli(capsys, *args) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of one in-process command."""
+    from pdnskit import cli
+
+    capsys.readouterr()
+    code = cli.main([str(arg) for arg in args])
+    return code, capsys.readouterr().err.splitlines()
+
+
+def test_classify_without_labels_removes_its_stale_labeled_artifacts(tmp_path, capsys):
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_bytes(good("ndjson", 1) + good("ndjson", 2))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("rrname,kind,class\ngood1.teriava.com,tunnel,iodine\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(capsys, "classify", corpus, "--out", out, "--labels", labels) == (0, [])
+    assert run_cli(capsys, "stats", corpus, "--out", out) == (0, [])
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert {"metrics.json", "confusion_matrix.csv", "stats_summary.json"} <= set(before)
+
+    assert run_cli(capsys, "classify", corpus, "--out", out) == (0, [])
+    after = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert set(before) - set(after) == {"metrics.json", "confusion_matrix.csv"}
+    rewritten = {"attributions.csv", "ingest_stats.json"}
+    assert {name: after[name] for name in set(after) - rewritten} == {
+        name: before[name] for name in set(after) - rewritten
+    }
+    report = tmp_path / "report.txt"
+    assert run_cli(capsys, "report", "--classify", out, "--out", report) == (0, [])
+    assert "accuracy" not in report.read_text(encoding="utf-8")
+
+
+def _without_top_slds(path: Path) -> bytes:
+    summary = json.loads(path.read_text(encoding="utf-8"))
+    del summary["top_slds"]
+    return json.dumps(summary).encode()
+
+
+# (report option, the command whose artifact is damaged, the artifact, its damage)
+DAMAGED_ARTIFACTS = [
+    ("--stats", ["stats"], "stats_summary.json", _without_top_slds),
+    ("--stats", ["stats"], "stats_summary.json", lambda path: b"\x00not json\n"),
+    ("--classify", ["classify", "--labels"], "metrics.json", lambda path: path.read_bytes()[:-20]),
+]
+
+
+@pytest.mark.parametrize(
+    "option, command, artifact, damage", DAMAGED_ARTIFACTS, ids=["stats-key", "stats-not-json", "metrics-cut"]
+)
+def test_report_on_a_damaged_artifact_exits_two(tmp_path, capsys, option, command, artifact, damage):
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_bytes(good("ndjson", 1))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("rrname,kind,class\ngood1.teriava.com,tunnel,iodine\n", encoding="utf-8")
+    out = tmp_path / "out"
+    extra = [labels] if command[-1] == "--labels" else []
+    assert run_cli(capsys, command[0], corpus, "--out", out, *command[1:], *extra)[0] == 0
+    path = out / artifact
+    path.write_bytes(damage(path))
+
+    report = tmp_path / "report.txt"
+    code, errors = run_cli(capsys, "report", option, out, "--out", report)
+    assert code == 2
+    assert len(errors) == 1 and errors[0].startswith(f"i/o error: damaged artifact {path}: ")
+    assert not report.exists()
+
+
+# (command, option, file content): each side input holds one byte that is not UTF-8.
+NON_UTF8_SIDE_INPUTS = [
+    ("stats", "--psl", "bad public suffix list", b"com\n\xff.example\n"),
+    ("filter", "--cdn-list", "bad domain list", b"cdn.example\n\xff.example\n"),
+    ("classify", "--labels", "bad labels file", b"rrname,kind,class\ngood1.teriava.com,tunnel,io\xffine\n"),
+    ("stats", "--config", "bad config file", b'{"top_n": 3, "note": "\xff"}\n'),
+]
+
+
+@pytest.mark.parametrize(
+    "command, option, message, content", NON_UTF8_SIDE_INPUTS, ids=[row[1][2:] for row in NON_UTF8_SIDE_INPUTS]
+)
+def test_non_utf8_side_input_exits_three(tmp_path, capsys, command, option, message, content):
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_bytes(good("ndjson", 1))
+    side = tmp_path / "side.txt"
+    side.write_bytes(content)
+    out = tmp_path / "out"
+    code, errors = run_cli(capsys, command, corpus, "--out", out, option, side)
+    assert code == 3
+    assert len(errors) == 1 and errors[0].startswith(f"config error: {message} {side}: ")
+    assert not out.exists()
+
+
+BAD_LABELS = [
+    # A blank line and a fourth field are still read as before.
+    ("rrname,kind,class\ngood1.teriava.com,tunnel,iodine,x\n\ngood2.teriava.com,tunnel\n", "line 4 has 2 of 3 fields"),
+    ("rrname,kind,class\ngood1.teriava.com,tunnel," + "x" * 140_000 + "\n", "field larger than field limit (131072)"),
+]
+
+
+@pytest.mark.parametrize("content, message", BAD_LABELS, ids=["short-row", "oversized-field"])
+def test_bad_labels_file_exits_three(tmp_path, capsys, content, message):
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_bytes(good("ndjson", 1) + good("ndjson", 2))
+    labels = tmp_path / "labels.csv"
+    labels.write_text(content, encoding="utf-8")
+    out = tmp_path / "out"
+    code, errors = run_cli(capsys, "classify", corpus, "--out", out, "--labels", labels)
+    assert code == 3
+    assert errors == [f"config error: bad labels file {labels}: {message}"]
+    assert not out.exists()

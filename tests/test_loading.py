@@ -93,21 +93,6 @@ class TestImportBudget:
         assert {"pdnskit.tunnelgen", "pdnskit.fingerprint"} <= set(facts["pdnskit"])
         assert facts["hashlib"]
 
-    def test_only_hashing_state_loads_hashlib(self):
-        code = """
-import sys
-from pdnskit.ingest import FirstSeenState
-from pdnskit.stats import StatsBundle
-seen = []
-for make in (FirstSeenState, StatsBundle,
-             lambda: FirstSeenState("approximate", capacity=10),
-             lambda: StatsBundle(fqdn_mode="hash64")):
-    make()
-    seen.append("hashlib" in sys.modules)
-print(seen)
-"""
-        assert _fresh_python(code) == "[False, False, True, True]"
-
 
 # (name on pdnskit.cli, the command that calls it, extra arguments)
 HOOKED = [

@@ -9,10 +9,8 @@ from pdnskit.model import (
     NameTooLongError,
     PublicSuffixList,
     RRType,
-    fqdn_from_labels,
     is_suffix,
     label_length,
-    level,
     parse_fqdn,
     parse_time_seen,
     sld_name,
@@ -79,13 +77,6 @@ class TestParseFqdn:
             f = parse_fqdn(raw)
             assert ".".join(f.labels) == f.name
             assert parse_fqdn(f.dotted) == f
-
-
-class TestLevel:
-    def test_examples(self):
-        assert level(parse_fqdn("www.example.com")) == 3
-        assert level(parse_fqdn("com")) == 1
-        assert level(parse_fqdn("a.b.c.d.e.foo.com")) == 7
 
 
 class TestLabelLength:
@@ -199,9 +190,3 @@ class TestParseTimeSeen:
 def test_fqdn_equality_ignores_raw():
     assert parse_fqdn("WWW.Foo.com.") == parse_fqdn("www.foo.com")
     assert hash(parse_fqdn("A.b")) == hash(parse_fqdn("a.B."))
-
-
-def test_fqdn_from_labels_revalidates():
-    assert fqdn_from_labels(["x", "y"]).name == "x.y"
-    with pytest.raises(LabelTooLongError):
-        fqdn_from_labels(["a" * 70, "com"])

@@ -17,7 +17,6 @@ from pdnskit.stats import (
     RDATA_BUCKETS,
     CdfSeries,
     StatsBundle,
-    _hash64,
     rdata_wire_size,
 )
 from pdnskit.tables import write_json
@@ -418,33 +417,6 @@ class TestInvariants:
         named = bundle.rrtype_shares()
         assert sum(s for _, _, s in named) == pytest.approx(1.0, abs=1e-9)
 
-    def test_hash_mode_counts_match_exact(self):
-        entries = random_entries(2000, seed=7)
-        exact = StatsBundle(fqdn_mode="exact").accumulate_all(entries)
-        hashed = StatsBundle(fqdn_mode="hash64").accumulate_all(entries)
-        assert {s: len(v) for s, v in exact.sld_fqdns.items()} == {
-            s: len(v) for s, v in hashed.sld_fqdns.items()
-        }
-        with pytest.raises(ValueError):
-            exact.merge(hashed)
-
-
-    def test_hash64_digests_pinned(self):
-        # blake2b-64 of each name, big-endian; a change of hash function,
-        # digest size or byte order moves every one of them.
-        pinned = {
-            "a.teriava.com": 13431445751671823334,
-            "x.y.z.example.org": 14425769799325882955,
-            "mail.example.com": 4348453094681021353,
-            "b\u00fccher.example": 3862957854026790104,
-            "h0.tun-alpha.net": 9716220115220502754,
-        }
-        bundle = StatsBundle(fqdn_mode="hash64")
-        assert {name: _hash64(name) for name in pinned} == pinned
-        assert _hash64("") == 16476032584258269876
-        bundle.accumulate_all(make_entry(name) for name in pinned)
-        assert set().union(*bundle.sld_type_fqdns.values()) == set(pinned.values())
-
 
 class TestEmit:
     def test_emit_writes_all_artifacts(self, tmp_path):
@@ -658,16 +630,15 @@ class TestStreamingEmit:
     @given(
         st.lists(emit_entry_st(), max_size=60),
         st.one_of(st.none(), st.integers(min_value=0, max_value=60)),
-        st.sampled_from(("exact", "hash64")),
         st.integers(min_value=1, max_value=len(EMIT_SLDS) + 2),
     )
     @settings(max_examples=200, deadline=None)
-    def test_emit_matches_legacy_emit(self, entries, split, fqdn_mode, top_n):
+    def test_emit_matches_legacy_emit(self, entries, split, top_n):
         if split is None:
-            bundle = StatsBundle(fqdn_mode=fqdn_mode).accumulate_all(entries)
+            bundle = StatsBundle().accumulate_all(entries)
         else:  # a merged bundle
-            left = StatsBundle(fqdn_mode=fqdn_mode).accumulate_all(entries[:split])
-            right = StatsBundle(fqdn_mode=fqdn_mode).accumulate_all(entries[split:])
+            left = StatsBundle().accumulate_all(entries[:split])
+            right = StatsBundle().accumulate_all(entries[split:])
             bundle = left.merge(right)
         with tempfile.TemporaryDirectory() as tmp:
             new = bundle.emit_all(Path(tmp) / "new", top_n=top_n)
