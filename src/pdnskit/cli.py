@@ -232,6 +232,9 @@ def cmd_filter(p, stream, outdir):
     )
     if builtin:
         known = replace(known, watchlist=KnownLists.default(include_watchlist=True).watchlist)
+    alexa = read_domain_list(p["alexa_path"]) if p["alexa_path"] else frozenset()
+    if p["alexa_path"] and not alexa:
+        raise ConfigError(f"--alexa {p['alexa_path']}: the list holds no domains")
     cfg = FilterConfig(
         prefilter_types=p["types"],
         known=known,
@@ -241,7 +244,7 @@ def cmd_filter(p, stream, outdir):
             drop_daily_seen=p["drop_daily_seen"],
             drop_single_entry=p["drop_single_entry"],
             drop_alexa_top=bool(p["alexa_path"]),
-            alexa_domains=read_domain_list(p["alexa_path"]) if p["alexa_path"] else frozenset(),
+            alexa_domains=alexa,
             observation_days=p["observation_days"],
         ),
         psl=_load_psl(p["psl_path"]),

@@ -8,15 +8,14 @@ live in a data file (`data/tunnel_profiles.conf`), not in code.
 from __future__ import annotations
 
 import configparser
-import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from pdnskit.model import ConfigError, Fqdn, PdnsEntry, PublicSuffixList, RRType, sld_name
+from pdnskit.model import ConfigError, Fqdn, PdnsEntry, PublicSuffixList, RRType, label_length, sld_name
 from pdnskit.tables import fmt_share, write_csv, write_json
 
 __all__ = [
@@ -118,8 +117,8 @@ class AttributeVector(NamedTuple):
 
     payload_len: int  # bytes (dots included) of all labels at level >= 4
     level: int
-    label4_len: Optional[int]  # absent when level < 4
-    label5_len: Optional[int]  # absent when level < 5
+    label4_len: Optional[int]  # bytes; absent when level < 4
+    label5_len: Optional[int]  # bytes; absent when level < 5
     rrtype: RRType
     encoding: str
     first_char: str  # class of the leftmost label's first byte
@@ -136,15 +135,14 @@ def extract_attributes(
     everything left of the third-level label: tunnels keep the SLD and a
     short third-level constant, so that is where encoded data lives.
     """
-    labels = entry.rrname.labels
+    rrname = entry.rrname
+    labels = rrname.labels
     n = len(labels)
-    name = entry.rrname.name
     if n > 3:
         payload = "".join(labels[: n - 3])
         # The n - 4 dots between the payload labels are one byte each.
         payload_len = (len(payload) if payload.isascii() else len(payload.encode())) + n - 4
-        label4_len = len(labels[n - 4])
-        label5_len = len(labels[n - 5]) if n >= 5 else None
+        label4_len, label5_len = label_length(rrname, 4), label_length(rrname, 5)
     else:
         payload, payload_len, label4_len, label5_len = "", 0, None, None
     return AttributeVector(
@@ -155,7 +153,7 @@ def extract_attributes(
         entry.rrtype,
         detect_encoding(payload),
         _FIRST_CHAR_CLASS.get(labels[0][0], "other"),
-        frozenset([m for m in markers if m in name]),
+        frozenset([m for m in markers if m in rrname.name]),
     )
 
 
@@ -181,10 +179,7 @@ class ProviderRule:
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     lo = int(lo.strip())
-    hi = int(hi.strip()) if sep else lo
-    if hi < lo:
-        raise ValueError(f"empty range: {text!r}")
-    return lo, hi
+    return lo, (int(hi.strip()) if sep else lo)
 
 
 def _parse_set(text: str) -> tuple[str, ...]:
@@ -246,21 +241,6 @@ def _profile_from_section(name: str, sec) -> ImplementationProfile:
     )
 
 
-def _compile(p: ImplementationProfile) -> tuple:
-    """The flat row `classify` scores `p` by, in `match_profile`'s order."""
-    return (
-        p,
-        *p.payload_len,
-        *p.levels,
-        *p.label4_len,
-        *p.label5_len,
-        p.rrtypes,
-        frozenset(p.encodings),
-        p.first_chars,
-        frozenset(p.markers),
-    )
-
-
 # Classifications kept per profile set, by attribute vector, provider and
 # threshold. Tunnel names repeat a few templates, so a feed has few distinct
 # keys; the cap keeps a long tail of them from growing the process: the memo
@@ -271,10 +251,9 @@ _MEMO_CAP = 1024
 class ProfileSet:
     """An ordered collection of profiles sharing one marker vocabulary.
 
-    The set is compiled once, here, into the form `classify` scores: one
-    flat row per profile and a map from provider SLD shape (TLD, SLD label
-    length) to the first provider profile in file order claiming it. It
-    also holds `classify`'s memo of results.
+    It maps each provider SLD shape (TLD, SLD label length) to the first
+    provider profile in file order claiming it, and holds `classify`'s memo
+    of results.
     """
 
     def __init__(self, profiles: Sequence[ImplementationProfile]):
@@ -289,7 +268,6 @@ class ProfileSet:
             m for p in self.profiles for m in p.markers
         )
         self._order = {p.name: i for i, p in enumerate(self.profiles)}
-        self._rows = tuple(_compile(p) for p in self.profiles)
         self._provider_by_sld: dict[tuple[str, int], str] = {}
         for p in self.profiles:
             if p.provider is not None:
@@ -336,7 +314,7 @@ class Attribution:
 
     implementation: str  # profile name or "unknown"
     match_count: int
-    # Read-only in what `classify` returns: equal entries share one result.
+    # Read-only: `classify` hands entries with equal keys one shared result.
     per_attribute: Mapping[str, bool] = field(default_factory=dict)
     provider_rule: bool = False
     tied_with: tuple[str, ...] = ()
@@ -346,14 +324,9 @@ class Attribution:
         return self.implementation == UNKNOWN
 
 
-def _in_range(value: Optional[int], rng: tuple[int, int]) -> bool:
-    return value is not None and rng[0] <= value <= rng[1]
-
-
-def match_profile(
-    attrs: AttributeVector, profile: ImplementationProfile
-) -> Attribution:
-    """Compare one attribute vector to one profile.
+def _matches(attrs: AttributeVector, profile: ImplementationProfile) -> tuple[bool, ...]:
+    """The match rule: one boolean per attribute, in `AttributeVector`'s
+    field order.
 
     Length attributes match by inclusive range (absent values never
     match); type, encoding, and first-char match by set membership. The
@@ -361,39 +334,29 @@ def match_profile(
     marker-free profile matches only names carrying no known marker at
     all.
     """
-    if profile.markers:
-        markers_ok = all(m in attrs.markers for m in profile.markers)
-    else:
-        markers_ok = not attrs.markers
-    per = {
-        "payload_len": _in_range(attrs.payload_len, profile.payload_len),
-        "level": _in_range(attrs.level, profile.levels),
-        "label4_len": _in_range(attrs.label4_len, profile.label4_len),
-        "label5_len": _in_range(attrs.label5_len, profile.label5_len),
-        "rrtype": attrs.rrtype in profile.rrtypes,
-        "encoding": attrs.encoding in profile.encodings,
-        "first_char": attrs.first_char in profile.first_chars,
-        "markers": markers_ok,
-    }
-    return Attribution(
-        implementation=profile.name,
-        match_count=sum(per.values()),
-        per_attribute=per,
+    (pl_lo, pl_hi), (lv_lo, lv_hi) = profile.payload_len, profile.levels
+    (l4_lo, l4_hi), (l5_lo, l5_hi) = profile.label4_len, profile.label5_len
+    label4, label5, found = attrs.label4_len, attrs.label5_len, attrs.markers
+    return (
+        pl_lo <= attrs.payload_len <= pl_hi,
+        lv_lo <= attrs.level <= lv_hi,
+        label4 is not None and l4_lo <= label4 <= l4_hi,
+        label5 is not None and l5_lo <= label5 <= l5_hi,
+        attrs.rrtype in profile.rrtypes,
+        attrs.encoding in profile.encodings,
+        attrs.first_char in profile.first_chars,
+        found.issuperset(profile.markers) if profile.markers else not found,
     )
 
 
-# An absent label length compares False with every bound, so it never
-# matches, as in `match_profile`.
-_ABSENT = math.nan
-
-
-_NO_ATTRIBUTES: Mapping[str, bool] = MappingProxyType({})
-
-
-def _explain(attrs: AttributeVector, profile: ImplementationProfile, **extra) -> Attribution:
-    scored = match_profile(attrs, profile)
-    per = MappingProxyType(scored.per_attribute)
-    return Attribution(profile.name, scored.match_count, per, **extra)
+def match_profile(
+    attrs: AttributeVector, profile: ImplementationProfile
+) -> Attribution:
+    """Compare one attribute vector to one profile: the match count and, as
+    a read-only mapping, each attribute's match."""
+    matches = _matches(attrs, profile)
+    per = MappingProxyType(dict(zip(AttributeVector._fields, matches)))
+    return Attribution(profile.name, sum(matches), per)
 
 
 def classify(
@@ -424,7 +387,7 @@ def classify(
     result = memo.get(key)
     if result is None:
         if provider is not None:
-            result = _explain(attrs, profiles.by_name[provider], provider_rule=True)
+            result = replace(match_profile(attrs, profiles.by_name[provider]), provider_rule=True)
         else:
             result = _score(attrs, profiles, min_matches)
         if len(memo) >= _MEMO_CAP:
@@ -434,32 +397,13 @@ def classify(
 
 
 def _score(attrs: AttributeVector, profiles: ProfileSet, min_matches: int) -> Attribution:
-    """Score every profile from the set's compiled rows with the same
-    comparisons `match_profile` makes; only the winner's per-attribute
-    explanation is built, by `match_profile` itself."""
-    payload_len, level = attrs.payload_len, attrs.level
-    label4 = _ABSENT if attrs.label4_len is None else attrs.label4_len
-    label5 = _ABSENT if attrs.label5_len is None else attrs.label5_len
-    rrtype, encoding, first_char = attrs.rrtype, attrs.encoding, attrs.first_char
-    found = attrs.markers
-    no_markers = not found
+    """Score every profile by its match count; only the winner's
+    per-attribute explanation is built, by `match_profile`."""
     best: Optional[ImplementationProfile] = None
     best_score = min_matches - 1
     tied: list[str] = []
-    for (
-        profile, pl_lo, pl_hi, lv_lo, lv_hi, l4_lo, l4_hi, l5_lo, l5_hi,
-        rrtypes, encodings, first_chars, markers,
-    ) in profiles._rows:
-        score = (
-            (pl_lo <= payload_len <= pl_hi)
-            + (lv_lo <= level <= lv_hi)
-            + (l4_lo <= label4 <= l4_hi)
-            + (l5_lo <= label5 <= l5_hi)
-            + (rrtype in rrtypes)
-            + (encoding in encodings)
-            + (first_char in first_chars)
-            + (markers <= found if markers else no_markers)
-        )
+    for profile in profiles.profiles:
+        score = sum(_matches(attrs, profile))
         if score > best_score:
             best, best_score, tied = profile, score, []
         elif score == best_score:
@@ -467,8 +411,8 @@ def _score(attrs: AttributeVector, profiles: ProfileSet, min_matches: int) -> At
             # is reset when a winner is found and unused if none is.
             tied.append(profile.name)
     if best is None:
-        return Attribution(implementation=UNKNOWN, match_count=0, per_attribute=_NO_ATTRIBUTES)
-    return _explain(attrs, best, tied_with=tuple(tied))
+        return Attribution(UNKNOWN, 0, MappingProxyType({}))
+    return replace(match_profile(attrs, best), tied_with=tuple(tied))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ short is the one fault that ends the input: every command keeps the records
 before the cut, writes its artifacts and then exits 2. A write that fails
 part-way through an artifact set leaves the set a previous run wrote as it
 was, and a run removes those of its command's artifacts that it did not
-write. A side input that is not UTF-8, or a labels row short of fields,
-exits 3 and `report` on a damaged artifact exits 2, each with one line on
-stderr that names the file.
+write. A side input that is not UTF-8, a labels row short of fields or an
+`--alexa` list with no domain exits 3 and `report` on a damaged artifact
+exits 2, each with one line on stderr that names the file.
 """
 
 import csv
@@ -389,4 +389,17 @@ def test_bad_labels_file_exits_three(tmp_path, capsys, content, message):
     code, errors = run_cli(capsys, "classify", corpus, "--out", out, "--labels", labels)
     assert code == 3
     assert errors == [f"config error: bad labels file {labels}: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [b"", b"# ranked list\n\n#\n"], ids=["empty", "comments-only"])
+def test_alexa_list_without_domains_exits_three(tmp_path, capsys, content):
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_bytes(good("ndjson", 1))
+    alexa = tmp_path / "alexa.txt"
+    alexa.write_bytes(content)
+    out = tmp_path / "out"
+    code, errors = run_cli(capsys, "filter", corpus, "--out", out, "--alexa", alexa)
+    assert code == 3
+    assert errors == [f"config error: --alexa {alexa}: the list holds no domains"]
     assert not out.exists()

@@ -10,6 +10,7 @@ from pdnskit import fingerprint
 from pdnskit.fingerprint import (
     UNKNOWN,
     Attribution,
+    AttributeVector,
     ImplementationProfile,
     ProfileSet,
     ClassifyTally,
@@ -20,7 +21,7 @@ from pdnskit.fingerprint import (
     extract_attributes,
     match_profile,
 )
-from pdnskit.model import FqdnError, RRType, parse_fqdn
+from pdnskit.model import FqdnError, RRType, label_length, parse_fqdn
 from pdnskit.tunnelgen import GenConfig, TunnelSpec, generate
 
 from conftest import make_entry
@@ -93,6 +94,12 @@ class TestExtractAttributes:
         attrs = extract_attributes(entry, profiles.markers)
         assert "dnscat" in attrs.markers
 
+    def test_label_lengths_count_bytes(self, profiles):
+        # Two characters, three UTF-8 bytes each: the profile schema counts bytes.
+        attrs = extract_attributes(make_entry("a\u00e9.b\u00fc.t.tun.example"), profiles.markers)
+        assert attrs.label4_len == attrs.label5_len == 3
+        assert attrs.payload_len == 7
+
     def test_first_char_classes(self, profiles):
         assert extract_attributes(make_entry("a.b.c"), ()).first_char == "letter"
         assert extract_attributes(make_entry("9a.b.c"), ()).first_char == "digit"
@@ -124,6 +131,71 @@ class TestMatchProfile:
         attrs = extract_attributes(make_entry("www.foo.com", "TXT"), profiles.markers)
         for profile in profiles:
             assert match_profile(attrs, profile).match_count <= 4
+
+
+def full_match(profile, **values):
+    """An attribute vector that matches `profile` on every attribute, with
+    `values` in place of the matching ones."""
+    vector = AttributeVector(
+        payload_len=profile.payload_len[0],
+        level=profile.levels[0],
+        label4_len=profile.label4_len[0],
+        label5_len=profile.label5_len[0],
+        rrtype=min(profile.rrtypes),
+        encoding=profile.encodings[0],
+        first_char=min(profile.first_chars),
+        markers=frozenset(profile.markers),
+    )
+    return vector._replace(**values)
+
+
+RANGES = {"payload_len": "payload_len", "level": "levels", "label4_len": "label4_len", "label5_len": "label5_len"}
+# The defaults, a marker-free profile whose label ranges hold every length,
+# and a profile with two markers.
+_defaults = ProfileSet.default()
+BOUNDS_PROFILES = [
+    *_defaults,
+    replace(_defaults.by_name["iodine-null"], name="wide", label4_len=(0, 10**6), label5_len=(0, 10**6)),
+    replace(_defaults.by_name["dnscat"], name="two-markers", markers=("dnscat", "toytool")),
+]
+
+
+class TestMatchBounds:
+    """The match rule, attribute by attribute, at every profile's bounds."""
+
+    def assert_only(self, profile, field, expected, **values):
+        result = match_profile(full_match(profile, **values), profile)
+        assert list(result.per_attribute) == list(AttributeVector._fields)
+        assert result.per_attribute[field] is expected, (field, values)
+        assert result.match_count == 7 + expected
+        assert all(ok for name, ok in result.per_attribute.items() if name != field)
+
+    @pytest.mark.parametrize("field", RANGES)
+    @pytest.mark.parametrize("profile", BOUNDS_PROFILES, ids=lambda p: p.name)
+    def test_range_bounds_are_inclusive(self, profile, field):
+        lo, hi = getattr(profile, RANGES[field])
+        for value, expected in ((lo - 1, False), (lo, True), (hi, True), (hi + 1, False)):
+            self.assert_only(profile, field, expected, **{field: value})
+
+    @pytest.mark.parametrize("field", ["label4_len", "label5_len"])
+    @pytest.mark.parametrize("profile", BOUNDS_PROFILES, ids=lambda p: p.name)
+    def test_absent_label_length_never_matches(self, profile, field):
+        self.assert_only(profile, field, False, **{field: None})
+
+    @pytest.mark.parametrize("profile", [p for p in BOUNDS_PROFILES if not p.markers], ids=lambda p: p.name)
+    def test_marker_free_profile_matches_only_marker_free_names(self, profile):
+        self.assert_only(profile, "markers", True, markers=frozenset())
+        for found in ({"dnscat"}, {"toytool"}, {"dnscat", "toytool"}):
+            self.assert_only(profile, "markers", False, markers=frozenset(found))
+
+    @pytest.mark.parametrize("profile", [p for p in BOUNDS_PROFILES if p.markers], ids=lambda p: p.name)
+    def test_marker_profile_needs_every_marker(self, profile):
+        markers = frozenset(profile.markers)
+        self.assert_only(profile, "markers", True, markers=markers)
+        self.assert_only(profile, "markers", True, markers=markers | {"other"})
+        self.assert_only(profile, "markers", False, markers=frozenset())
+        for missing in markers:
+            self.assert_only(profile, "markers", False, markers=markers - {missing})
 
 
 class TestClassify:
@@ -295,8 +367,9 @@ class TestProfileFile:
 
 
 def reference_classify(entry, profiles, min_matches):
-    """Classification by one `match_profile` call per profile: the
-    definition the compiled scorer in `classify` must reproduce."""
+    """Classification by one `match_profile` call per profile and
+    `ProviderRule.matches`: the definition that `classify`, with its memo
+    and its provider map, must reproduce."""
     attrs = extract_attributes(entry, markers=profiles.markers)
     for profile in profiles:
         if profile.provider is not None and profile.provider.matches(entry.rrname):
@@ -383,6 +456,9 @@ class TestCompiledScorer:
     @settings(max_examples=500, deadline=None)
     @given(entry=scored_entry_st(), min_matches=st.sampled_from(MIN_MATCHES))
     def test_matches_reference(self, entry, min_matches):
+        attrs = extract_attributes(entry, DEFAULT_PROFILES.markers)
+        assert attrs.label4_len == label_length(entry.rrname, 4)
+        assert attrs.label5_len == label_length(entry.rrname, 5)
         got = classify(entry, DEFAULT_PROFILES, min_matches=min_matches)
         want = reference_classify(entry, DEFAULT_PROFILES, min_matches)
         assert got.implementation == want.implementation
