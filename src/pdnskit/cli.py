@@ -243,7 +243,6 @@ def cmd_filter(p, stream, outdir):
         post_filters=PostFilterConfig(
             drop_daily_seen=p["drop_daily_seen"],
             drop_single_entry=p["drop_single_entry"],
-            drop_alexa_top=bool(p["alexa_path"]),
             alexa_domains=alexa,
             observation_days=p["observation_days"],
         ),

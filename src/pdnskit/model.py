@@ -64,20 +64,11 @@ class NameTooLongError(FqdnError):
 class RRType(str):
     """A DNS resource record type in canonical uppercase text form.
 
-    Behaves as a plain string (hashable, sortable, JSON-friendly). The
-    common types observed in pDNS feeds are enumerated in `KNOWN`; any
-    other well-formed name still parses, with `is_known` False.
+    Behaves as a plain string (hashable, sortable, JSON-friendly). Any
+    well-formed type name parses, not only the common ones.
     """
 
     __slots__ = ()
-
-    KNOWN = frozenset(
-        {
-            "A", "AAAA", "MX", "NS", "CNAME", "TXT", "NULL", "SOA", "WKS",
-            "PTR", "DNAME", "RP", "HINFO", "SRV", "SPF", "NAPTR", "TLSA",
-            "LOC", "SSHFP", "CAA", "DHCID",
-        }
-    )
 
     @classmethod
     def parse(cls, text: str) -> "RRType":
@@ -92,10 +83,6 @@ class RRType(str):
         if len(_RRTYPE_CACHE) < 4096:  # guard against adversarial inputs
             _RRTYPE_CACHE[text] = rr
         return rr
-
-    @property
-    def is_known(self) -> bool:
-        return self in self.KNOWN
 
 
 _RRTYPE_CACHE: dict[str, RRType] = {}
@@ -283,10 +270,6 @@ class PdnsEntry:
         _ENTRY_SET_RRCLASS(self, rrclass)
         _ENTRY_SET_RRTYPE(self, rrtype)
         _ENTRY_SET_RDATA(self, rdata)
-
-    @property
-    def day(self):
-        return self.time_seen.date()
 
     def domain_matches_rrname(self) -> bool:
         """False when the feed's domain field is not a suffix of rrname."""

@@ -6,13 +6,13 @@ SLDs with enough distinct hostnames. The per-entry stages are defined once,
 as the table `stage_table` builds from a `FilterConfig`, and `run_pipeline`
 drives that table. They commute, so the grouping stage runs last; reported
 stage ids keep the conventional 0-4 numbering. Optional post-filters prune
-the candidate list further.
+the candidate list further; they too are one table, `post_filter_table`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -28,13 +28,11 @@ __all__ = [
     "StageCount",
     "CandidateRow",
     "CandidateReport",
-    "SPECIAL_USE_RULES",
     "Stage",
     "stage_table",
+    "post_filter_table",
     "run_pipeline",
 ]
-
-SPECIAL_USE_RULES = ("arpa", "mail-auth-name", "mail-auth-rdata")
 
 _MAIL_AUTH_LABELS = frozenset({"_dmarc", "_domainkey", "_spf"})
 _MAIL_AUTH_RDATA_PREFIXES = ("v=spf1", "v=dkim1", "v=dmarc1")
@@ -96,7 +94,7 @@ class KnownLists:
 class PostFilterConfig:
     drop_daily_seen: bool = False
     drop_single_entry: bool = False
-    drop_alexa_top: bool = False
+    # SLDs dropped as popular; the alexa post-filter runs when this is non-empty.
     alexa_domains: frozenset[str] = frozenset()
     # Days the input is supposed to cover; None derives it from the data.
     observation_days: Optional[int] = None
@@ -110,7 +108,6 @@ class FilterConfig:
     known: KnownLists = field(default_factory=KnownLists.default)
     min_level: int = 4
     min_distinct_fqdns: int = 2
-    special_use_rules: frozenset[str] = frozenset(SPECIAL_USE_RULES)
     post_filters: PostFilterConfig = field(default_factory=PostFilterConfig)
     psl: Optional[PublicSuffixList] = None
 
@@ -121,11 +118,6 @@ class FilterConfig:
             raise ConfigError("min_distinct_fqdns must be >= 1")
         if not self.prefilter_types:
             raise ConfigError("prefilter_types must not be empty")
-        unknown = set(self.special_use_rules) - set(SPECIAL_USE_RULES)
-        if unknown:
-            raise ConfigError(f"unknown special-use rules: {sorted(unknown)}")
-        if self.post_filters.drop_alexa_top and not self.post_filters.alexa_domains:
-            raise ConfigError("drop_alexa_top requires an alexa domain list")
 
 
 # ----------------------------------------------------------------------
@@ -140,15 +132,14 @@ class Stage(NamedTuple):
     keep: Callable[[PdnsEntry, str], bool]
 
 
-def _special_use_match(entry: PdnsEntry, rules: frozenset[str]) -> bool:
+def _special_use_match(entry: PdnsEntry) -> bool:
     labels = entry.rrname.labels
-    if "arpa" in rules and labels[-1] == "arpa":
+    if labels[-1] == "arpa":
         return True
-    if "mail-auth-name" in rules:
-        for label in labels:
-            if label in _MAIL_AUTH_LABELS or label.endswith("_domainkey"):
-                return True
-    if "mail-auth-rdata" in rules and entry.rrtype == "TXT":
+    for label in labels:
+        if label in _MAIL_AUTH_LABELS or label.endswith("_domainkey"):
+            return True
+    if entry.rrtype == "TXT":
         for value in entry.rdata:
             if value[:8].lower().startswith(_MAIL_AUTH_RDATA_PREFIXES):
                 return True
@@ -164,12 +155,11 @@ def stage_table(config: FilterConfig) -> tuple[Stage, ...]:
     types = config.prefilter_types
     known = config.known.cdn | config.known.known_tunnels
     min_level = config.min_level
-    rules = config.special_use_rules
     return (
         Stage("0", "rrtype-prefilter", lambda entry, sld: entry.rrtype in types),
         Stage("1", "known-domains", lambda entry, sld: sld not in known),
         Stage("2", "min-level", lambda entry, sld: len(entry.rrname.labels) >= min_level),
-        Stage("4", "special-use", lambda entry, sld: not _special_use_match(entry, rules)),
+        Stage("4", "special-use", lambda entry, sld: not _special_use_match(entry)),
     )
 
 
@@ -213,6 +203,9 @@ class StageCount:
 
 @dataclass(frozen=True)
 class CandidateRow:
+    """One SLD's grouped entries. Field order is the key order of its JSON
+    object; `rrtype_mix` is sorted by type."""
+
     sld: str
     fqdn_count: int
     entry_count: int
@@ -223,13 +216,8 @@ class CandidateRow:
     watchlist: bool = False
 
 
-@dataclass(frozen=True)
-class WatchlistHit:
-    sld: str
-    entry_count: int
-    fqdn_count: int
-    days_seen: int
-    rrtype_mix: dict[str, int]
+# The CandidateRow fields a watchlist hit reports, in JSON key order.
+_WATCHLIST_HIT_KEYS = ("sld", "entry_count", "fqdn_count", "days_seen", "rrtype_mix")
 
 
 @dataclass
@@ -239,7 +227,7 @@ class CandidateReport:
     dropped_known_tunnels: list[tuple[str, int]]
     dropped_cdn: list[tuple[str, int]]
     post_filtered: list[tuple[CandidateRow, str]]
-    watchlist_hits: list[WatchlistHit]
+    watchlist_hits: list[CandidateRow]
     input_entries: int
     observation_days: int
     survivor_entries: Optional[list[PdnsEntry]] = None
@@ -251,77 +239,43 @@ class CandidateReport:
         return {
             "input_entries": self.input_entries,
             "observation_days": self.observation_days,
-            "stages": [
-                {
-                    "stage_id": s.stage_id,
-                    "name": s.name,
-                    "entries_in": s.entries_in,
-                    "entries_out": s.entries_out,
-                    "slds_out": s.slds_out,
-                }
-                for s in self.stage_counts
-            ],
-            "candidates": [
-                {
-                    "sld": c.sld,
-                    "fqdn_count": c.fqdn_count,
-                    "entry_count": c.entry_count,
-                    "days_seen": c.days_seen,
-                    "rrtype_mix": dict(sorted(c.rrtype_mix.items())),
-                    "dominant_bailiwick": c.dominant_bailiwick,
-                    "samples": list(c.samples),
-                    "watchlist": c.watchlist,
-                }
-                for c in self.candidates
-            ],
+            "stages": [asdict(s) for s in self.stage_counts],
+            "candidates": [asdict(c) for c in self.candidates],
             "dropped_known_tunnels": [
                 {"sld": sld, "entry_count": n} for sld, n in self.dropped_known_tunnels
             ],
-            "dropped_cdn": [
-                {"sld": sld, "entry_count": n} for sld, n in self.dropped_cdn
-            ],
+            "dropped_cdn": [{"sld": sld, "entry_count": n} for sld, n in self.dropped_cdn],
             "post_filtered": [
                 {"sld": c.sld, "entry_count": c.entry_count, "reason": reason}
                 for c, reason in self.post_filtered
             ],
             "watchlist_hits": [
-                {
-                    "sld": h.sld,
-                    "entry_count": h.entry_count,
-                    "fqdn_count": h.fqdn_count,
-                    "days_seen": h.days_seen,
-                    "rrtype_mix": dict(sorted(h.rrtype_mix.items())),
-                }
+                {key: getattr(h, key) for key in _WATCHLIST_HIT_KEYS}
                 for h in self.watchlist_hits
             ],
         }
 
     def to_text(self) -> str:
-        lines = []
-        lines.append(f"pipeline report: {self.input_entries} entries in, "
-                     f"{len(self.candidates)} candidate SLDs, "
-                     f"{self.observation_days} observation day(s)")
-        lines.append("")
-        lines.append(f"{'stage':<24} {'entries_in':>10} {'entries_out':>12} {'slds_out':>9}")
+        lines = [
+            f"pipeline report: {self.input_entries} entries in, "
+            f"{len(self.candidates)} candidate SLDs, "
+            f"{self.observation_days} observation day(s)",
+            "",
+            f"{'stage':<24} {'entries_in':>10} {'entries_out':>12} {'slds_out':>9}",
+        ]
         for s in self.stage_counts:
             label = f"{s.stage_id}:{s.name}"
             lines.append(f"{label:<24} {s.entries_in:>10} {s.entries_out:>12} {s.slds_out:>9}")
-        if self.dropped_known_tunnels:
-            lines.append("")
-            lines.append("known tunnel domains dropped at stage 1:")
-            for sld, n in self.dropped_known_tunnels:
-                lines.append(f"  {sld:<30} {n:>10}")
-        if self.dropped_cdn:
-            lines.append("")
-            lines.append("known CDN domains dropped at stage 1:")
-            for sld, n in self.dropped_cdn:
-                lines.append(f"  {sld:<30} {n:>10}")
+        for kind, dropped in (("tunnel", self.dropped_known_tunnels), ("CDN", self.dropped_cdn)):
+            if dropped:
+                lines += ["", f"known {kind} domains dropped at stage 1:"]
+                lines += [f"  {sld:<30} {n:>10}" for sld, n in dropped]
         lines.append("")
         if self.candidates:
             lines.append("candidate SLDs (for analyst review):")
             lines.append("  sld                            fqdns   entries  days  types                bailiwick")
             for c in self.candidates:
-                mix = ",".join(f"{t}:{n}" for t, n in sorted(c.rrtype_mix.items()))
+                mix = ",".join(f"{t}:{n}" for t, n in c.rrtype_mix.items())
                 mark = " [watchlist]" if c.watchlist else ""
                 lines.append(
                     f"  {c.sld:<30} {c.fqdn_count:>6} {c.entry_count:>9} {c.days_seen:>5}  "
@@ -330,15 +284,13 @@ class CandidateReport:
         else:
             lines.append("no candidate SLDs survived the pipeline")
         if self.post_filtered:
-            lines.append("")
-            lines.append("removed by post-filters:")
+            lines += ["", "removed by post-filters:"]
             for c, reason in self.post_filtered:
                 lines.append(f"  {c.sld:<30} {c.entry_count:>9}  ({reason})")
         if self.watchlist_hits:
-            lines.append("")
-            lines.append("watchlist domains observed anywhere in the input:")
+            lines += ["", "watchlist domains observed anywhere in the input:"]
             for h in self.watchlist_hits:
-                mix = ",".join(f"{t}:{n}" for t, n in sorted(h.rrtype_mix.items()))
+                mix = ",".join(f"{t}:{n}" for t, n in h.rrtype_mix.items())
                 lines.append(
                     f"  {h.sld:<30} {h.entry_count:>9} entries, {h.fqdn_count} fqdns, "
                     f"{h.days_seen} day(s), {mix}"
@@ -357,12 +309,13 @@ class CandidateReport:
         write_csv(
             csv_path,
             ("stage_id", "name", "entries_in", "entries_out", "slds_out"),
-            [
-                (s.stage_id, s.name, s.entries_in, s.entries_out, s.slds_out)
-                for s in self.stage_counts
-            ],
+            [astuple(s) for s in self.stage_counts],
         )
         return [json_path, text_path, csv_path]
+
+
+def _by_entries(group: SldGroup):
+    return (-group.entry_count, group.sld)
 
 
 def _group_row(group: SldGroup, watchlist: bool) -> CandidateRow:
@@ -374,10 +327,33 @@ def _group_row(group: SldGroup, watchlist: bool) -> CandidateRow:
         fqdn_count=len(group.fqdns),
         entry_count=group.entry_count,
         days_seen=len(group.days),
-        rrtype_mix=dict(group.rrtype_mix),
+        rrtype_mix=dict(sorted(group.rrtype_mix.items())),
         dominant_bailiwick=dominant,
         samples=tuple(group.samples),
         watchlist=watchlist,
+    )
+
+
+def post_filter_table(
+    post_filters: PostFilterConfig, observation_days: int
+) -> tuple[tuple[str, str, Callable[[CandidateRow], bool]], ...]:
+    """The enabled post-filters as `(stage_id, name, drops)` rows, in the
+    order `run_pipeline` tries them: SLDs seen on every one of
+    `observation_days` days, SLDs left with a single entry, SLDs on the
+    alexa list. `drops(row)` is True for a candidate row the filter removes;
+    `name` is the reason reported for it."""
+    alexa = post_filters.alexa_domains
+    table = (
+        (post_filters.drop_daily_seen, "daily-seen",
+         lambda row: 0 < observation_days <= row.days_seen),
+        (post_filters.drop_single_entry, "single-entry", lambda row: row.entry_count == 1),
+        (bool(alexa), "alexa-top", lambda row: row.sld in alexa),
+    )
+    # A stage id is "post:" and the name, less the alexa filter's "-top".
+    return tuple(
+        ("post:" + name.removesuffix("-top"), name, drops)
+        for enabled, name, drops in table
+        if enabled
     )
 
 
@@ -452,72 +428,40 @@ def run_pipeline(
     )
 
     observation_days = config.post_filters.observation_days or len(all_days)
-    post_filtered: list[tuple[CandidateRow, str]] = []
-    pf = config.post_filters
-
-    def sort_key(g: SldGroup):
-        return (-g.entry_count, g.sld)
-
-    ordered = sorted(surviving.values(), key=sort_key)
+    post_filters = post_filter_table(config.post_filters, observation_days)
     kept: list[CandidateRow] = []
-    for group in ordered:
+    post_filtered: list[tuple[CandidateRow, str]] = []
+    for group in sorted(surviving.values(), key=_by_entries):
         row = _group_row(group, watchlist=group.sld in watch)
-        if not row.watchlist:
-            if pf.drop_daily_seen and observation_days > 0 and row.days_seen >= observation_days:
-                post_filtered.append((row, "daily-seen"))
-                continue
-            if pf.drop_single_entry and row.entry_count == 1:
-                post_filtered.append((row, "single-entry"))
-                continue
-            if pf.drop_alexa_top and row.sld in pf.alexa_domains:
-                post_filtered.append((row, "alexa-top"))
-                continue
-        kept.append(row)
+        reason = None if row.watchlist else next(
+            (name for _, name, drops in post_filters if drops(row)), None
+        )
+        if reason is None:
+            kept.append(row)
+        else:
+            post_filtered.append((row, reason))
 
-    for post_id, post_name, flag in (
-        ("post:daily-seen", "daily-seen", pf.drop_daily_seen),
-        ("post:single-entry", "single-entry", pf.drop_single_entry),
-        ("post:alexa", "alexa-top", pf.drop_alexa_top),
-    ):
-        if not flag:
-            continue
-        removed = [c for c, reason in post_filtered if reason == post_name]
+    for stage_id, name, _ in post_filters:
+        removed = [row for row, reason in post_filtered if reason == name]
         prev = stage_counts[-1]
-        entries_out = prev.entries_out - sum(c.entry_count for c in removed)
+        entries_out = prev.entries_out - sum(row.entry_count for row in removed)
         stage_counts.append(
-            StageCount(
-                post_id,
-                post_name,
-                prev.entries_out,
-                entries_out,
-                prev.slds_out - len(removed),
-            )
+            StageCount(stage_id, name, prev.entries_out, entries_out, prev.slds_out - len(removed))
         )
 
     if survivors is not None:
         keep_slds = {row.sld for row in kept}
         survivors = [e for e in survivors if sld_name(e, psl) in keep_slds]
 
-    watch_hits = [
-        WatchlistHit(
-            sld=g.sld,
-            entry_count=g.entry_count,
-            fqdn_count=len(g.fqdns),
-            days_seen=len(g.days),
-            rrtype_mix=dict(g.rrtype_mix),
-        )
-        for g in sorted(watch_groups.values(), key=sort_key)
-    ]
-
     return CandidateReport(
         stage_counts=stage_counts,
         candidates=kept,
-        dropped_known_tunnels=sorted(
-            dropped_tunnels.items(), key=lambda kv: (-kv[1], kv[0])
-        ),
+        dropped_known_tunnels=sorted(dropped_tunnels.items(), key=lambda kv: (-kv[1], kv[0])),
         dropped_cdn=sorted(dropped_cdn.items(), key=lambda kv: (-kv[1], kv[0])),
         post_filtered=post_filtered,
-        watchlist_hits=watch_hits,
+        watchlist_hits=[
+            _group_row(g, watchlist=True) for g in sorted(watch_groups.values(), key=_by_entries)
+        ],
         input_entries=n_read,
         observation_days=observation_days,
         survivor_entries=survivors,

@@ -378,14 +378,14 @@ def _gen_tunnel(
     rng = Random(seed)
     n_queries = spec.queries
     if n_queries is None:
-        n_queries = max(1, math.ceil(spec.payload_bytes / plan.bytes_per_query))
+        n_queries = queries_for_payload(profile, sld, third, spec.payload_bytes)
     bailiwick = parse_fqdn(f"{third}.{sld}")
     domain = parse_fqdn(sld)
     L = plan.chunk_label_len
+    rem = plan.chars_per_query - (plan.n_chunk_labels - 1) * L
     for i in range(n_queries):
         data = rng.randbytes(plan.bytes_per_query)
         text = _signature_fix(plan.encoding, _encode(plan.encoding, data), plan.lead_chars, rng)
-        rem = plan.chars_per_query - (plan.n_chunk_labels - 1) * L
         labels = list(plan.marker_labels) + [text[:rem]] + [
             text[rem + k * L : rem + (k + 1) * L] for k in range(plan.n_chunk_labels - 1)
         ]
@@ -411,10 +411,9 @@ def _gen_background(
     domain = parse_fqdn(sld)
     kind = spec.kind
     octet = rng.randrange(1, 224)
-    arpa_zone = f"{octet}.in-addr.arpa"
+    arpa_zone = parse_fqdn(f"{octet}.in-addr.arpa")
     for i in range(spec.queries):
-        rrclass = "IN"
-        bailiwick = domain
+        zone = domain  # the entry's domain and bailiwick
         if kind == "plain-a":
             host = (sld, f"www.{sld}", f"mail.{sld}", f"api.{sld}")[i % 4]
             rrtype, rdata = RRType.parse("A"), _downstream_rdata(rng, RRType.parse("A"), sld, "", i)
@@ -435,33 +434,19 @@ def _gen_background(
             rrname = parse_fqdn(
                 f"{rng.randrange(256)}.{rng.randrange(256)}.{rng.randrange(256)}.{octet}.in-addr.arpa"
             )
-            domain_f = parse_fqdn(arpa_zone)
+            zone = arpa_zone
             rrtype, rdata = RRType.parse("PTR"), (f"host{i % 32}.{sld}.",)
-            yield LabeledEntry(
-                entry=PdnsEntry(
-                    domain=domain_f,
-                    time_seen=_timestamp(start, span_s, i, spec.queries, rng),
-                    bailiwick=domain_f,
-                    rrname=rrname,
-                    rrclass=rrclass,
-                    rrtype=rrtype,
-                    rdata=rdata,
-                ),
-                kind="benign",
-                label=kind,
-            )
-            continue
         else:  # localhost-style: many random subdomains resolving to loopback
             sub = "".join(_BASE36[rng.randrange(36)] for _ in range(10))
             rrname = parse_fqdn(f"{sub}.{sld}")
             rrtype, rdata = RRType.parse("A"), ("127.0.0.1",)
         yield LabeledEntry(
             entry=PdnsEntry(
-                domain=domain,
+                domain=zone,
                 time_seen=_timestamp(start, span_s, i, spec.queries, rng),
-                bailiwick=bailiwick,
+                bailiwick=zone,
                 rrname=rrname,
-                rrclass=rrclass,
+                rrclass="IN",
                 rrtype=rrtype,
                 rdata=rdata,
             ),

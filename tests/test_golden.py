@@ -5,6 +5,12 @@ NULL tunnel, provider-domain traffic, a watchlist IOC seen via type A,
 plain/benign names, SPF and DKIM records, reverse DNS, and a
 single-hostname SLD. Expected artifacts were verified by hand and
 frozen; any byte-level drift in the emitters fails here.
+
+tests/golden/post_filters/ holds the same corpus filtered with every
+post-filter on and `covert-x.net` on the alexa list. It pins that the
+first post-filter to drop a row names its reason (`covert-x.net` is
+reported as daily-seen, not alexa-top), that `one-shot.io` falls to the
+single-entry filter, and that the alexa row then removes nothing.
 """
 
 from pathlib import Path
@@ -34,6 +40,29 @@ def filter_out(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def post_filter_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden_post_filters")
+    code = main(
+        [
+            "filter",
+            str(GOLDEN / "mini_corpus.ndjson"),
+            "--out",
+            str(out),
+            "--watchlist",
+            "builtin",
+            "--min-subdomains",
+            "1",
+            "--drop-daily-seen",
+            "--drop-single-entry",
+            "--alexa",
+            str(GOLDEN / "post_filters" / "alexa.txt"),
+        ]
+    )
+    assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
 def stats_out(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden_stats")
     assert main(["stats", str(GOLDEN / "mini_corpus.ndjson"), "--out", str(out)]) == 0
@@ -43,6 +72,11 @@ def stats_out(tmp_path_factory):
 @pytest.mark.parametrize("name", ["stage_counts.csv", "candidates.json", "candidates.txt"])
 def test_filter_artifacts_match_golden(filter_out, name):
     assert (filter_out / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["stage_counts.csv", "candidates.json", "candidates.txt"])
+def test_post_filter_artifacts_match_golden(post_filter_out, name):
+    assert (post_filter_out / name).read_bytes() == (GOLDEN / "post_filters" / name).read_bytes()
 
 
 @pytest.mark.parametrize("name", ["rrtype_shares.csv", "sld_cdf.csv"])

@@ -145,11 +145,6 @@ class TestRRType:
             assert str(rr) == name.upper()
             assert RRType.parse(str(rr)) == rr
 
-    def test_known_set(self):
-        assert len(RRType.KNOWN) == 21
-        assert RRType.parse("NULL").is_known
-        assert not RRType.parse("TYPE65").is_known
-
     def test_unknown_never_fails(self):
         rr = RRType.parse("weird-thing")
         assert rr == "WEIRD-THING"

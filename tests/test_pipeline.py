@@ -129,11 +129,6 @@ class TestFilterSpecialUse:
         entry = make_entry("deep.x.example.com", "NULL", rdata=("v=spf1 -all",))
         assert keep_stage("4", [entry], DEFAULTS) == [entry]
 
-    def test_disabled_rules(self):
-        entry = make_entry("1.2.3.10.in-addr.arpa", "PTR")
-        no_rules = FilterConfig(special_use_rules=frozenset())
-        assert keep_stage("4", [entry], no_rules) == [entry]
-
 
 class TestFilterMinSubdomains:
     # Three-label names, so only the grouping stage decides.
@@ -239,9 +234,7 @@ class TestRunPipeline:
             make_entry("b.t.obscure.net", "NULL", "obscure.net"),
         ]
         config = FilterConfig(
-            post_filters=PostFilterConfig(
-                drop_alexa_top=True, alexa_domains=frozenset({"popular.com"})
-            )
+            post_filters=PostFilterConfig(alexa_domains=frozenset({"popular.com"}))
         )
         report = run_pipeline(entries, config)
         assert report.candidate_slds() == ["obscure.net"]
@@ -257,9 +250,7 @@ class TestRunPipeline:
         config = FilterConfig(
             known=known,
             min_level=3,
-            post_filters=PostFilterConfig(
-                drop_alexa_top=True, alexa_domains=frozenset({"teriava.com"})
-            ),
+            post_filters=PostFilterConfig(alexa_domains=frozenset({"teriava.com"})),
         )
         report = run_pipeline(entries, config)
         rows = {c.sld: c for c in report.candidates}
@@ -302,14 +293,6 @@ class TestConfigValidation:
     def test_empty_types(self):
         with pytest.raises(ConfigError):
             FilterConfig(prefilter_types=frozenset())
-
-    def test_unknown_special_rule(self):
-        with pytest.raises(ConfigError):
-            FilterConfig(special_use_rules=frozenset({"bogus"}))
-
-    def test_alexa_requires_list(self):
-        with pytest.raises(ConfigError):
-            FilterConfig(post_filters=PostFilterConfig(drop_alexa_top=True))
 
     def test_known_lists_must_be_disjoint(self):
         with pytest.raises(ConfigError):

@@ -21,7 +21,13 @@ from pdnskit.model import (
     parse_time_seen,
     sld_name,
 )
-from pdnskit.pipeline import FilterConfig, KnownLists, run_pipeline, stage_table
+from pdnskit.pipeline import (
+    FilterConfig,
+    KnownLists,
+    PostFilterConfig,
+    run_pipeline,
+    stage_table,
+)
 from pdnskit.stats import StatsBundle
 
 from conftest import keep_stage, make_entry
@@ -32,7 +38,8 @@ labels_st = st.lists(
     st.text(alphabet=LABEL_CHARS, min_size=1, max_size=12), min_size=1, max_size=6
 )
 
-rrtype_st = st.sampled_from(["A", "AAAA", "NULL", "TXT", "CNAME", "NS", "MX", "PTR"])
+RRTYPES = ("A", "AAAA", "NULL", "TXT", "CNAME", "NS", "MX", "PTR")
+rrtype_st = st.sampled_from(RRTYPES)
 
 
 @st.composite
@@ -371,6 +378,46 @@ class TestStageTable:
         assert [(h.sld, h.entry_count) for h in report.watchlist_hits] == (
             [("watched.io", len(watched))] if watched else []
         )
+
+    @given(
+        st.lists(st.one_of(entry_st(), entry_st(sld_pool=SLD_POOL)), max_size=40),
+        st.frozensets(st.sampled_from(SLD_POOL), min_size=1),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_post_filter_rows_account_for_post_filtered(self, entries, alexa, days):
+        config = FilterConfig(
+            prefilter_types=frozenset(map(RRType.parse, RRTYPES)),
+            known=KnownLists(watchlist=frozenset({"watched.io"})),
+            min_level=3,
+            min_distinct_fqdns=1,
+            post_filters=PostFilterConfig(
+                drop_daily_seen=True,
+                drop_single_entry=True,
+                alexa_domains=alexa,
+                observation_days=days,
+            ),
+        )
+        report = run_pipeline(entries, config)
+        ids = [s.stage_id for s in report.stage_counts]
+        assert ids == ["0", "1", "2", "4", "3", "post:daily-seen", "post:single-entry", "post:alexa"]
+        for prev, cur in zip(report.stage_counts[4:], report.stage_counts[5:]):
+            removed = [row for row, reason in report.post_filtered if reason == cur.name]
+            assert cur.entries_in == prev.entries_out
+            assert cur.entries_out == prev.entries_out - sum(r.entry_count for r in removed)
+            assert cur.slds_out == prev.slds_out - len(removed)
+        assert not {row.sld for row, _ in report.post_filtered} & config.known.watchlist
+        # The first filter, in table order, that drops a row names its reason.
+        observed = report.observation_days
+        for row, reason in report.post_filtered:
+            first = ("daily-seen" if row.days_seen >= observed
+                     else "single-entry" if row.entry_count == 1 else "alexa-top")
+            assert reason == first
+            assert first != "alexa-top" or row.sld in alexa
+        for row in report.candidates:
+            assert row.watchlist or not (
+                row.days_seen >= observed or row.entry_count == 1 or row.sld in alexa
+            )
 
 
 class TestClassifyProperties:

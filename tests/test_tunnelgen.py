@@ -6,7 +6,7 @@ import pytest
 
 from pdnskit.fingerprint import ProfileSet
 from pdnskit.ingest import IngestStats, read_stream
-from pdnskit.pipeline import SPECIAL_USE_RULES, FilterConfig
+from pdnskit.pipeline import FilterConfig
 from pdnskit.tunnelgen import (
     BACKGROUND_KINDS,
     BackgroundSpec,
@@ -24,7 +24,7 @@ from pdnskit.tunnelgen import (
 
 from conftest import keep_stage
 
-ALL_SPECIAL_USE = FilterConfig(special_use_rules=frozenset(SPECIAL_USE_RULES))
+ALL_SPECIAL_USE = FilterConfig()
 
 
 @pytest.fixture(scope="module")
