@@ -99,6 +99,10 @@ class PostFilterConfig:
     # Days the input is supposed to cover; None derives it from the data.
     observation_days: Optional[int] = None
 
+    def __post_init__(self):
+        if self.observation_days is not None and self.observation_days < 1:
+            raise ConfigError("observation_days must be >= 1")
+
 
 @dataclass(frozen=True)
 class FilterConfig:
@@ -256,16 +260,17 @@ class CandidateReport:
         }
 
     def to_text(self) -> str:
+        labels = [f"{s.stage_id}:{s.name}" for s in self.stage_counts]
+        width = max([24, *map(len, labels)])  # a post-filter label can be longer
         lines = [
             f"pipeline report: {self.input_entries} entries in, "
             f"{len(self.candidates)} candidate SLDs, "
             f"{self.observation_days} observation day(s)",
             "",
-            f"{'stage':<24} {'entries_in':>10} {'entries_out':>12} {'slds_out':>9}",
+            f"{'stage':<{width}} {'entries_in':>10} {'entries_out':>12} {'slds_out':>9}",
         ]
-        for s in self.stage_counts:
-            label = f"{s.stage_id}:{s.name}"
-            lines.append(f"{label:<24} {s.entries_in:>10} {s.entries_out:>12} {s.slds_out:>9}")
+        for label, s in zip(labels, self.stage_counts):
+            lines.append(f"{label:<{width}} {s.entries_in:>10} {s.entries_out:>12} {s.slds_out:>9}")
         for kind, dropped in (("tunnel", self.dropped_known_tunnels), ("CDN", self.dropped_cdn)):
             if dropped:
                 lines += ["", f"known {kind} domains dropped at stage 1:"]
@@ -427,7 +432,9 @@ def run_pipeline(
         StageCount("3", "min-subdomains", entries_in, grouped_entries, len(surviving))
     )
 
-    observation_days = config.post_filters.observation_days or len(all_days)
+    observation_days = config.post_filters.observation_days
+    if observation_days is None:
+        observation_days = len(all_days)
     post_filters = post_filter_table(config.post_filters, observation_days)
     kept: list[CandidateRow] = []
     post_filtered: list[tuple[CandidateRow, str]] = []

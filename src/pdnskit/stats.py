@@ -4,10 +4,13 @@ One `StatsBundle` per stream shard; shards merge pointwise, so shards
 aggregated in separate processes and merged with `StatsBundle.merge` give
 the same numbers as a single pass.
 
-Distinct names are held once, in one set per (SLD, record type); an SLD's
-distinct count is the size of its only set, or of the union of its sets
-when it has several types. `emit_all` groups the per-type counters in one
-scan, ranks each scope once and streams every table's rows to its file.
+Each count is stored once. Per-SLD counts nest under their record type
+(entries and distinct names) and their day (entries), so no key is a tuple
+holding an SLD; the total, the per-type counts, the per-SLD entry counts and
+the day range are derived. An SLD's distinct count is the size of its only
+set, or of the union of its sets when it has several types. `emit_all`
+writes each table through the public method that defines it and streams its
+rows to the file.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date, timedelta
-from itertools import accumulate, chain, count, repeat
+from functools import partial
+from itertools import accumulate
 from operator import truediv
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -84,35 +88,32 @@ def _top(counts: dict[str, int], n: int) -> list[tuple[str, int, float]]:
 
 @dataclass(frozen=True)
 class CdfSeries:
-    """Cumulative share of FQDNs (or entries) by SLD rank."""
+    """Cumulative share of distinct FQDNs by SLD rank."""
 
     points: tuple[tuple[int, float], ...]  # (rank, cumulative share)
     scope: Optional[RRType]  # None = all types
-    measure: str  # "fqdns" or "entries"
 
     def rank_share(self, rank: int) -> float:
         return self.points[rank - 1][1]
 
 
 class StatsBundle:
-    """All streaming measurement counters, mergeable pointwise."""
+    """All streaming measurement counters, mergeable pointwise. Each count
+    is stored once; the total, the per-type and per-SLD entry counts and the
+    day range are derived."""
 
     def __init__(self, psl: Optional[PublicSuffixList] = None):
         self.psl = psl
-        self.total = 0
-        self.rrtype_counts: Counter = Counter()
         self.per_day_rrtype: Counter = Counter()  # (date, rrtype) -> count
         self.level_per_day: Counter = Counter()  # (date, level) -> count
         self.rdata_buckets_per_day: Counter = Counter()  # (date, bucket) -> count
-        self.sld_entries: Counter = Counter()  # sld -> entry count
-        self.sld_type_entries: Counter = Counter()  # (sld, rrtype) -> entry count
-        self.sld_day_entries: Counter = Counter()  # (date, sld) -> entry count
-        # (sld, rrtype) -> distinct rrnames; keyed by the same tuples as
-        # sld_type_entries.
-        self.sld_type_fqdns: dict[tuple[str, RRType], set] = {}
-        self.sld_rdata_sum: Counter = Counter()
-        self.min_day: Optional[date] = None
-        self.max_day: Optional[date] = None
+        self.sld_rdata_sum: Counter = Counter()  # sld -> rdata bytes
+        # rrtype -> sld -> entry count / distinct rrnames; date -> sld -> entry count
+        self.type_sld_entries: defaultdict[RRType, Counter] = defaultdict(Counter)
+        self.type_sld_fqdns: defaultdict[RRType, defaultdict[str, set]] = defaultdict(
+            partial(defaultdict, set)
+        )
+        self.day_sld_entries: defaultdict[date, Counter] = defaultdict(Counter)
 
     def accumulate(self, entry: PdnsEntry) -> None:
         """Advance every counter exactly once for one entry."""
@@ -121,24 +122,13 @@ class StatsBundle:
         sld = sld_name(entry, self.psl)
         size = rdata_wire_size(entry.rdata)
 
-        self.total += 1
-        self.rrtype_counts[rrtype] += 1
         self.per_day_rrtype[(day, rrtype)] += 1
         self.level_per_day[(day, len(entry.rrname.labels))] += 1
         self.rdata_buckets_per_day[(day, _bucket(size))] += 1
-        self.sld_entries[sld] += 1
-        key = (sld, rrtype)
-        self.sld_type_entries[key] += 1
-        self.sld_day_entries[(day, sld)] += 1
-        names = self.sld_type_fqdns.get(key)
-        if names is None:
-            names = self.sld_type_fqdns[key] = set()
-        names.add(entry.rrname.name)
         self.sld_rdata_sum[sld] += size
-        if self.min_day is None or day < self.min_day:
-            self.min_day = day
-        if self.max_day is None or day > self.max_day:
-            self.max_day = day
+        self.type_sld_entries[rrtype][sld] += 1
+        self.type_sld_fqdns[rrtype][sld].add(entry.rrname.name)
+        self.day_sld_entries[day][sld] += 1
 
     def accumulate_all(self, stream: Iterable[PdnsEntry]) -> "StatsBundle":
         for entry in stream:
@@ -146,53 +136,71 @@ class StatsBundle:
         return self
 
     def merge(self, other: "StatsBundle") -> "StatsBundle":
-        """Pointwise sum, returned as a new bundle; operands unchanged.
+        """Pointwise sum, returned as a new bundle that shares no set or
+        counter with its operands, which stay unchanged.
 
         Merging is associative and commutative with the empty bundle as
         identity.
         """
         out = StatsBundle(psl=self.psl or other.psl)
-        out.total = self.total + other.total
-        for name in (
-            "rrtype_counts",
-            "per_day_rrtype",
-            "level_per_day",
-            "rdata_buckets_per_day",
-            "sld_entries",
-            "sld_type_entries",
-            "sld_day_entries",
-            "sld_rdata_sum",
-        ):
-            counter = Counter(getattr(self, name))
-            counter.update(getattr(other, name))
-            setattr(out, name, counter)
-        for key, names in self.sld_type_fqdns.items():
-            out.sld_type_fqdns[key] = set(names)
-        for key, names in other.sld_type_fqdns.items():
-            if key in out.sld_type_fqdns:
-                out.sld_type_fqdns[key] |= names
-            else:
-                out.sld_type_fqdns[key] = set(names)
-        days = [d for d in (self.min_day, other.min_day) if d is not None]
-        out.min_day = min(days) if days else None
-        days = [d for d in (self.max_day, other.max_day) if d is not None]
-        out.max_day = max(days) if days else None
+        for part in (self, other):
+            for name in ("per_day_rrtype", "level_per_day", "rdata_buckets_per_day",
+                         "sld_rdata_sum"):
+                getattr(out, name).update(getattr(part, name))
+            for key, counts in part.type_sld_entries.items():
+                out.type_sld_entries[key].update(counts)
+            for key, counts in part.day_sld_entries.items():
+                out.day_sld_entries[key].update(counts)
+            for key, by_sld in part.type_sld_fqdns.items():
+                merged = out.type_sld_fqdns[key]
+                for sld, names in by_sld.items():
+                    merged[sld] |= names
         return out
 
     # ------------------------------------------------------------------
-    # Derived tables
+    # Derived views and tables. Reads use `.get`, so that looking up a
+    # scope or day with no entries adds no key to a nested map.
+
+    @property
+    def rrtype_counts(self) -> Counter:
+        """rrtype -> entry count."""
+        counts: Counter = Counter()
+        for (_, rrtype), c in self.per_day_rrtype.items():
+            counts[rrtype] += c
+        return counts
+
+    @property
+    def total(self) -> int:
+        return sum(self.per_day_rrtype.values())
+
+    @property
+    def min_day(self) -> Optional[date]:
+        return min(self.day_sld_entries, default=None)
+
+    @property
+    def max_day(self) -> Optional[date]:
+        return max(self.day_sld_entries, default=None)
+
+    @property
+    def sld_entries(self) -> Counter:
+        """sld -> entry count over all types."""
+        counts: Counter = Counter()
+        for by_sld in self.type_sld_entries.values():
+            counts.update(by_sld)
+        return counts
 
     @property
     def sld_fqdns(self) -> dict[str, set]:
-        """sld -> distinct rrnames, derived from the per-(SLD, type) sets as
-        a fresh copy: changing it changes nothing in the bundle. For counts,
+        """sld -> distinct rrnames, derived from the per-type sets as a
+        fresh copy: changing it changes nothing in the bundle. For counts,
         `sld_fqdn_counts` copies no set."""
         view: dict[str, set] = {}
-        for (sld, _), names in self.sld_type_fqdns.items():
-            if sld in view:
-                view[sld] |= names
-            else:
-                view[sld] = set(names)
+        for by_sld in self.type_sld_fqdns.values():
+            for sld, names in by_sld.items():
+                if sld in view:
+                    view[sld] |= names
+                else:
+                    view[sld] = set(names)
         return view
 
     def sld_fqdn_counts(self) -> dict[str, int]:
@@ -200,92 +208,62 @@ class StatsBundle:
         one set; only an SLD with several types builds the union of its sets."""
         counts: dict[str, int] = {}
         several: dict[str, None] = {}
-        for (sld, _), names in self.sld_type_fqdns.items():
-            if sld in counts:
-                several[sld] = None
-            counts[sld] = len(names)
+        for by_sld in self.type_sld_fqdns.values():
+            for sld, names in by_sld.items():
+                if sld in counts:
+                    several[sld] = None
+                counts[sld] = len(names)
         for sld in several:
             counts[sld] = len(
-                set().union(*(self.sld_type_fqdns.get((sld, t), ()) for t in self.rrtype_counts))
+                set().union(*(by_sld.get(sld, ()) for by_sld in self.type_sld_fqdns.values()))
             )
         return counts
 
     def rrtype_shares(self, full: bool = False) -> list[tuple[str, int, float]]:
         """Rows (type, count, share) for the seven named types plus an
         Others rollup; `full=True` appends every remaining type."""
-        if self.total == 0:
+        counts = self.rrtype_counts
+        total = sum(counts.values())
+        if total == 0:
             raise EmptyBundleError("no entries accumulated")
-        rows = []
-        named_total = 0
-        for rrtype in NAMED_RRTYPES:
-            count = self.rrtype_counts.get(rrtype, 0)
-            named_total += count
-            rows.append((str(rrtype), count, count / self.total))
-        others = self.total - named_total
-        rows.append(("Others", others, others / self.total))
+        rows = [(str(t), counts[t], counts[t] / total) for t in NAMED_RRTYPES]
+        others = total - sum(c for _, c, _ in rows)
+        rows.append(("Others", others, others / total))
         if full:
             rest = sorted(
-                (
-                    (str(t), c)
-                    for t, c in self.rrtype_counts.items()
-                    if t not in NAMED_RRTYPES
-                ),
+                ((str(t), c) for t, c in counts.items() if t not in NAMED_RRTYPES),
                 key=lambda r: (-r[1], r[0]),
             )
-            rows.extend((name, c, c / self.total) for name, c in rest)
+            rows.extend((name, c, c / total) for name, c in rest)
         return rows
 
-    def _keys_by_type(self) -> dict[RRType, list[tuple[str, RRType]]]:
-        """rrtype -> its (sld, rrtype) keys, in one scan. The keys index both
-        `sld_type_entries` and `sld_type_fqdns`."""
-        groups = defaultdict(list)
-        for key in self.sld_type_entries:
-            groups[key[1]].append(key)
-        return groups
-
-    def _sld_measure(
-        self, scope: Optional[RRType], measure: str, by_type: Optional[dict] = None
-    ) -> dict[str, int]:
-        """sld -> count of one measure in one scope. `by_type` is
-        `_keys_by_type()`, made once by a caller that reads several scopes."""
-        if measure not in ("fqdns", "entries"):
-            raise ValueError(f"unknown measure: {measure!r}")
+    def sld_cdf(self, scope: Optional[RRType] = None) -> CdfSeries:
+        """Cumulative distribution of distinct FQDNs over SLDs ranked by
+        that count, descending, in one record type or (None) all of them."""
         if scope is None:
-            return self.sld_fqdn_counts() if measure == "fqdns" else self.sld_entries
-        if by_type is None:
-            by_type = self._keys_by_type()
-        keys = by_type.get(scope, ())
-        if measure == "fqdns":
-            return {key[0]: len(self.sld_type_fqdns[key]) for key in keys}
-        return {key[0]: self.sld_type_entries[key] for key in keys}
-
-    def sld_cdf(
-        self, scope: Optional[RRType] = None, measure: str = "fqdns"
-    ) -> CdfSeries:
-        """Cumulative distribution of distinct FQDNs (default) or entries
-        over SLDs ranked by that same count, descending; ties broken
-        lexicographically."""
-        shares = _cumulative_shares(self._sld_measure(scope, measure).values())
-        points = tuple(enumerate(shares, start=1))
+            counts: Iterable[int] = self.sld_fqdn_counts().values()
+        else:
+            counts = map(len, self.type_sld_fqdns.get(scope, {}).values())
+        points = tuple(enumerate(_cumulative_shares(counts), start=1))
         if not points:
             raise EmptyBundleError("no SLDs in scope")
-        return CdfSeries(points=points, scope=scope, measure=measure)
+        return CdfSeries(points=points, scope=scope)
 
     def top_slds(
         self, n: int, scope: Optional[RRType] = None
     ) -> list[tuple[str, int, float]]:
         """Rows (sld, entry count, share of in-scope entries), top n."""
-        counts = self._sld_measure(scope, "entries")
+        counts = self.sld_entries if scope is None else self.type_sld_entries.get(scope)
         if not counts:
             raise EmptyBundleError("no SLDs in scope")
         return _top(counts, n)
 
     def days(self) -> list[date]:
         """Every calendar day in the observed range, inclusive."""
-        if self.min_day is None or self.max_day is None:
+        first, last = self.min_day, self.max_day
+        if first is None or last is None:
             return []
-        span = (self.max_day - self.min_day).days
-        return [self.min_day + timedelta(days=i) for i in range(span + 1)]
+        return [first + timedelta(days=i) for i in range((last - first).days + 1)]
 
     def daily_series(self, slds: Sequence[str]) -> list[tuple[str, str, int]]:
         """Rows (date, sld, count) for the given SLDs, zero-filled over the
@@ -293,15 +271,16 @@ class StatsBundle:
         rows = []
         for day in self.days():
             iso = day.isoformat()
-            for sld in slds:
-                rows.append((iso, sld, self.sld_day_entries.get((day, sld), 0)))
+            counts = self.day_sld_entries.get(day, {})
+            rows.extend((iso, sld, counts.get(sld, 0)) for sld in slds)
         return rows
 
     def sld_rdata_means(self) -> Iterator[tuple[str, int, float]]:
         """Rows (sld, entry count, mean rdata size) by SLD name, for scatter
         views; made one at a time."""
-        slds = sorted(self.sld_entries)
-        counts = list(map(self.sld_entries.__getitem__, slds))
+        entries = self.sld_entries
+        slds = sorted(entries)
+        counts = list(map(entries.__getitem__, slds))
         means = map(truediv, map(self.sld_rdata_sum.__getitem__, slds), counts)
         return zip(slds, counts, means)
 
@@ -352,8 +331,7 @@ class StatsBundle:
                 key=lambda r: (r[0], RDATA_BUCKETS.index(r[1])),
             ),
         )
-        by_type = self._keys_by_type()
-        named = [rrtype for rrtype in NAMED_RRTYPES if rrtype in by_type]
+        named = [t for t in NAMED_RRTYPES if self.type_sld_entries.get(t)]
         top = self.top_slds(top_n) if has_data else []
         emit(
             "top_slds.csv",
@@ -364,20 +342,19 @@ class StatsBundle:
             "top_slds_by_type.csv",
             ("rrtype", "sld", "count", "share"),
             (
-                (str(rrtype), sld, c, fmt_share(s))
-                for rrtype in named
-                for sld, c, s in _top(self._sld_measure(rrtype, "entries", by_type), top_n)
+                (str(t), sld, c, fmt_share(s))
+                for t in named
+                for sld, c, s in self.top_slds(top_n, t)
             ),
         )
         scopes = ([("all", None)] + [(str(t), t) for t in named]) if has_data else []
         emit(
             "sld_cdf.csv",
             ("scope", "rank", "cumulative_share"),
-            chain.from_iterable(
-                zip(repeat(name), count(1), map(fmt_share, _cumulative_shares(
-                    self._sld_measure(scope, "fqdns", by_type).values()
-                )))
+            (
+                (name, rank, fmt_share(share))
                 for name, scope in scopes
+                for rank, share in self.sld_cdf(scope).points
             ),
         )
         emit(
@@ -390,12 +367,13 @@ class StatsBundle:
             ("sld", "count", "mean_rdata_size"),
             ((sld, c, fmt_share(m)) for sld, c, m in self.sld_rdata_means()),
         )
+        first, last = self.min_day, self.max_day
         summary = {
             "total_entries": self.total,
-            "distinct_slds": len(self.sld_entries),
+            "distinct_slds": len(self.sld_rdata_sum),  # every SLD has an rdata sum
             "distinct_fqdns": sum(self.sld_fqdn_counts().values()),
-            "first_day": self.min_day.isoformat() if self.min_day else None,
-            "last_day": self.max_day.isoformat() if self.max_day else None,
+            "first_day": first.isoformat() if first else None,
+            "last_day": last.isoformat() if last else None,
             "rrtype_shares": [
                 {"rrtype": t, "count": c, "share": round(s, 6)} for t, c, s in shares
             ],

@@ -294,6 +294,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             FilterConfig(prefilter_types=frozenset())
 
+    @pytest.mark.parametrize("days", [0, -3])
+    def test_bad_observation_days(self, days):
+        with pytest.raises(ConfigError, match="observation_days"):
+            PostFilterConfig(drop_daily_seen=True, observation_days=days)
+
     def test_known_lists_must_be_disjoint(self):
         with pytest.raises(ConfigError):
             KnownLists(

@@ -237,7 +237,7 @@ class TestStatsProperties:
         b = StatsBundle().accumulate_all(entries[len(entries) // 2:])
         ab, ba = a.merge(b), b.merge(a)
         assert ab.rrtype_counts == ba.rrtype_counts
-        assert ab.sld_day_entries == ba.sld_day_entries
+        assert ab.day_sld_entries == ba.day_sld_entries
         with_empty = a.merge(StatsBundle())
         assert with_empty.rrtype_counts == a.rrtype_counts
 

@@ -25,7 +25,8 @@ from conftest import make_entry
 
 
 def naive_recount(entries):
-    """Independent second-pass oracle: plain loops, no bundle machinery."""
+    """Independent second-pass oracle: plain loops, no bundle machinery.
+    Holds every stored field of a bundle and every derived view."""
     out = {
         "total": len(entries),
         "rrtype": Counter(),
@@ -34,9 +35,9 @@ def naive_recount(entries):
         "buckets_per_day": Counter(),
         "sld_entries": Counter(),
         "sld_fqdns": {},
-        "sld_type_fqdns": {},
-        "sld_type_entries": Counter(),
-        "sld_day_entries": Counter(),
+        "type_sld_fqdns": {},
+        "type_sld_entries": {},
+        "day_sld_entries": {},
         "sld_rdata_sum": Counter(),
         "min_day": min((e.time_seen.date() for e in entries), default=None),
         "max_day": max((e.time_seen.date() for e in entries), default=None),
@@ -59,46 +60,50 @@ def naive_recount(entries):
         out["buckets_per_day"][(day, bucket)] += 1
         out["sld_entries"][sld] += 1
         out["sld_fqdns"].setdefault(sld, set()).add(e.rrname.name)
-        out["sld_type_fqdns"].setdefault((sld, e.rrtype), set()).add(e.rrname.name)
-        out["sld_type_entries"][(sld, e.rrtype)] += 1
-        out["sld_day_entries"][(day, sld)] += 1
+        out["type_sld_fqdns"].setdefault(e.rrtype, {}).setdefault(sld, set()).add(e.rrname.name)
+        out["type_sld_entries"].setdefault(e.rrtype, Counter())[sld] += 1
+        out["day_sld_entries"].setdefault(day, Counter())[sld] += 1
         out["sld_rdata_sum"][sld] += size
     return out
 
 
 def assert_bundle_matches_naive(bundle, entries):
     naive = naive_recount(entries)
-    assert bundle.total == naive["total"]
-    assert bundle.rrtype_counts == naive["rrtype"]
+    # stored fields
     assert bundle.per_day_rrtype == naive["per_day_rrtype"]
     assert bundle.level_per_day == naive["level_per_day"]
     assert bundle.rdata_buckets_per_day == naive["buckets_per_day"]
-    assert bundle.sld_entries == naive["sld_entries"]
-    assert bundle.sld_type_entries == naive["sld_type_entries"]
-    assert bundle.sld_day_entries == naive["sld_day_entries"]
-    assert bundle.sld_fqdns == naive["sld_fqdns"]
-    assert bundle.sld_type_fqdns == naive["sld_type_fqdns"]
     assert bundle.sld_rdata_sum == naive["sld_rdata_sum"]
+    assert bundle.type_sld_entries == naive["type_sld_entries"]
+    assert bundle.type_sld_fqdns == naive["type_sld_fqdns"]
+    assert bundle.day_sld_entries == naive["day_sld_entries"]
+    # derived views
+    assert bundle.total == naive["total"]
+    assert bundle.rrtype_counts == naive["rrtype"]
     assert bundle.min_day == naive["min_day"]
     assert bundle.max_day == naive["max_day"]
+    assert bundle.sld_entries == naive["sld_entries"]
+    assert bundle.sld_fqdns == naive["sld_fqdns"]
+    assert bundle.sld_fqdn_counts() == {s: len(v) for s, v in naive["sld_fqdns"].items()}
 
 
 def bundles_identical(a, b) -> bool:
-    """Exact pointwise equality of every counter in two bundles."""
+    """Exact pointwise equality of every stored field and derived view."""
     return (
-        a.total == b.total
-        and a.rrtype_counts == b.rrtype_counts
-        and a.per_day_rrtype == b.per_day_rrtype
+        a.per_day_rrtype == b.per_day_rrtype
         and a.level_per_day == b.level_per_day
         and a.rdata_buckets_per_day == b.rdata_buckets_per_day
-        and a.sld_entries == b.sld_entries
-        and a.sld_type_entries == b.sld_type_entries
-        and a.sld_day_entries == b.sld_day_entries
-        and a.sld_fqdns == b.sld_fqdns
-        and a.sld_type_fqdns == b.sld_type_fqdns
         and a.sld_rdata_sum == b.sld_rdata_sum
+        and a.type_sld_entries == b.type_sld_entries
+        and a.type_sld_fqdns == b.type_sld_fqdns
+        and a.day_sld_entries == b.day_sld_entries
+        and a.total == b.total
+        and a.rrtype_counts == b.rrtype_counts
         and a.min_day == b.min_day
         and a.max_day == b.max_day
+        and a.sld_entries == b.sld_entries
+        and a.sld_fqdns == b.sld_fqdns
+        and a.sld_fqdn_counts() == b.sld_fqdn_counts()
     )
 
 
@@ -217,9 +222,20 @@ class TestMerge:
             merged = merged.merge(shard)
         assert_bundle_matches_naive(merged, entries)
         assert merged.rrtype_counts == single.rrtype_counts
-        assert merged.sld_day_entries == single.sld_day_entries
+        assert merged.day_sld_entries == single.day_sld_entries
         assert merged.min_day == single.min_day
         assert merged.max_day == single.max_day
+
+    def test_operands_stay_independent_of_the_result(self):
+        left_entries = random_entries(300, seed=14)
+        right_entries = random_entries(300, seed=15)
+        left = StatsBundle().accumulate_all(left_entries)
+        right = StatsBundle().accumulate_all(right_entries)
+        merged = left.merge(right)
+        # Names, SLDs, types and days that both operands already hold.
+        merged.accumulate_all(random_entries(300, seed=16))
+        assert_bundle_matches_naive(left, left_entries)
+        assert_bundle_matches_naive(right, right_entries)
 
 
 class TestRrtypeShares:
@@ -303,13 +319,11 @@ class TestSldCdf:
         assert shares[-1] == pytest.approx(1.0, abs=1e-9)
         assert len(cdf.points) == len(bundle.sld_fqdns)
 
-    def test_entries_measure_and_scope(self):
+    def test_scope_counts_one_type(self):
         bundle = StatsBundle()
         bundle.accumulate(make_entry("a.x.com", "TXT", "x.com"))
         bundle.accumulate(make_entry("a.x.com", "TXT", "x.com"))
         bundle.accumulate(make_entry("b.y.com", "A", "y.com"))
-        by_entries = bundle.sld_cdf(measure="entries")
-        assert by_entries.points[0] == (1, 2 / 3)
         scoped = bundle.sld_cdf(scope=RRType.parse("TXT"))
         assert scoped.points == ((1, 1.0),)
 
@@ -470,20 +484,24 @@ def legacy_sld_measure(self, scope, measure):
             return {sld: len(v) for sld, v in self.sld_fqdns.items()}
         return {
             sld: len(v)
-            for (sld, t), v in self.sld_type_fqdns.items()
+            for t, by_sld in self.type_sld_fqdns.items()
             if t == scope
+            for sld, v in by_sld.items()
         }
     if measure == "entries":
         if scope is None:
             return dict(self.sld_entries)
         return {
-            sld: c for (sld, t), c in self.sld_type_entries.items() if t == scope
+            sld: c
+            for t, by_sld in self.type_sld_entries.items()
+            if t == scope
+            for sld, c in by_sld.items()
         }
     raise ValueError(f"unknown measure: {measure!r}")
 
 
-def legacy_sld_cdf(self, scope=None, measure="fqdns"):
-    counts = legacy_sld_measure(self, scope, measure)
+def legacy_sld_cdf(self, scope=None):
+    counts = legacy_sld_measure(self, scope, "fqdns")
     if not counts:
         raise EmptyBundleError("no SLDs in scope")
     total = sum(counts.values())
@@ -493,7 +511,7 @@ def legacy_sld_cdf(self, scope=None, measure="fqdns"):
     for rank, (_, count) in enumerate(ordered, start=1):
         acc += count
         points.append((rank, acc / total))
-    return CdfSeries(points=tuple(points), scope=scope, measure=measure)
+    return CdfSeries(points=tuple(points), scope=scope)
 
 
 def legacy_top_slds(self, n, scope=None):
@@ -649,8 +667,7 @@ class TestStreamingEmit:
         assert bundle.sld_fqdn_counts() == {s: len(v) for s, v in bundle.sld_fqdns.items()}
         for scope in (None,) + NAMED_RRTYPES:
             for ours, theirs in (
-                (lambda: bundle.sld_cdf(scope, "fqdns"), lambda: legacy_sld_cdf(bundle, scope, "fqdns")),
-                (lambda: bundle.sld_cdf(scope, "entries"), lambda: legacy_sld_cdf(bundle, scope, "entries")),
+                (lambda: bundle.sld_cdf(scope), lambda: legacy_sld_cdf(bundle, scope)),
                 (lambda: bundle.top_slds(top_n, scope), lambda: legacy_top_slds(bundle, top_n, scope)),
             ):
                 try:
@@ -665,7 +682,10 @@ class TestStreamingEmit:
         entries = random_entries(300, seed=13)  # SLDs of several types each
         entries.append(make_entry("only.solo.example", "A", "solo.example"))
         bundle = StatsBundle().accumulate_all(entries)
-        held = {key: set(names) for key, names in bundle.sld_type_fqdns.items()}
+        held = {
+            t: {sld: set(names) for sld, names in by_sld.items()}
+            for t, by_sld in bundle.type_sld_fqdns.items()
+        }
         bundle.emit_all(tmp_path / "before")
 
         view = bundle.sld_fqdns
@@ -675,7 +695,7 @@ class TestStreamingEmit:
         view["added.example"] = {"x.added.example"}
         del view["solo.example"]
 
-        assert bundle.sld_type_fqdns == held
+        assert bundle.type_sld_fqdns == held
         assert bundle.sld_fqdns == naive_recount(entries)["sld_fqdns"]
         bundle.emit_all(tmp_path / "after")
         for path in sorted((tmp_path / "before").iterdir()):
