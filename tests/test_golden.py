@@ -11,8 +11,15 @@ post-filter on and `covert-x.net` on the alexa list. It pins that the
 first post-filter to drop a row names its reason (`covert-x.net` is
 reported as daily-seen, not alexa-top), that `one-shot.io` falls to the
 single-entry filter, and that the alexa row then removes nothing.
+
+tests/golden/gen/SHA256SUMS pins the bytes `gen` writes for `--demo` and
+for every_shape.json, which holds every shipped profile and every
+background class: the NDJSON text, the decompressed text of a `.gz` run
+(the compressed bytes depend on the zlib build) and the labels sidecar.
 """
 
+import gzip
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -95,3 +102,22 @@ def test_stage_counts_hand_traceable(filter_out):
         "4,special-use,6,4,2",
         "3,min-subdomains,4,3,1",
     ]
+
+
+GEN_SUMS = {
+    name: digest
+    for digest, name in (line.split("  ") for line in (GOLDEN / "gen" / "SHA256SUMS").read_text().splitlines())
+}
+
+
+@pytest.mark.parametrize("config", ["demo", "every_shape"])
+@pytest.mark.parametrize("name", ["corpus.ndjson", "corpus.ndjson.gz"])
+def test_gen_output_matches_golden_digests(tmp_path, config, name):
+    source = ["--demo"] if config == "demo" else ["--config", str(GOLDEN / "gen" / f"{config}.json")]
+    assert main(["gen", *source, "--out", str(tmp_path), "--name", name]) == 0
+    corpus = (tmp_path / name).read_bytes()
+    if name.endswith(".gz"):
+        corpus = gzip.decompress(corpus)
+    assert hashlib.sha256(corpus).hexdigest() == GEN_SUMS[f"{config}/corpus.ndjson"]
+    labels = (tmp_path / "corpus.labels.csv").read_bytes()
+    assert hashlib.sha256(labels).hexdigest() == GEN_SUMS[f"{config}/corpus.labels.csv"]
