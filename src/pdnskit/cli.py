@@ -199,7 +199,7 @@ def cmd_stats(p, stream, outdir):
     bundle.emit_all(outdir, top_n=p["top_n"])
     if bundle.total == 0:
         click.echo("warning: no entries accumulated; tables contain headers only", err=True)
-    return f"stats: {bundle.total} entries, {len(bundle.sld_entries)} SLDs"
+    return f"stats: {bundle.total} entries, {len(bundle.sld_rdata_sum)} SLDs"
 
 
 # ----------------------------------------------------------------------

@@ -196,9 +196,9 @@ class _GzipChunks(io.RawIOBase):
 @contextmanager
 def _open_source(source: Source) -> Iterator[IO]:
     """A path, `-` (stdin) or a binary file object as a binary stream,
-    gunzipped when it starts with the gzip magic; a text object as it is.
-    Only a file opened here is closed; a buffer put around any other is
-    detached, as its finalizer would close it."""
+    gunzipped when it starts with the gzip magic; a text object is a
+    TypeError. Only a file opened here is closed; a buffer put around any
+    other is detached, as its finalizer would close it."""
     if source == "-":
         source = sys.stdin.buffer
     owned = not hasattr(source, "read")
@@ -208,8 +208,7 @@ def _open_source(source: Source) -> Iterator[IO]:
         except OSError as exc:
             raise UnreadableSourceError(f"cannot open {source}: {exc}") from exc
     elif not isinstance(source.read(0), bytes):
-        yield source
-        return
+        raise TypeError(f"read_stream reads binary file objects, not {type(source).__name__}")
     buffered = source if hasattr(source, "peek") else io.BufferedReader(source)
     try:
         if buffered.peek(2)[:2] == b"\x1f\x8b":
@@ -230,13 +229,11 @@ def _open_source(source: Source) -> Iterator[IO]:
 _scan_json_value = json.JSONDecoder().scan_once
 
 
-def _decode_ndjson(line: Union[bytes, str]) -> dict:
-    if isinstance(line, bytes):
-        try:
-            line = line.decode()
-        except UnicodeDecodeError:
-            raise RecordError("BadEncoding", "line is not valid UTF-8") from None
-    text = line.strip(" \t\n\r")
+def _decode_ndjson(line: bytes) -> dict:
+    try:
+        text = line.decode().strip(" \t\n\r")
+    except UnicodeDecodeError:
+        raise RecordError("BadEncoding", "line is not valid UTF-8") from None
     try:
         obj, end = _scan_json_value(text, 0)
     except (StopIteration, ValueError, RecursionError):
@@ -249,11 +246,11 @@ def _decode_ndjson(line: Union[bytes, str]) -> dict:
 
 
 def _csv_rows(fh: IO) -> Iterator[Union[list[str], csv.Error]]:
-    """The non-blank rows, less a leading header row. Byte lines are decoded
-    with each bad byte kept as a lone surrogate, for _decode_csv to count.
-    A row the reader rejects (a field over csv.field_size_limit) comes out
-    as its csv.Error, so the rows after it are still read."""
-    lines = (line if isinstance(line, str) else line.decode("utf-8", "surrogateescape") for line in fh)
+    """The non-blank rows, less a leading header row. Lines are decoded with
+    each bad byte kept as a lone surrogate, for _decode_csv to count. A row
+    the reader rejects (a field over csv.field_size_limit) comes out as its
+    csv.Error, so the rows after it are still read."""
+    lines = (line.decode("utf-8", "surrogateescape") for line in fh)
     reader = csv.reader(lines)
     first = True
     while True:
@@ -299,7 +296,7 @@ def read_stream(
     fmt: str = "ndjson",
     stats: Optional[IngestStats] = None,
 ) -> Iterator[PdnsEntry]:
-    """Lazily yield entries from a file path, `-`, or open file object.
+    """Lazily yield entries from a file path, `-`, or binary file object.
 
     Gzip inputs are detected by magic bytes. Bytes are decoded as UTF-8
     one record at a time, so a bad byte costs only its record. Malformed

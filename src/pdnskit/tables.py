@@ -8,7 +8,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from pdnskit.model import ConfigError
+from pdnskit.model import ConfigError, FqdnError, parse_fqdn
 
 __all__ = ["write_csv", "write_json", "fmt_share", "read_domain_list", "read_labels"]
 
@@ -38,17 +38,21 @@ def write_json(path: str | Path, obj) -> None:
 def read_domain_list(path: str | Path) -> frozenset[str]:
     """Load a one-domain-per-line file; `#` comments and blanks ignored.
 
-    Domains are normalized to lowercase without the trailing dot. A file
-    that is not UTF-8 raises ConfigError.
+    Each domain is normalized as a hostname is (`parse_fqdn`: ASCII case
+    folded, no trailing dot). A file that is not UTF-8, or a line that is
+    not a hostname, raises ConfigError.
     """
     out = set()
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 text = line.strip()
                 if not text or text.startswith("#"):
                     continue
-                out.add(text.lower().rstrip("."))
+                try:
+                    out.add(parse_fqdn(text).name)
+                except FqdnError as exc:
+                    raise ConfigError(f"bad domain list {path}: line {number}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"bad domain list {path}: {exc}") from None
     return frozenset(out)

@@ -15,12 +15,13 @@ import gzip
 import io
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from hashlib import blake2b
 from pathlib import Path
 from random import Random
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from pdnskit.fingerprint import (
     ENCODING_BASE32,
@@ -31,7 +32,6 @@ from pdnskit.fingerprint import (
     ProfileSet,
 )
 from pdnskit.model import MAX_NAME_BYTES, ConfigError, Fqdn, FqdnError, PdnsEntry, RRType, parse_fqdn
-from pdnskit.tables import read_labels  # re-exported; the reader lives in tables
 
 __all__ = [
     "GenConfig",
@@ -47,16 +47,9 @@ __all__ = [
     "MAX_TOTAL_QUERIES",
 ]
 
-BACKGROUND_KINDS = (
-    "plain-a",
-    "cdn-like",
-    "spf-txt",
-    "dkim-txt",
-    "rdns-arpa",
-    "localhost-style",
-)
-
-_BASE36 = "abcdefghijklmnopqrstuvwxyz0123456789"
+_DIGITS = "0123456789"
+_LOWER = "abcdefghijklmnopqrstuvwxyz"
+_BASE36 = _LOWER + _DIGITS
 
 # The most queries one config may generate over all its streams, so that a
 # size such as `"payload_bytes": 1e15` is refused instead of run for days.
@@ -129,48 +122,61 @@ def _derive_seed(root: int, *parts) -> int:
     return int.from_bytes(blake2b(key, digest_size=8).digest(), "big")
 
 
-def _encoded_len(encoding: str, n_bytes: int) -> int:
-    if encoding == ENCODING_BASE32:
-        return (8 * n_bytes + 4) // 5
-    if encoding == ENCODING_HEX:
-        return 2 * n_bytes
-    if encoding == ENCODING_BASE64:
-        return (4 * n_bytes + 2) // 3
-    if encoding == ENCODING_NONE:
-        return n_bytes
-    raise GenConfigError(f"profile encoding {encoding!r} is not generatable")
+class _Codec(NamedTuple):
+    """How tunnel payload bytes become label text in one encoding."""
+
+    encode: Callable[[bytes], str]
+    letters: str  # first-byte alphabet for a profile whose first_char is letter only
+    digits: str  # ... digit only
+    # (chars, at least): tail positions are rewritten, in this order, until the
+    # text holds that many of the chars, so every chunk carries its encoding's
+    # signature characters. Plain alphanumerics must not look like base32/hex.
+    tails: tuple[tuple[str, int], ...]
 
 
-def _encode(encoding: str, data: bytes) -> str:
-    if encoding == ENCODING_BASE32:
-        return base64.b32encode(data).decode("ascii").lower().rstrip("=")
-    if encoding == ENCODING_HEX:
-        return data.hex()
-    if encoding == ENCODING_BASE64:
-        return base64.urlsafe_b64encode(data).decode("ascii").rstrip("=")
-    return "".join(_BASE36[b % 36] for b in data)
+_CODECS = {
+    ENCODING_BASE32: _Codec(
+        lambda data: base64.b32encode(data).decode("ascii").lower().rstrip("="),
+        _LOWER, "234567", (("234567", 1),),
+    ),
+    ENCODING_HEX: _Codec(bytes.hex, "abcdef", _DIGITS, ((_DIGITS, 1),)),
+    ENCODING_BASE64: _Codec(
+        lambda data: base64.urlsafe_b64encode(data).decode("ascii").rstrip("="),
+        _LOWER, _DIGITS, (("-_", 2), (_DIGITS, 1), (_LOWER, 1), (_LOWER.upper(), 1)),
+    ),
+    ENCODING_NONE: _Codec(lambda data: "".join(_BASE36[b % 36] for b in data), _LOWER, _DIGITS, (("0189", 4),)),
+}
 
 
 @dataclass(frozen=True)
 class _QueryPlan:
     """Per-query emission structure derived from one profile."""
 
-    encoding: str
+    codec: _Codec
     bytes_per_query: int
-    chars_per_query: int
+    head_label_len: int  # the first chunk label; the others are chunk_label_len
     chunk_label_len: int
     n_chunk_labels: int
     marker_labels: tuple[str, ...]
     rrtype_cycle: tuple[RRType, ...]
     lead_chars: str  # candidate replacement chars for the first byte, "" = free
 
+    def queries_for(self, payload_bytes: int) -> int:
+        return max(1, math.ceil(payload_bytes / self.bytes_per_query))
 
-def _lead_alphabet(profile: ImplementationProfile, encoding: str) -> str:
-    if profile.first_chars == {"letter"}:
-        return "abcdef" if encoding == ENCODING_HEX else "abcdefghijklmnopqrstuvwxyz"
-    if profile.first_chars == {"digit"}:
-        return "234567" if encoding == ENCODING_BASE32 else "0123456789"
-    return ""
+    def chunk(self, rng: Random) -> str:
+        """One query's payload labels joined without dots."""
+        chars = list(self.codec.encode(rng.randbytes(self.bytes_per_query)))
+        if self.lead_chars and chars[0] not in self.lead_chars:
+            chars[0] = self.lead_chars[rng.randrange(len(self.lead_chars))]
+        slot = 0
+        for required, at_least in self.codec.tails:
+            have = sum(c in required for c in chars)
+            while have < at_least:
+                slot += 1
+                chars[-slot] = required[rng.randrange(len(required))]
+                have += 1
+        return "".join(chars)
 
 
 def derive_plan(profile: ImplementationProfile, sld: str, third: str) -> _QueryPlan:
@@ -182,6 +188,9 @@ def derive_plan(profile: ImplementationProfile, sld: str, third: str) -> _QueryP
     if not profile.encodings:
         raise GenConfigError(f"profile {profile.name}: no encoding listed")
     encoding = profile.encodings[0]  # first listed = native encoding
+    codec = _CODECS.get(encoding)
+    if codec is None:
+        raise GenConfigError(f"profile encoding {encoding!r} is not generatable")
     n_left = profile.levels[0] - 3  # labels left of the third-level label
     if n_left < 1:
         raise GenConfigError(f"profile {profile.name}: level range leaves no payload")
@@ -191,7 +200,7 @@ def derive_plan(profile: ImplementationProfile, sld: str, third: str) -> _QueryP
         raise GenConfigError(f"profile {profile.name}: markers leave no chunk labels")
     label_len = profile.label4_len[0]
     marker_chars = sum(len(m) for m in marker_labels)
-    wire_cap = MAX_NAME_BYTES - 2 - len(third) - len(sld)
+    wire_cap = MAX_NAME_BYTES - 2 - len(third.encode()) - len(sld.encode())
     cap = min(
         profile.payload_len[1] - (n_left - 1) - marker_chars,
         n_chunk * label_len,
@@ -199,14 +208,11 @@ def derive_plan(profile: ImplementationProfile, sld: str, third: str) -> _QueryP
     )
     if cap < 1:
         raise GenConfigError(f"profile {profile.name}: no room for payload chars")
-    bytes_per_query = 0
-    for b in range(cap, 0, -1):
-        if _encoded_len(encoding, b) <= cap:
-            bytes_per_query = b
-            break
+    # The most bytes whose encoding fits; encoded length grows with the byte count.
+    bytes_per_query = bisect_right(range(1, cap + 1), cap, key=lambda b: len(codec.encode(bytes(b))))
     if bytes_per_query == 0:
         raise GenConfigError(f"profile {profile.name}: capacity too small to encode")
-    chars = _encoded_len(encoding, bytes_per_query)
+    chars = len(codec.encode(bytes(bytes_per_query)))
     rem = chars - (n_chunk - 1) * label_len
     if not 1 <= rem <= label_len:
         raise GenConfigError(
@@ -219,16 +225,21 @@ def derive_plan(profile: ImplementationProfile, sld: str, third: str) -> _QueryP
             f"profile {profile.name}: derived payload length {payload_len} "
             f"outside declared range {profile.payload_len}"
         )
-    cycle = tuple(sorted(profile.rrtypes))
+    if profile.first_chars == {"letter"}:
+        lead_chars = codec.letters
+    elif profile.first_chars == {"digit"}:
+        lead_chars = codec.digits
+    else:
+        lead_chars = ""
     return _QueryPlan(
-        encoding=encoding,
+        codec=codec,
         bytes_per_query=bytes_per_query,
-        chars_per_query=chars,
+        head_label_len=rem,
         chunk_label_len=label_len,
         n_chunk_labels=n_chunk,
         marker_labels=marker_labels,
-        rrtype_cycle=cycle,
-        lead_chars=_lead_alphabet(profile, encoding),
+        rrtype_cycle=tuple(sorted(profile.rrtypes)),
+        lead_chars=lead_chars,
     )
 
 
@@ -236,39 +247,7 @@ def queries_for_payload(
     profile: ImplementationProfile, sld: str, third: str, payload_bytes: int
 ) -> int:
     """How many queries a payload of the given size needs for this profile."""
-    plan = derive_plan(profile, sld, third)
-    return max(1, math.ceil(payload_bytes / plan.bytes_per_query))
-
-
-def _ensure_tail(chars: list[str], required: str, min_count: int, slot: int, rng: Random) -> int:
-    """Guarantee `min_count` occurrences of `required` chars by rewriting
-    tail positions; returns the next free tail slot. Keeps every generated
-    chunk carrying its encoding's signature characters."""
-    have = sum(c in required for c in chars)
-    while have < min_count:
-        slot += 1
-        chars[-slot] = required[rng.randrange(len(required))]
-        have += 1
-    return slot
-
-
-def _signature_fix(encoding: str, text: str, lead_chars: str, rng: Random) -> str:
-    chars = list(text)
-    if lead_chars and chars[0] not in lead_chars:
-        chars[0] = lead_chars[rng.randrange(len(lead_chars))]
-    slot = 0
-    if encoding == ENCODING_BASE32:
-        slot = _ensure_tail(chars, "234567", 1, slot, rng)
-    elif encoding == ENCODING_HEX:
-        slot = _ensure_tail(chars, "0123456789", 1, slot, rng)
-    elif encoding == ENCODING_BASE64:
-        slot = _ensure_tail(chars, "-_", 2, slot, rng)
-        slot = _ensure_tail(chars, "0123456789", 1, slot, rng)
-        slot = _ensure_tail(chars, "abcdefghijklmnopqrstuvwxyz", 1, slot, rng)
-        slot = _ensure_tail(chars, "ABCDEFGHIJKLMNOPQRSTUVWXYZ", 1, slot, rng)
-    else:  # plain alphanumerics must not look like base32/hex
-        slot = _ensure_tail(chars, "0189", 4, slot, rng)
-    return "".join(chars)
+    return derive_plan(profile, sld, third).queries_for(payload_bytes)
 
 
 def _blob(rng: Random, size: int) -> str:
@@ -303,6 +282,56 @@ def _downstream_rdata(rng: Random, rrtype: RRType, sld: str, third: str, i: int)
     return (_blob(rng, 24),)
 
 
+class _Background(NamedTuple):
+    """One benign class. Query i's host is `prefix(rng, i)`, the labels it
+    puts before the stream's zone, each with its dot, then the zone; its
+    rdata is `rdata(rng, sld, i)`. Both draw from the stream's RNG."""
+
+    prefix: Callable[[Random, int], str]
+    rrtype: RRType
+    rdata: Callable[[Random, str, int], tuple[str, ...]]
+    # The entries' domain and bailiwick, from the SLD and the stream's octet.
+    zone: Callable[[Fqdn, int], Fqdn] = lambda sld, octet: sld
+
+
+_BACKGROUNDS = {
+    "plain-a": _Background(
+        lambda rng, i: ("", "www.", "mail.", "api.")[i % 4],
+        RRType.parse("A"),
+        lambda rng, sld, i: _downstream_rdata(rng, "A", sld, "", i),
+    ),
+    "cdn-like": _Background(
+        lambda rng, i: f"img{i}.cdn.",
+        RRType.parse("CNAME"),
+        lambda rng, sld, i: (f"edge{i % 7}.cdnhost.net.",),
+    ),
+    "spf-txt": _Background(
+        lambda rng, i: ("", "mail.", "_spf.")[i % 3],
+        RRType.parse("TXT"),
+        lambda rng, sld, i: (f"v=spf1 ip4:192.0.2.0/24 include:_spf.{sld} ~all",),
+    ),
+    "dkim-txt": _Background(
+        lambda rng, i: f"selector{i % 3}._domainkey.",
+        RRType.parse("TXT"),
+        lambda rng, sld, i: (f"v=DKIM1; k=rsa; p={_blob(rng, 180)}",),
+    ),
+    "rdns-arpa": _Background(
+        lambda rng, i: f"{rng.randrange(256)}.{rng.randrange(256)}.{rng.randrange(256)}.",
+        RRType.parse("PTR"),
+        lambda rng, sld, i: _downstream_rdata(rng, "PTR", sld, "", i),
+        lambda sld, octet: parse_fqdn(f"{octet}.in-addr.arpa"),
+    ),
+    # Many random subdomains resolving to loopback.
+    "localhost-style": _Background(
+        lambda rng, i: "".join(_BASE36[rng.randrange(36)] for _ in range(10)) + ".",
+        RRType.parse("A"),
+        lambda rng, sld, i: ("127.0.0.1",),
+    ),
+}
+
+BACKGROUND_KINDS = tuple(_BACKGROUNDS)
+
+
 def _timestamp(start: datetime, span_s: int, i: int, n: int, rng: Random) -> datetime:
     slot = span_s * i // n
     width = max(1, span_s // n)
@@ -330,13 +359,19 @@ def _check_name(text, what: str) -> Fqdn:
         raise _invalid(f"{what}: {exc}") from None
 
 
-def _validate(config: GenConfig, profiles: ProfileSet) -> None:
+_TunnelStream = tuple[Fqdn, Fqdn, _QueryPlan, int]  # SLD, third-level label, plan, queries
+
+
+def _validate(config: GenConfig, profiles: ProfileSet) -> tuple[list[_TunnelStream], list[Fqdn]]:
+    """Check the config; return each tunnel spec's stream and each
+    background spec's SLD, in config order."""
     _check_size(config.days, "days")
     try:
         config.start_date + timedelta(days=config.days)
     except OverflowError:
         raise _invalid(f"{config.days} days from {config.start_date} end past the year 9999") from None
     total = 0
+    tunnels = []
     for spec in config.tunnels:
         if not isinstance(spec.profile, str) or spec.profile not in profiles.by_name:
             raise UnknownProfileError(f"bad generator config: unknown profile: {spec.profile!r}")
@@ -349,97 +384,69 @@ def _validate(config: GenConfig, profiles: ProfileSet) -> None:
         third = _check_name(spec.third, "third-level label")
         if len(third.labels) != 1:
             raise _invalid(f"third-level label must be a single label: {spec.third!r}")
-        if spec.queries is None:
-            total += queries_for_payload(
-                profiles.by_name[spec.profile], sld.name, third.name, spec.payload_bytes
-            )
-        else:
-            total += spec.queries
+        plan = derive_plan(profiles.by_name[spec.profile], sld.name, third.name)
+        queries = plan.queries_for(spec.payload_bytes) if spec.queries is None else spec.queries
+        tunnels.append((sld, third, plan, queries))
+        total += queries
+    background, probe, longest_prefix = [], Random(0), {}
     for spec in config.background:
-        if spec.kind not in BACKGROUND_KINDS:
+        if spec.kind not in _BACKGROUNDS:
             raise _invalid(f"unknown background class: {spec.kind!r}")
         _check_size(spec.queries, f"{spec.sld}: queries")
-        _check_name(spec.sld, "background SLD")
+        sld = _check_name(spec.sld, "background SLD")
+        row = _BACKGROUNDS[spec.kind]
+        # A class's prefixes repeat within four queries or, for cdn-like, grow
+        # with i, so the longest is among the first four and the last. Only
+        # rdns-arpa's vary in length with the RNG, and its zone is short.
+        key = spec.kind, spec.queries
+        if key not in longest_prefix:
+            indices = {*range(min(spec.queries, 4)), spec.queries - 1}
+            longest_prefix[key] = max(len(row.prefix(probe, i).encode()) for i in indices)
+        zone = row.zone(sld, 1).name
+        if longest_prefix[key] + len(zone.encode()) > MAX_NAME_BYTES:
+            raise _invalid(f"{spec.kind} hosts under {zone[:80]!r} exceed {MAX_NAME_BYTES} bytes")
+        background.append(sld)
         total += spec.queries
     if total > MAX_TOTAL_QUERIES:
         raise _invalid(f"{total} queries asked for, more than the {MAX_TOTAL_QUERIES} allowed")
+    return tunnels, background
 
 
 def _gen_tunnel(
-    spec: TunnelSpec,
-    profile: ImplementationProfile,
-    start: datetime,
-    span_s: int,
-    seed: int,
+    stream: _TunnelStream, label: str, start: datetime, span_s: int, seed: int
 ) -> Iterator[LabeledEntry]:
-    sld = parse_fqdn(spec.sld).name
-    third = parse_fqdn(spec.third).name
-    plan = derive_plan(profile, sld, third)
+    sld, third, plan, n_queries = stream
     rng = Random(seed)
-    n_queries = spec.queries
-    if n_queries is None:
-        n_queries = queries_for_payload(profile, sld, third, spec.payload_bytes)
-    bailiwick = parse_fqdn(f"{third}.{sld}")
-    domain = parse_fqdn(sld)
-    L = plan.chunk_label_len
-    rem = plan.chars_per_query - (plan.n_chunk_labels - 1) * L
+    bailiwick = parse_fqdn(f"{third.name}.{sld.name}")
+    head, L = plan.head_label_len, plan.chunk_label_len
     for i in range(n_queries):
-        data = rng.randbytes(plan.bytes_per_query)
-        text = _signature_fix(plan.encoding, _encode(plan.encoding, data), plan.lead_chars, rng)
-        labels = list(plan.marker_labels) + [text[:rem]] + [
-            text[rem + k * L : rem + (k + 1) * L] for k in range(plan.n_chunk_labels - 1)
+        text = plan.chunk(rng)
+        labels = list(plan.marker_labels) + [text[:head]] + [
+            text[head + k * L : head + (k + 1) * L] for k in range(plan.n_chunk_labels - 1)
         ]
-        rrname = parse_fqdn(".".join(labels) + f".{third}.{sld}")
+        rrname = parse_fqdn(".".join(labels) + f".{bailiwick.name}")
         rrtype = plan.rrtype_cycle[i % len(plan.rrtype_cycle)]
         entry = PdnsEntry(
-            domain=domain,
+            domain=sld,
             time_seen=_timestamp(start, span_s, i, n_queries, rng),
             bailiwick=bailiwick,
             rrname=rrname,
             rrclass="IN",
             rrtype=rrtype,
-            rdata=_downstream_rdata(rng, rrtype, sld, third, i),
+            rdata=_downstream_rdata(rng, rrtype, sld.name, third.name, i),
         )
-        yield LabeledEntry(entry=entry, kind="tunnel", label=profile.name)
+        yield LabeledEntry(entry=entry, kind="tunnel", label=label)
 
 
 def _gen_background(
-    spec: BackgroundSpec, start: datetime, span_s: int, seed: int
+    spec: BackgroundSpec, sld: Fqdn, start: datetime, span_s: int, seed: int
 ) -> Iterator[LabeledEntry]:
     rng = Random(seed)
-    sld = parse_fqdn(spec.sld).name
-    domain = parse_fqdn(sld)
-    kind = spec.kind
-    octet = rng.randrange(1, 224)
-    arpa_zone = parse_fqdn(f"{octet}.in-addr.arpa")
+    row = _BACKGROUNDS[spec.kind]
+    zone = row.zone(sld, rng.randrange(1, 224))
     for i in range(spec.queries):
-        zone = domain  # the entry's domain and bailiwick
-        if kind == "plain-a":
-            host = (sld, f"www.{sld}", f"mail.{sld}", f"api.{sld}")[i % 4]
-            rrtype, rdata = RRType.parse("A"), _downstream_rdata(rng, RRType.parse("A"), sld, "", i)
-            rrname = parse_fqdn(host)
-        elif kind == "cdn-like":
-            rrname = parse_fqdn(f"img{i}.cdn.{sld}")
-            rrtype, rdata = RRType.parse("CNAME"), (f"edge{i % 7}.cdnhost.net.",)
-        elif kind == "spf-txt":
-            host = (sld, f"mail.{sld}", f"_spf.{sld}")[i % 3]
-            rrname = parse_fqdn(host)
-            rrtype = RRType.parse("TXT")
-            rdata = (f"v=spf1 ip4:192.0.2.0/24 include:_spf.{sld} ~all",)
-        elif kind == "dkim-txt":
-            rrname = parse_fqdn(f"selector{i % 3}._domainkey.{sld}")
-            rrtype = RRType.parse("TXT")
-            rdata = (f"v=DKIM1; k=rsa; p={_blob(rng, 180)}",)
-        elif kind == "rdns-arpa":
-            rrname = parse_fqdn(
-                f"{rng.randrange(256)}.{rng.randrange(256)}.{rng.randrange(256)}.{octet}.in-addr.arpa"
-            )
-            zone = arpa_zone
-            rrtype, rdata = RRType.parse("PTR"), (f"host{i % 32}.{sld}.",)
-        else:  # localhost-style: many random subdomains resolving to loopback
-            sub = "".join(_BASE36[rng.randrange(36)] for _ in range(10))
-            rrname = parse_fqdn(f"{sub}.{sld}")
-            rrtype, rdata = RRType.parse("A"), ("127.0.0.1",)
+        rrname = parse_fqdn(row.prefix(rng, i) + zone.name)
+        rdata = row.rdata(rng, sld.name, i)
         yield LabeledEntry(
             entry=PdnsEntry(
                 domain=zone,
@@ -447,11 +454,11 @@ def _gen_background(
                 bailiwick=zone,
                 rrname=rrname,
                 rrclass="IN",
-                rrtype=rrtype,
+                rrtype=row.rrtype,
                 rdata=rdata,
             ),
             kind="benign",
-            label=kind,
+            label=spec.kind,
         )
 
 
@@ -467,11 +474,12 @@ def generate(
     """
     if profiles is None:
         profiles = ProfileSet.default()
-    _validate(config, profiles)
-    return _generate(config, profiles)
+    return _generate(config, *_validate(config, profiles))
 
 
-def _generate(config: GenConfig, profiles: ProfileSet) -> Iterator[LabeledEntry]:
+def _generate(
+    config: GenConfig, tunnels: list[_TunnelStream], background: list[Fqdn]
+) -> Iterator[LabeledEntry]:
     start = datetime(
         config.start_date.year,
         config.start_date.month,
@@ -479,12 +487,12 @@ def _generate(config: GenConfig, profiles: ProfileSet) -> Iterator[LabeledEntry]
         tzinfo=timezone.utc,
     )
     span_s = config.days * 86400
-    for idx, spec in enumerate(config.tunnels):
+    for idx, (spec, stream) in enumerate(zip(config.tunnels, tunnels)):
         seed = _derive_seed(config.seed, "tunnel", idx, spec.profile, spec.sld)
-        yield from _gen_tunnel(spec, profiles.by_name[spec.profile], start, span_s, seed)
-    for idx, spec in enumerate(config.background):
+        yield from _gen_tunnel(stream, spec.profile, start, span_s, seed)
+    for idx, (spec, sld) in enumerate(zip(config.background, background)):
         seed = _derive_seed(config.seed, "background", idx, spec.kind, spec.sld)
-        yield from _gen_background(spec, start, span_s, seed)
+        yield from _gen_background(spec, sld, start, span_s, seed)
 
 
 def _corpus_record(entry: PdnsEntry) -> str:
@@ -500,28 +508,14 @@ def _corpus_record(entry: PdnsEntry) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def labels_path_for(corpus_path: str | Path) -> Path:
-    """Sidecar path: corpus.ndjson[.gz] -> corpus.labels.csv."""
-    path = Path(corpus_path)
-    name = path.name
-    if name.endswith(".gz"):
-        name = name[:-3]
-    stem = name.rsplit(".", 1)[0] if "." in name else name
-    return path.with_name(stem + ".labels.csv")
-
-
-def write_corpus(
-    entries: Iterable[LabeledEntry],
-    corpus_path: str | Path,
-    labels_path: Optional[str | Path] = None,
-) -> tuple[Path, Path]:
+def write_corpus(entries: Iterable[LabeledEntry], corpus_path: str | Path) -> tuple[Path, Path]:
     """Write the NDJSON corpus (gzip if the name ends in .gz) plus the
-    labels sidecar CSV keyed by normalized rrname, one row per rrname."""
+    labels sidecar CSV keyed by normalized rrname, one row per rrname:
+    corpus.ndjson[.gz] -> corpus.labels.csv."""
     corpus_path = Path(corpus_path)
     corpus_path.parent.mkdir(parents=True, exist_ok=True)
-    if labels_path is None:
-        labels_path = labels_path_for(corpus_path)
-    labels_path = Path(labels_path)
+    stem = corpus_path.name.removesuffix(".gz").rsplit(".", 1)[0]
+    labels_path = corpus_path.with_name(stem + ".labels.csv")
     labels: dict[str, tuple[str, str]] = {}
     if corpus_path.name.endswith(".gz"):
         # A zero header mtime keeps the bytes a function of the seed alone.

@@ -37,6 +37,7 @@ class TestStatsCommand:
             assert (tmp_path / name).exists()
         summary = json.loads((tmp_path / "stats_summary.json").read_text())
         assert summary["total_entries"] > 0
+        assert f"stats: {summary['total_entries']} entries, {summary['distinct_slds']} SLDs" in result.output
 
     def test_empty_input_warns_and_exits_zero(self, tmp_path):
         empty = tmp_path / "empty.ndjson"

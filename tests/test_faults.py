@@ -8,8 +8,11 @@ before the cut, writes its artifacts and then exits 2. A write that fails
 part-way through an artifact set leaves the set a previous run wrote as it
 was, and a run removes those of its command's artifacts that it did not
 write. A side input that is not UTF-8, a labels row short of fields or an
-`--alexa` list with no domain exits 3 and `report` on a damaged artifact
-exits 2, each with one line on stderr that names the file.
+`--alexa` list with no domain exits 3, a domain list line that is not a
+hostname exits 3 naming the file and the line, and `report` on a damaged
+artifact exits 2, each with one line on stderr that names the file. A `gen` config
+from which the generator would make a host over 253 bytes exits 3 with one
+line and writes nothing.
 """
 
 import csv
@@ -402,4 +405,65 @@ def test_alexa_list_without_domains_exits_three(tmp_path, capsys, content):
     code, errors = run_cli(capsys, "filter", corpus, "--out", out, "--alexa", alexa)
     assert code == 3
     assert errors == [f"config error: --alexa {alexa}: the list holds no domains"]
+    assert not out.exists()
+
+
+# (option, a line that is not a hostname, what the error says of it)
+BAD_DOMAIN_LINES = [
+    ("--cdn-list", "foo.com..", "empty label in 'foo.com..'"),
+    ("--watchlist", "a" * 64 + ".com", f"label exceeds 63 bytes in {'a' * 64 + '.com'!r}"),
+    ("--alexa", ".example", "empty label in '.example'"),
+]
+
+
+@pytest.mark.parametrize(
+    "option, line, message", BAD_DOMAIN_LINES, ids=["double-root-dot", "long-label", "leading-dot"]
+)
+def test_domain_list_line_not_a_hostname_exits_three(tmp_path, capsys, option, line, message):
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_bytes(good("ndjson", 1))
+    domains = tmp_path / "domains.txt"
+    domains.write_text(f"# list\nok.example\n{line}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, errors = run_cli(capsys, "filter", corpus, "--out", out, option, domains)
+    assert code == 3
+    assert errors == [f"config error: bad domain list {domains}: line 3: {message}"]
+    assert not out.exists()
+
+
+def _too_long_under(kind: str, sld: str) -> str:
+    return f"config error: bad generator config: {kind} hosts under {sld[:80]!r} exceed 253 bytes"
+
+
+_SLD_244 = "b" * 58 + "." + ".".join(["a" * 61] * 3)
+_SLD_249 = "b" * 63 + "." + ".".join(["a" * 61] * 3)
+_SLD_253 = ".".join(["a" * 62] * 4)
+
+# (gen config, the stderr line): every name in it is valid, but a host the
+# generator would make from it is longer than 253 bytes.
+LONG_GENERATED_HOSTS = [
+    # img0.cdn.<SLD>
+    ({"background": [{"kind": "cdn-like", "sld": _SLD_253, "queries": 3}]}, _too_long_under("cdn-like", _SLD_253)),
+    # img10.cdn.<SLD>: only the eleventh query's host is too long.
+    ({"background": [{"kind": "cdn-like", "sld": _SLD_244, "queries": 11}]}, _too_long_under("cdn-like", _SLD_244)),
+    # mail.<SLD>
+    ({"background": [{"kind": "plain-a", "sld": _SLD_249, "queries": 3}]}, _too_long_under("plain-a", _SLD_249)),
+    # The SLD and third-level label are 94 characters but 187 bytes.
+    (
+        {"tunnels": [{"profile": "iodine-null", "sld": "ä" * 31 + "." + "ü" * 31, "third": "ö" * 31}]},
+        "config error: profile iodine-null: derived layout is inconsistent (61 chars into 3 labels of 48)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "config, message", LONG_GENERATED_HOSTS, ids=["four-long-labels", "cdn-host-grows", "plain-a-mail", "non-ascii-tunnel"]
+)
+def test_gen_host_over_253_bytes_exits_three(tmp_path, capsys, config, message):
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    code, errors = run_cli(capsys, "gen", "--config", path, "--out", out)
+    assert code == 3
+    assert errors == [message]
     assert not out.exists()

@@ -116,13 +116,12 @@ def test_ndjson_decode_accepts_what_json_loads_does(line):
         expected = None
     if not isinstance(expected, dict):
         expected = None
-    for record in (line, line.encode()):
-        try:
-            got = ingest._decode_ndjson(record)
-        except RecordError as exc:
-            assert exc.kind == "BadRecord"
-            got = None
-        assert got == expected
+    try:
+        got = ingest._decode_ndjson(line.encode())
+    except RecordError as exc:
+        assert exc.kind == "BadRecord"
+        got = None
+    assert got == expected
 
 
 class TestReadStream:
@@ -251,8 +250,10 @@ class TestReadStream:
             assert stats.read == len(names) + 1 and stats.consistent(), cut
 
     def test_file_object_input(self):
-        buf = io.StringIO(ndjson_line() + "\n")
+        buf = io.BytesIO(ndjson_line().encode() + b"\n")
         assert len(list(read_stream(buf))) == 1
+        with pytest.raises(TypeError, match="binary file objects, not StringIO"):
+            list(read_stream(io.StringIO(ndjson_line() + "\n")))
 
     def test_closes_only_what_it_opens(self, tmp_path, monkeypatch):
         data = (ndjson_line() + "\n") * 3

@@ -88,6 +88,16 @@ class TestFilterKnownDomains:
         assert report.dropped_cdn == [("cnr.io", 1)]
         assert report.dropped_known_tunnels == []
 
+    def test_list_domains_normalized_like_hostnames(self, tmp_path):
+        # Hostnames fold ASCII case only: x.ÄB.de has the SLD Äb.de.
+        watchlist = tmp_path / "watchlist.txt"
+        watchlist.write_text("ÄB.de\nFoo.COM.\n", encoding="utf-8")
+        known = KnownLists.from_files(watchlist=watchlist)
+        assert known.watchlist == {"Äb.de", "foo.com"}
+        entries = [make_entry("x.ÄB.de", "NULL"), make_entry("y.ÄB.de", "NULL")]
+        report = run_pipeline(entries, FilterConfig(known=known, min_level=3))
+        assert [h.sld for h in report.watchlist_hits] == ["Äb.de"]
+
     def test_unknown_sld_passes(self):
         entry = make_entry("a.unknown-thing.net", "NULL")
         assert keep_stage("1", [entry], DEFAULTS) == [entry]

@@ -7,6 +7,7 @@ import pytest
 from pdnskit.fingerprint import ProfileSet
 from pdnskit.ingest import IngestStats, read_stream
 from pdnskit.pipeline import FilterConfig
+from pdnskit.tables import read_labels
 from pdnskit.tunnelgen import (
     BACKGROUND_KINDS,
     BackgroundSpec,
@@ -18,7 +19,6 @@ from pdnskit.tunnelgen import (
     derive_plan,
     generate,
     queries_for_payload,
-    read_labels,
     write_corpus,
 )
 
@@ -159,6 +159,21 @@ class TestValidation:
     def test_bad_days(self, profiles):
         with pytest.raises(GenConfigError):
             list(generate(GenConfig(days=0), profiles))
+
+    def test_longest_background_host_that_fits(self, profiles):
+        sld = "b" * 58 + "." + ".".join(["a" * 61] * 3)  # 244 bytes: img9.cdn.<sld> is 253
+        cfg = GenConfig(background=[BackgroundSpec("cdn-like", sld, 10)])
+        assert max(len(item.entry.rrname.name) for item in generate(cfg, profiles)) == 253
+
+    def test_each_plan_derived_once(self, profiles, monkeypatch):
+        from pdnskit import tunnelgen
+
+        calls = []
+        monkeypatch.setattr(tunnelgen, "derive_plan", lambda *args: calls.append(args) or derive_plan(*args))
+        cfg = demo_config(seed=5)
+        cfg.tunnels.append(TunnelSpec("dnscat", "tun-fixed.net", "q", queries=3))
+        list(generate(cfg, profiles))
+        assert len(calls) == len(cfg.tunnels)
 
 
 class TestWriteCorpus:
