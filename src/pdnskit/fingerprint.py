@@ -75,6 +75,11 @@ _ENCODING_CLASS = {
 }
 
 
+# `_ENCODING_CLASS` by byte value; every other byte, each byte of a
+# non-ASCII character included, is _DIRTY.
+_ENCODING_TABLE = bytes(_ENCODING_CLASS.get(chr(b), _DIRTY) for b in range(256))
+
+
 def detect_encoding(text: str, min_share: float = 0.95) -> str:
     """Heuristically classify the character encoding of a payload string.
 
@@ -82,25 +87,29 @@ def detect_encoding(text: str, min_share: float = 0.95) -> str:
     characters (so detection is case-stable) and each requires at least
     one of its digit characters, which keeps short plain words like "www"
     out. base64-like requires a clean charset, letters and digits, and
-    either mixed case or at least two of `-_+/`. One pass over the text
-    tallies its characters by class; the decisions read the tally.
+    either mixed case or at least two of `-_+/`. The text's UTF-8 bytes
+    (a lone surrogate as its three bytes) are mapped to their classes by
+    `_ENCODING_TABLE` and each class is counted, all in C. A non-ASCII
+    character counts once per byte, and only as _DIRTY, whose count is
+    read only as zero or not; so byte counts decide as character counts
+    would.
     """
-    tally = [0] * 9
-    cls = _ENCODING_CLASS.get
-    for c in text:
-        tally[cls(c, _DIRTY)] += 1
-    digit, digit_b32, lower_hex, lower_rest, upper_hex, upper_rest, specials, _, dirty = tally
+    if not text:
+        return ENCODING_NONE
+    count = text.encode("utf-8", "surrogatepass").translate(_ENCODING_TABLE).count
+    digit, digit_b32 = count(_DIGIT), count(_DIGIT_B32)
     digits = digit + digit_b32
     if not digits:  # every encoding needs a digit
         return ENCODING_NONE
-    lower = lower_hex + lower_rest
-    upper = upper_hex + upper_rest
+    lower_hex, upper_hex = count(_LOWER_HEX), count(_UPPER_HEX)
+    lower = lower_hex + count(_LOWER_REST)
+    upper = upper_hex + count(_UPPER_REST)
     alnum = digits + lower + upper
     if digits + lower_hex + upper_hex >= min_share * alnum:
         return ENCODING_HEX
     if digit_b32 and digit_b32 + lower + upper >= min_share * alnum:
         return ENCODING_BASE32
-    if not dirty and (lower or upper) and ((lower and upper) or specials >= 2):
+    if not count(_DIRTY) and (lower or upper) and ((lower and upper) or count(_B64_SPECIAL) >= 2):
         return ENCODING_BASE64
     return ENCODING_NONE
 
@@ -125,6 +134,11 @@ class AttributeVector(NamedTuple):
     markers: frozenset[str]  # marker substrings found anywhere in the name
 
 
+# Builds a tuple subclass from one iterable, skipping the Python-level
+# `__new__` that NamedTuple generates.
+_new_tuple = tuple.__new__
+
+
 def extract_attributes(
     entry: PdnsEntry, markers: Iterable[str] = ()
 ) -> AttributeVector:
@@ -134,6 +148,11 @@ def extract_attributes(
     normally the union of all profile markers. The payload portion is
     everything left of the third-level label: tunnels keep the SLD and a
     short third-level constant, so that is where encoded data lives.
+
+    Lengths are in bytes. For an ASCII payload that is each label's length
+    in characters; a non-ASCII one is measured by `label_length`. The
+    vector is built with `tuple.__new__`, which is what `AttributeVector`'s
+    own constructor ends in, so its fields and type are the same.
     """
     rrname = entry.rrname
     labels = rrname.labels
@@ -141,19 +160,27 @@ def extract_attributes(
     if n > 3:
         payload = "".join(labels[: n - 3])
         # The n - 4 dots between the payload labels are one byte each.
-        payload_len = (len(payload) if payload.isascii() else len(payload.encode())) + n - 4
-        label4_len, label5_len = label_length(rrname, 4), label_length(rrname, 5)
+        if payload.isascii():
+            payload_len = len(payload) + n - 4
+            label4_len = len(labels[n - 4])
+            label5_len = len(labels[n - 5]) if n > 4 else None
+        else:
+            payload_len = len(payload.encode()) + n - 4
+            label4_len, label5_len = label_length(rrname, 4), label_length(rrname, 5)
     else:
         payload, payload_len, label4_len, label5_len = "", 0, None, None
-    return AttributeVector(
-        payload_len,
-        n,
-        label4_len,
-        label5_len,
-        entry.rrtype,
-        detect_encoding(payload),
-        _FIRST_CHAR_CLASS.get(labels[0][0], "other"),
-        frozenset([m for m in markers if m in rrname.name]),
+    return _new_tuple(
+        AttributeVector,
+        (
+            payload_len,
+            n,
+            label4_len,
+            label5_len,
+            entry.rrtype,
+            detect_encoding(payload),
+            _FIRST_CHAR_CLASS.get(labels[0][0], "other"),
+            frozenset([m for m in markers if m in rrname.name]),
+        ),
     )
 
 
@@ -439,11 +466,12 @@ class SldVotes:
 
     def add(self, sld: str, result: Attribution) -> None:
         self.totals[sld] += 1
-        if not result.is_unknown:
+        implementation = result.implementation
+        if implementation != UNKNOWN:  # `is_unknown`, read without a property call
             votes = self._votes.get(sld)
             if votes is None:
                 votes = self._votes[sld] = Counter()
-            votes[result.implementation] += 1
+            votes[implementation] += 1
 
     def resolve(self, sld: str, profiles: ProfileSet) -> SldAttribution:
         """The SLD's attribution. Ties break by vote count then profile

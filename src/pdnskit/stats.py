@@ -23,7 +23,7 @@ from functools import partial
 from itertools import accumulate
 from operator import truediv
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from pdnskit.model import PdnsEntry, PublicSuffixList, RRType, sld_name
 from pdnskit.tables import fmt_share, write_csv, write_json
@@ -237,11 +237,17 @@ class StatsBundle:
             rows.extend((name, c, c / total) for name, c in rest)
         return rows
 
-    def sld_cdf(self, scope: Optional[RRType] = None) -> CdfSeries:
+    def sld_cdf(
+        self, scope: Optional[RRType] = None, fqdn_counts: Optional[Mapping[str, int]] = None
+    ) -> CdfSeries:
         """Cumulative distribution of distinct FQDNs over SLDs ranked by
-        that count, descending, in one record type or (None) all of them."""
+        that count, descending, in one record type or (None) all of them.
+        A caller that holds `sld_fqdn_counts()` already passes it as
+        `fqdn_counts`, which only the all-types scope reads."""
         if scope is None:
-            counts: Iterable[int] = self.sld_fqdn_counts().values()
+            if fqdn_counts is None:
+                fqdn_counts = self.sld_fqdn_counts()
+            counts: Iterable[int] = fqdn_counts.values()
         else:
             counts = map(len, self.type_sld_fqdns.get(scope, {}).values())
         points = tuple(enumerate(_cumulative_shares(counts), start=1))
@@ -250,10 +256,15 @@ class StatsBundle:
         return CdfSeries(points=points, scope=scope)
 
     def top_slds(
-        self, n: int, scope: Optional[RRType] = None
+        self, n: int, scope: Optional[RRType] = None, entries: Optional[Counter] = None
     ) -> list[tuple[str, int, float]]:
-        """Rows (sld, entry count, share of in-scope entries), top n."""
-        counts = self.sld_entries if scope is None else self.type_sld_entries.get(scope)
+        """Rows (sld, entry count, share of in-scope entries), top n. A
+        caller that holds `sld_entries` already passes it as `entries`,
+        which only the all-types scope reads."""
+        if scope is None:
+            counts = self.sld_entries if entries is None else entries
+        else:
+            counts = self.type_sld_entries.get(scope)
         if not counts:
             raise EmptyBundleError("no SLDs in scope")
         return _top(counts, n)
@@ -275,10 +286,12 @@ class StatsBundle:
             rows.extend((iso, sld, counts.get(sld, 0)) for sld in slds)
         return rows
 
-    def sld_rdata_means(self) -> Iterator[tuple[str, int, float]]:
+    def sld_rdata_means(self, entries: Optional[Counter] = None) -> Iterator[tuple[str, int, float]]:
         """Rows (sld, entry count, mean rdata size) by SLD name, for scatter
-        views; made one at a time."""
-        entries = self.sld_entries
+        views; made one at a time. `entries` is `sld_entries`, when the
+        caller holds it already."""
+        if entries is None:
+            entries = self.sld_entries
         slds = sorted(entries)
         counts = list(map(entries.__getitem__, slds))
         means = map(truediv, map(self.sld_rdata_sum.__getitem__, slds), counts)
@@ -332,7 +345,9 @@ class StatsBundle:
             ),
         )
         named = [t for t in NAMED_RRTYPES if self.type_sld_entries.get(t)]
-        top = self.top_slds(top_n) if has_data else []
+        # The per-SLD views two tables each read, derived once.
+        entries, fqdn_counts = self.sld_entries, self.sld_fqdn_counts()
+        top = self.top_slds(top_n, entries=entries) if has_data else []
         emit(
             "top_slds.csv",
             ("sld", "count", "share"),
@@ -354,7 +369,7 @@ class StatsBundle:
             (
                 (name, rank, fmt_share(share))
                 for name, scope in scopes
-                for rank, share in self.sld_cdf(scope).points
+                for rank, share in self.sld_cdf(scope, fqdn_counts).points
             ),
         )
         emit(
@@ -365,13 +380,13 @@ class StatsBundle:
         emit(
             "sld_rdata_means.csv",
             ("sld", "count", "mean_rdata_size"),
-            ((sld, c, fmt_share(m)) for sld, c, m in self.sld_rdata_means()),
+            ((sld, c, fmt_share(m)) for sld, c, m in self.sld_rdata_means(entries)),
         )
         first, last = self.min_day, self.max_day
         summary = {
             "total_entries": self.total,
             "distinct_slds": len(self.sld_rdata_sum),  # every SLD has an rdata sum
-            "distinct_fqdns": sum(self.sld_fqdn_counts().values()),
+            "distinct_fqdns": sum(fqdn_counts.values()),
             "first_day": first.isoformat() if first else None,
             "last_day": last.isoformat() if last else None,
             "rrtype_shares": [

@@ -15,8 +15,9 @@ import gzip
 import io
 import json
 import math
+import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
 from hashlib import blake2b
 from pathlib import Path
@@ -90,23 +91,71 @@ class GenConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "GenConfig":
+        """The config a JSON file holds. GenConfigError, naming the key, for
+        a key that is not a field, a value of the wrong JSON type or a
+        `start_date` that is not a date; sizes and names are checked by
+        `generate`."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-            if not isinstance(obj, dict):
-                raise TypeError("the top level must be a JSON object")
+            _check_keys(obj, cls)
             seed = obj.get("seed", 1)
             if isinstance(seed, bool) or not isinstance(seed, int):
                 raise TypeError(f"seed must be an integer, got {seed!r}")
+            start_date = obj.get("start_date", "2017-07-01")
+            # The shape is checked first: from Python 3.11, fromisoformat
+            # also reads forms such as "20170701" and "2017-W01-1".
+            if not (isinstance(start_date, str) and _DATE_SHAPE.match(start_date)):
+                raise TypeError(f"start_date must be a YYYY-MM-DD string, got {start_date!r}")
+            try:
+                start = date.fromisoformat(start_date)
+            except ValueError:
+                raise ValueError(f"start_date is not a date: {start_date!r}") from None
             return cls(
                 seed=seed,
-                start_date=date.fromisoformat(obj.get("start_date", "2017-07-01")),
+                start_date=start,
                 days=obj.get("days", 1),
-                tunnels=[TunnelSpec(**t) for t in obj.get("tunnels", [])],
-                background=[BackgroundSpec(**b) for b in obj.get("background", [])],
+                tunnels=_specs(obj, "tunnels", TunnelSpec),
+                background=_specs(obj, "background", BackgroundSpec),
             )
         except (TypeError, ValueError) as exc:
             raise GenConfigError(f"bad generator config: {exc}") from exc
+
+
+_DATE_SHAPE = re.compile(r"\d{4}-\d\d-\d\d\Z", re.ASCII)
+
+
+def _check_keys(obj, cls, where: str = "") -> None:
+    """TypeError unless `obj` is a JSON object holding every field of the
+    dataclass `cls` that has no default, and no key that is not a field.
+    `where` names the object in a list; the top level goes unnamed."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{where or 'the top level'} must be a JSON object, got {json.dumps(obj)[:60]}")
+    prefix = f"{where}: " if where else ""
+    known = {f.name: f.default is MISSING and f.default_factory is MISSING for f in fields(cls)}
+    for key in obj:
+        if key not in known:
+            raise TypeError(f"{prefix}unknown key {key!r}")
+    for key, required in known.items():
+        if required and key not in obj:
+            raise TypeError(f"{prefix}missing key {key!r}")
+
+
+def _specs(obj: dict, key: str, spec_cls) -> list:
+    """The `key` list of a config as `spec_cls` objects. An item is checked
+    by `_check_keys` only when the constructor refuses it, so a long list
+    of good items costs no more than building them."""
+    items = obj.get(key, [])
+    if not isinstance(items, list):
+        raise TypeError(f"{key} must be a list of objects, got {json.dumps(items)[:60]}")
+    specs = []
+    for i, item in enumerate(items):
+        try:
+            specs.append(spec_cls(**item))
+        except TypeError:  # not an object, or a key missing or unknown
+            _check_keys(item, spec_cls, f"{key}[{i}]")
+            raise
+    return specs
 
 
 @dataclass(frozen=True)
@@ -384,13 +433,16 @@ def _validate(config: GenConfig, profiles: ProfileSet) -> tuple[list[_TunnelStre
         third = _check_name(spec.third, "third-level label")
         if len(third.labels) != 1:
             raise _invalid(f"third-level label must be a single label: {spec.third!r}")
-        plan = derive_plan(profiles.by_name[spec.profile], sld.name, third.name)
+        try:
+            plan = derive_plan(profiles.by_name[spec.profile], sld.name, third.name)
+        except GenConfigError as exc:
+            raise _invalid(f"tunnel SLD {sld.name!r}: {exc}") from None
         queries = plan.queries_for(spec.payload_bytes) if spec.queries is None else spec.queries
         tunnels.append((sld, third, plan, queries))
         total += queries
     background, probe, longest_prefix = [], Random(0), {}
     for spec in config.background:
-        if spec.kind not in _BACKGROUNDS:
+        if not isinstance(spec.kind, str) or spec.kind not in _BACKGROUNDS:
             raise _invalid(f"unknown background class: {spec.kind!r}")
         _check_size(spec.queries, f"{spec.sld}: queries")
         sld = _check_name(spec.sld, "background SLD")

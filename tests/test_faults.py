@@ -11,8 +11,11 @@ write. A side input that is not UTF-8, a labels row short of fields or an
 `--alexa` list with no domain exits 3, a domain list line that is not a
 hostname exits 3 naming the file and the line, and `report` on a damaged
 artifact exits 2, each with one line on stderr that names the file. A `gen` config
-from which the generator would make a host over 253 bytes exits 3 with one
-line and writes nothing.
+from which the generator would make a host over 253 bytes, or that holds an
+unknown key or a value of the wrong type, exits 3 with one line that names
+the key, field or SLD, and writes nothing. A JSON `\\u` escape that decodes
+to a lone surrogate, in a name field or in rdata, counts as `BadEncoding`
+in every command.
 """
 
 import csv
@@ -99,6 +102,13 @@ FAULTS = [
         "non-utf8-byte",
         ("ndjson", "csv"),
         non_utf8,
+        {"BadEncoding": 1},
+    ),
+    (
+        # A \u escape for half a surrogate pair: valid JSON, but no Unicode.
+        "lone-surrogate-rdata",
+        ("ndjson", "csv"),
+        lambda fmt: record_bytes(fmt, rdata=["x\ud800"]),
         {"BadEncoding": 1},
     ),
 ]
@@ -293,6 +303,32 @@ def run_cli(capsys, *args) -> tuple[int, list[str]]:
     return code, capsys.readouterr().err.splitlines()
 
 
+# (field, its value with a \u escape that decodes to a lone surrogate)
+LONE_SURROGATES = [
+    ("rrname", "a\ud800.teriava.com."),
+    ("domain", "te\ud800riava.com."),
+    ("bailiwick", "te\udc00riava.com."),
+    ("rdata", ["x\udbff"]),
+]
+
+
+@pytest.mark.parametrize("command", ["stats", "filter", "classify"])
+@pytest.mark.parametrize("field, value", LONE_SURROGATES, ids=[row[0] for row in LONE_SURROGATES])
+def test_lone_surrogate_escape_is_bad_encoding(tmp_path, capsys, command, field, value):
+    from pdnskit.ingest import IngestStats
+
+    bad = record_bytes("ndjson", **{field: value})
+    assert b"\\u" in bad
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_bytes(good("ndjson", 1) + bad + good("ndjson", 2))
+    out = tmp_path / "out"
+    assert run_cli(capsys, command, corpus, "--out", out) == (0, [])
+    counts = json.loads((out / "ingest_stats.json").read_text(encoding="utf-8"))
+    assert counts["rejected_by_error"] == {"BadEncoding": 1}
+    assert counts["accepted"] == 2
+    assert IngestStats(**counts).consistent()
+
+
 def test_classify_without_labels_removes_its_stale_labeled_artifacts(tmp_path, capsys):
     corpus = tmp_path / "c.ndjson"
     corpus.write_bytes(good("ndjson", 1) + good("ndjson", 2))
@@ -431,6 +467,18 @@ def test_domain_list_line_not_a_hostname_exits_three(tmp_path, capsys, option, l
     assert not out.exists()
 
 
+def assert_gen_refuses(tmp_path, capsys, config, message: str) -> None:
+    """`gen --config` with `config` exits 3 with `message` as its one stderr
+    line and writes nothing."""
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    code, errors = run_cli(capsys, "gen", "--config", path, "--out", out)
+    assert code == 3
+    assert errors == [message]
+    assert not out.exists()
+
+
 def _too_long_under(kind: str, sld: str) -> str:
     return f"config error: bad generator config: {kind} hosts under {sld[:80]!r} exceed 253 bytes"
 
@@ -451,7 +499,8 @@ LONG_GENERATED_HOSTS = [
     # The SLD and third-level label are 94 characters but 187 bytes.
     (
         {"tunnels": [{"profile": "iodine-null", "sld": "ä" * 31 + "." + "ü" * 31, "third": "ö" * 31}]},
-        "config error: profile iodine-null: derived layout is inconsistent (61 chars into 3 labels of 48)",
+        "config error: bad generator config: tunnel SLD "
+        f"{'ä' * 31 + '.' + 'ü' * 31!r}: profile iodine-null: derived layout is inconsistent (61 chars into 3 labels of 48)",
     ),
 ]
 
@@ -460,10 +509,38 @@ LONG_GENERATED_HOSTS = [
     "config, message", LONG_GENERATED_HOSTS, ids=["four-long-labels", "cdn-host-grows", "plain-a-mail", "non-ascii-tunnel"]
 )
 def test_gen_host_over_253_bytes_exits_three(tmp_path, capsys, config, message):
-    path = tmp_path / "gen.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
-    out = tmp_path / "out"
-    code, errors = run_cli(capsys, "gen", "--config", path, "--out", out)
-    assert code == 3
-    assert errors == [message]
-    assert not out.exists()
+    assert_gen_refuses(tmp_path, capsys, config, message)
+
+
+_BAD = "config error: bad generator config: "
+
+# (gen config, the stderr line): each names the key, field or SLD at fault.
+BAD_GEN_CONFIGS = [
+    ({"backgrund": [{"kind": "plain-a", "sld": "shop.example"}]}, _BAD + "unknown key 'backgrund'"),
+    ({"start_date": 20170701}, _BAD + "start_date must be a YYYY-MM-DD string, got 20170701"),
+    ({"start_date": "2017-13-01"}, _BAD + "start_date is not a date: '2017-13-01'"),
+    ({"start_date": "20170701"}, _BAD + "start_date must be a YYYY-MM-DD string, got '20170701'"),
+    ({"tunnels": {"profile": "iodine-null"}}, _BAD + 'tunnels must be a list of objects, got {"profile": "iodine-null"}'),
+    ({"tunnels": ["iodine-null"]}, _BAD + 'tunnels[0] must be a JSON object, got "iodine-null"'),
+    ({"background": None}, _BAD + "background must be a list of objects, got null"),
+    ({"tunnels": [{"profile": "iodine-null"}]}, _BAD + "tunnels[0]: missing key 'sld'"),
+    (
+        {"background": [{"kind": "plain-a", "sld": "shop.example", "querys": 3}]},
+        _BAD + "background[0]: unknown key 'querys'",
+    ),
+    ({"background": [{"kind": ["plain-a"], "sld": "shop.example"}]}, _BAD + "unknown background class: ['plain-a']"),
+    (["not", "an", "object"], _BAD + 'the top level must be a JSON object, got ["not", "an", "object"]'),
+]
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    BAD_GEN_CONFIGS,
+    ids=[
+        "unknown-top-level-key", "integer-start-date", "impossible-start-date", "compact-start-date", "tunnels-object",
+        "tunnels-of-strings", "background-null", "spec-missing-key", "spec-unknown-key",
+        "kind-not-a-string", "top-level-list",
+    ],
+)
+def test_bad_gen_config_names_the_key_and_exits_three(tmp_path, capsys, config, message):
+    assert_gen_refuses(tmp_path, capsys, config, message)

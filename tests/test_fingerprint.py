@@ -3,7 +3,7 @@ import string
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pdnskit import fingerprint
@@ -104,6 +104,28 @@ class TestExtractAttributes:
         assert extract_attributes(make_entry("a.b.c"), ()).first_char == "letter"
         assert extract_attributes(make_entry("9a.b.c"), ()).first_char == "digit"
         assert extract_attributes(make_entry("_dmarc.b.c"), ()).first_char == "other"
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "www.foo.com",
+            "x1.t.example.com",
+            "aGVsbG8.x1.t.example.com",
+            "dnscat.deadbeef01.c.evil.net",
+            "a\u00e9.b\u00fc.t.tun.example",
+            "caf\u00e9.x1.t.example.com",
+            "\u00e9t\u00e9.b.c",
+        ],
+    )
+    def test_exact_vector_with_label_length_fields(self, profiles, name):
+        entry = make_entry(name, rrtype="NULL")
+        attrs = extract_attributes(entry, profiles.markers)
+        assert type(attrs) is AttributeVector
+        assert attrs == AttributeVector(*attrs)
+        assert attrs.level == len(entry.rrname.labels)
+        assert attrs.label4_len == label_length(entry.rrname, 4)
+        assert attrs.label5_len == label_length(entry.rrname, 5)
+        assert attrs.rrtype == "NULL"
 
 
 def one_generated(profile_name, sld, profiles, payload=600):
@@ -591,7 +613,21 @@ encoding_text_st = st.one_of(
 
 
 class TestDetectEncodingReference:
+    # st.text() draws no surrogates, so the byte path's "surrogatepass" is
+    # pinned by examples: lone surrogates, non-ASCII beside hex, base32 and
+    # base64 text, the empty string and text made only of _DIRTY bytes.
     @settings(max_examples=1000, deadline=None)
     @given(text=encoding_text_st, min_share=st.sampled_from([0.95, 0.0, 0.5, 0.9, 1.0]))
+    @example(text="\ud800", min_share=0.95)
+    @example(text="deadbeef\udfff0123", min_share=0.95)
+    @example(text="\udc80aB3dE-_", min_share=0.0)
+    @example(text="deadbeef\u00e90123", min_share=0.95)
+    @example(text="mfrggzdf\u0663mztwq2lk", min_share=0.9)
+    @example(text="aB3dE\uff11fG7hI", min_share=0.95)
+    @example(text="aB3dE-_fG7hI\U0001f600", min_share=0.95)
+    @example(text="", min_share=0.95)
+    @example(text="", min_share=0.0)
+    @example(text="!@#.\u00e9\ud83d", min_share=0.0)
+    @example(text="\u0663\u0664\uff11", min_share=0.0)
     def test_matches_reference(self, text, min_share):
         assert detect_encoding(text, min_share) == reference_detect_encoding(text, min_share)

@@ -124,6 +124,20 @@ def test_ndjson_decode_accepts_what_json_loads_does(line):
     assert got == expected
 
 
+def test_deeply_nested_line_with_escape_is_counted_not_raised():
+    """The lone-surrogate check re-encodes a line holding a \\u escape, a
+    few calls deeper than the scanner that read it: a line the scanner
+    reads just below the recursion limit counts as BadRecord there."""
+    lines = b"".join(
+        (f'{{"rrname": {"[" * depth}"\\u00e9"{"]" * depth}}}\n').encode()
+        for depth in range(sys.getrecursionlimit() - 400, sys.getrecursionlimit())
+    )
+    stats = IngestStats()
+    assert list(read_stream(io.BytesIO(lines), stats=stats)) == []
+    assert stats.read == 400 and stats.consistent()
+    assert set(stats.rejected_by_error) <= {"BadRecord", "BadField"}
+
+
 class TestReadStream:
     def test_single_record(self, tmp_path):
         path = tmp_path / "one.ndjson"
