@@ -1,13 +1,14 @@
 """Command-line front end: stats, filter, classify, gen, report.
 
-Exit codes: 0 success, 1 usage error, 2 fatal I/O, 3 config validation.
-Flag defaults mirror the pipeline defaults (types NULL,TXT; level 4;
-two subdomains); a JSON config file can override defaults, and explicit
-flags override the file.
+Exit codes: 0 success, 1 usage error, 2 fatal I/O, 3 config validation,
+130 interrupt. Flag defaults mirror the pipeline defaults (types NULL,TXT;
+level 4; two subdomains); a JSON config file can override defaults, and
+explicit flags override the file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
@@ -56,9 +57,10 @@ def _apply_config_file(ctx: click.Context) -> None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
+        json.dumps(overrides, ensure_ascii=False).encode()  # a \u escape that is a lone surrogate
     except OSError as exc:
         raise UnreadableSourceError(f"cannot open config {path}: {exc}") from exc
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except ValueError as exc:  # not JSON, not UTF-8, or a lone surrogate
         raise ConfigError(f"bad config file {path}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -97,35 +99,17 @@ def _load_psl(path: Optional[str]) -> Optional[PublicSuffixList]:
     return PublicSuffixList.from_file(path) if path else None
 
 
-def _run(ctx: click.Context, produce, artifacts: tuple[str, ...]) -> None:
-    """Run a command that reads a corpus: resolve --config, read the inputs
-    (first-seen only under --dedup), let `produce(params, stream, outdir)`
-    write the command's artifacts and return its summary, then add
-    `ingest_stats.json`. The set is written into a temporary directory
-    inside --out and renamed into place once every write has succeeded, so
-    a failed run leaves --out as it was; in the same step, those of the
-    command's `artifacts` that this run did not write are removed, so no
-    file of an earlier run passes for this one's. Exits 2 if an input was
-    cut short, else echoes the summary."""
-    _apply_config_file(ctx)
-    p = ctx.params
-    stats = IngestStats()
-    stream = (entry for path in p["inputs"] for entry in read_stream(path, fmt=p["fmt"], stats=stats))
-    if p.get("dedup"):
-        stream = first_seen_filter(stream, FirstSeenState(), stats=stats)
-    outdir = Path(p["outdir"])
+@contextlib.contextmanager
+def _staged(outdir: Path, artifacts: tuple[str, ...] = ()):
+    """Yield a directory inside `outdir`, made if need be, to write a set into.
+    On success, rename each file into `outdir` (so it may be a mount point)
+    and remove the `artifacts` not written; on any failure, remove what was
+    made, so `outdir` is left as it was."""
     made = [d for d in (outdir, *outdir.parents) if not d.exists()]  # the last is the topmost
     outdir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging.", dir=outdir))
     try:
-        summary = produce(p, stream, staging)
-        write_json(staging / "ingest_stats.json", {
-            "read": stats.read,
-            "accepted": stats.accepted,
-            "rejected_by_error": dict(sorted(stats.rejected_by_error.items())),
-            "deduplicated": stats.deduplicated,
-            "warnings": dict(sorted(stats.warnings.items())),
-        })
+        yield staging
         written = sorted(staging.iterdir())
         for path in written:
             os.replace(path, outdir / path.name)
@@ -135,6 +119,29 @@ def _run(ctx: click.Context, produce, artifacts: tuple[str, ...]) -> None:
         shutil.rmtree(made[-1] if made else staging, ignore_errors=True)
         raise
     staging.rmdir()
+
+
+def _run(ctx: click.Context, produce, artifacts: tuple[str, ...]) -> None:
+    """Run a command that reads a corpus: resolve --config, read the inputs
+    (first-seen only under --dedup), and stage into --out what
+    `produce(params, stream, outdir)` writes, then `ingest_stats.json`.
+    Exits 2 if an input was cut short, else echoes `produce`'s summary."""
+    _apply_config_file(ctx)
+    p = ctx.params
+    stats = IngestStats()
+    stream = (entry for path in p["inputs"] for entry in read_stream(path, fmt=p["fmt"], stats=stats))
+    if p.get("dedup"):
+        stream = first_seen_filter(stream, FirstSeenState(), stats=stats)
+    outdir = Path(p["outdir"])
+    with _staged(outdir, artifacts) as staging:
+        summary = produce(p, stream, staging)
+        write_json(staging / "ingest_stats.json", {
+            "read": stats.read,
+            "accepted": stats.accepted,
+            "rejected_by_error": dict(sorted(stats.rejected_by_error.items())),
+            "deduplicated": stats.deduplicated,
+            "warnings": dict(sorted(stats.warnings.items())),
+        })
     truncated = stats.rejected_by_error["TruncatedInput"]
     if truncated:
         raise TruncatedInputError(
@@ -299,13 +306,16 @@ def cmd_gen(config_path, demo, outdir, name, seed, profiles_path):
 
     if demo == bool(config_path):
         raise click.UsageError("pass exactly one of --config or --demo")
+    if name in ("", ".", "..") or "/" in name:
+        raise click.UsageError(f"--name must be a bare file name, not {name!r}")
     cfg = demo_config() if demo else GenConfig.from_json_file(config_path)
     if seed is not None:
         cfg.seed = seed
     profiles = ProfileSet.from_file(profiles_path) if profiles_path else ProfileSet.default()
-    corpus_path = Path(outdir) / name
-    corpus, labels = write_corpus(generate(cfg, profiles), corpus_path)
-    click.echo(f"gen: wrote {corpus} and {labels}")
+    entries = generate(cfg, profiles)  # checks the config before anything is made
+    with _staged(Path(outdir)) as staging:
+        corpus, labels = write_corpus(entries, staging / name)
+    click.echo(f"gen: wrote {Path(outdir, corpus.name)} and {Path(outdir, labels.name)}")
 
 
 # ----------------------------------------------------------------------
@@ -313,12 +323,6 @@ def cmd_gen(config_path, demo, outdir, name, seed, profiles_path):
 
 # Lines of attributions.csv, its header included, that `report` quotes.
 _REPORT_ATT_LINES = 42
-
-
-def _require(path: Path) -> Path:
-    if not path.exists():
-        raise click.FileError(str(path), hint="expected artifact is missing")
-    return path
 
 
 def _quote(path: Path, render) -> list[str]:
@@ -373,18 +377,18 @@ def cmd_report(stats_dir, filter_dir, classify_dir, out_path):
         raise click.UsageError("pass at least one of --stats/--filter/--classify")
     lines = ["passive-DNS analysis summary", "=" * 28, ""]
     if stats_dir:
-        lines += _quote(_require(Path(stats_dir) / "stats_summary.json"), _stats_lines)
+        lines += _quote(Path(stats_dir) / "stats_summary.json", _stats_lines)
     if filter_dir:
-        lines += _quote(_require(Path(filter_dir) / "candidates.txt"), lambda text: [text.rstrip(), ""])
+        lines += _quote(Path(filter_dir) / "candidates.txt", lambda text: [text.rstrip(), ""])
     if classify_dir:
-        lines += _quote(_require(Path(classify_dir) / "attributions.csv"), _attribution_lines)
+        lines += _quote(Path(classify_dir) / "attributions.csv", _attribution_lines)
         metrics_path = Path(classify_dir) / "metrics.json"
         if metrics_path.exists():
             lines += _quote(metrics_path, _accuracy_lines)
         lines.append("")
     out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _staged(out_path.parent) as staging:
+        (staging / out_path.name).write_text("\n".join(lines) + "\n", encoding="utf-8")
     click.echo(f"report: wrote {out_path}")
 
 
@@ -396,9 +400,9 @@ def main(argv=None) -> int:
         cli.main(args=argv, prog_name="pdnskit", standalone_mode=False)
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except click.FileError as exc:
-        exc.show()
-        return 2
+    except click.exceptions.Abort:  # Ctrl-C; click has ended the ^C line
+        click.echo("interrupted", err=True)
+        return 130
     except click.ClickException as exc:
         exc.show()
         return 1

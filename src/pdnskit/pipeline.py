@@ -305,7 +305,6 @@ class CandidateReport:
 
     def write(self, outdir: str | Path) -> list[Path]:
         outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
         json_path = outdir / "candidates.json"
         write_json(json_path, self.to_json_dict())
         text_path = outdir / "candidates.txt"

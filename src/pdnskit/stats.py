@@ -304,7 +304,6 @@ class StatsBundle:
         """Write every table/series as CSV plus a JSON summary; returns the
         paths written. Empty bundles emit headers only."""
         outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
         written = []
 
         def emit(name: str, header, rows):

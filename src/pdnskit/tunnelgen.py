@@ -98,6 +98,7 @@ class GenConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
+            json.dumps(obj, ensure_ascii=False).encode()  # a \u escape that is a lone surrogate
             _check_keys(obj, cls)
             seed = obj.get("seed", 1)
             if isinstance(seed, bool) or not isinstance(seed, int):

@@ -250,6 +250,13 @@ class TestGenCommand:
     def test_config_and_demo_are_exclusive(self, tmp_path):
         assert main(["gen", "--demo", "--config", "x.json", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("name", ["../escaped.ndjson", "sub/c.ndjson", "", ".", ".."])
+    def test_name_must_be_bare(self, tmp_path, capsys, name):
+        out = tmp_path / "gen"
+        assert main(["gen", "--demo", "--out", str(out), "--name", name]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"Error: --name must be a bare file name, not {name!r}"
+        assert list(tmp_path.iterdir()) == []
+
     def test_from_config_json(self, tmp_path):
         cfg = tmp_path / "gen.json"
         cfg.write_text(
@@ -289,10 +296,13 @@ class TestReportCommand:
         assert "candidate SLDs" in text
         assert "labeled accuracy" in text
 
-    def test_missing_artifact_names_file(self, tmp_path):
+    def test_missing_artifact_names_file(self, tmp_path, capsys):
         (tmp_path / "hollow").mkdir()
         code = main(["report", "--stats", str(tmp_path / "hollow"), "--out", str(tmp_path / "r.txt")])
         assert code == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and str(tmp_path / "hollow" / "stats_summary.json") in errors[0]
+        assert [path.name for path in tmp_path.iterdir()] == ["hollow"]
 
     @pytest.mark.parametrize("n_lines, cut", [(41, False), (42, False), (43, True), (60, True)])
     def test_attributions_cut_only_when_a_line_is_left_out(self, tmp_path, n_lines, cut):

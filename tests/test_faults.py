@@ -5,17 +5,18 @@ exits 0 and that `ingest_stats.json` counts the bad record under its error
 kind while keeping the good records on both sides of it. A gzip input cut
 short is the one fault that ends the input: every command keeps the records
 before the cut, writes its artifacts and then exits 2. A write that fails
-part-way through an artifact set leaves the set a previous run wrote as it
-was, and a run removes those of its command's artifacts that it did not
-write. A side input that is not UTF-8, a labels row short of fields or an
-`--alexa` list with no domain exits 3, a domain list line that is not a
-hostname exits 3 naming the file and the line, and `report` on a damaged
-artifact exits 2, each with one line on stderr that names the file. A `gen` config
-from which the generator would make a host over 253 bytes, or that holds an
-unknown key or a value of the wrong type, exits 3 with one line that names
-the key, field or SLD, and writes nothing. A JSON `\\u` escape that decodes
+or is interrupted part-way, in any command, `gen` and `report` included,
+leaves what a previous run wrote as it was (an interrupt exits 130), and a
+run removes those of its command's artifacts that it did not write. A side
+input that is not UTF-8, a labels row short of fields or an `--alexa` list
+with no domain exits 3, a domain list line that is not a hostname exits 3
+naming the file and the line, and `report` on a damaged artifact exits 2,
+each with one line on stderr that names the file. A `gen` config from which
+the generator would make a host over 253 bytes, or that holds an unknown
+key or a value of the wrong type, exits 3 with one line that names the key,
+field or SLD, and writes nothing. A JSON `\\u` escape that decodes
 to a lone surrogate, in a name field or in rdata, counts as `BadEncoding`
-in every command.
+in every command; in a `--config` or `gen --config` file, it exits 3.
 """
 
 import csv
@@ -247,8 +248,15 @@ def test_out_on_its_own_filesystem(tmp_path, monkeypatch):
         return rename(src, dst)
 
     monkeypatch.setattr(os, "replace", replace_within_out)
-    for command, artifact in (("stats", "stats_summary.json"), ("filter", "candidates.json"), ("classify", "attributions.csv")):
-        assert cli.main([command, str(corpus), "--out", str(out)]) == 0
+    runs = [
+        (["stats", corpus, "--out", out], "stats_summary.json"),
+        (["filter", corpus, "--out", out], "candidates.json"),
+        (["classify", corpus, "--out", out], "attributions.csv"),
+        (["gen", "--demo", "--out", out], "corpus.labels.csv"),
+        (["report", "--stats", out, "--out", out / "report.txt"], "report.txt"),
+    ]
+    for argv, artifact in runs:
+        assert cli.main([str(arg) for arg in argv]) == 0
         assert (out / artifact).exists()
     assert not [path for path in out.iterdir() if path.name.startswith(".")]
 
@@ -282,6 +290,30 @@ def test_truncated_labeled_classify_still_reports_accuracy(tmp_path, capsys):
     assert json.loads((out / "metrics.json").read_text(encoding="utf-8"))["tunnel_entries"] == 1
 
 
+def break_write(monkeypatch, command: str, exc: BaseException) -> None:
+    """Make the write of `gen` or `report` raise `exc` part-way: `gen` after
+    500 corpus records, `report` after half of its text."""
+    from pdnskit import tunnelgen
+
+    if command == "gen":
+        record, calls = tunnelgen._corpus_record, iter(range(500))
+
+        def failing_record(entry):
+            if next(calls, None) is None:
+                raise exc
+            return record(entry)
+
+        monkeypatch.setattr(tunnelgen, "_corpus_record", failing_record)
+    else:
+        write_text = Path.write_text
+
+        def failing_write_text(path, data, *args, **kwargs):
+            write_text(path, data[: len(data) // 2], *args, **kwargs)
+            raise exc
+
+        monkeypatch.setattr(Path, "write_text", failing_write_text)
+
+
 def test_failed_run_removes_the_directories_it_made(tmp_path):
     from pdnskit import cli
 
@@ -292,6 +324,54 @@ def test_failed_run_removes_the_directories_it_made(tmp_path):
     out = tmp_path / "a" / "b" / "out"
     assert cli.main(["classify", str(corpus), "--out", str(out), "--profiles", str(profiles)]) == 3
     assert sorted(path.name for path in tmp_path.iterdir()) == ["c.ndjson", "profiles.json"]
+
+
+@pytest.mark.parametrize("command", ["gen", "report"])
+def test_failed_write_removes_the_directories_it_made(tmp_path, monkeypatch, command):
+    from pdnskit import cli
+
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_bytes(good("ndjson", 1))
+    assert cli.main(["stats", str(corpus), "--out", str(tmp_path / "stats")]) == 0
+    out = tmp_path / "a" / "b" / "out"
+    argv = {
+        "gen": ["--demo", "--out", out],
+        "report": ["--stats", tmp_path / "stats", "--out", out / "report.txt"],
+    }[command]
+    break_write(monkeypatch, command, OSError(28, "No space left on device"))
+    assert cli.main([command, *map(str, argv)]) == 2
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["c.ndjson", "stats"]
+
+
+@pytest.mark.parametrize("command", ["gen", "report"])
+@pytest.mark.parametrize(
+    "exc, code, errors",
+    [
+        # click ends the terminal's ^C line with a newline of its own.
+        (KeyboardInterrupt(), 130, ["", "interrupted"]),
+        (OSError(28, "No space left on device"), 2, ["i/o error: [Errno 28] No space left on device"]),
+    ],
+    ids=["interrupt", "disk-full"],
+)
+def test_broken_write_leaves_previous_output(tmp_path, capsys, monkeypatch, command, exc, code, errors):
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_bytes(good("ndjson", 1))
+    stats, out = tmp_path / "stats", tmp_path / "out"
+    assert run_cli(capsys, "stats", corpus, "--out", stats)[0] == 0
+    argv = {
+        "gen": ["gen", "--demo", "--out", out],
+        "report": ["report", "--stats", stats, "--out", out / "report.txt"],
+    }[command]
+    assert run_cli(capsys, *argv)[0] == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+    # Had it finished, the second run would have written other bytes.
+    corpus.write_bytes(good("ndjson", 1) + good("ndjson", 2))
+    assert run_cli(capsys, "stats", corpus, "--out", stats)[0] == 0
+    break_write(monkeypatch, command, exc)
+    reseed = ["--seed", 8] if command == "gen" else []
+    assert run_cli(capsys, *argv, *reseed) == (code, errors)
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def run_cli(capsys, *args) -> tuple[int, list[str]]:
@@ -408,6 +488,32 @@ def test_non_utf8_side_input_exits_three(tmp_path, capsys, command, option, mess
     code, errors = run_cli(capsys, command, corpus, "--out", out, option, side)
     assert code == 3
     assert len(errors) == 1 and errors[0].startswith(f"config error: {message} {side}: ")
+    assert not out.exists()
+
+
+# (command, the start of the stderr line, the config file's JSON): each holds
+# a \u escape that decodes to a lone surrogate.
+LONE_SURROGATE_CONFIGS = [
+    ("filter", "config error: bad config file", {"cdn_list": "x\ud800.txt"}),
+    ("gen", "config error: bad generator config", {"tunnels": [{"profile": "iodine-null", "sld": "a\ud800.com"}]}),
+    ("gen", "config error: bad generator config", {"background": [{"kind": "plain-a", "sld": "a\udc00.com"}]}),
+]
+
+
+@pytest.mark.parametrize(
+    "command, message, config", LONE_SURROGATE_CONFIGS, ids=["filter-cdn-list", "gen-tunnel-sld", "gen-background-sld"]
+)
+def test_lone_surrogate_in_a_config_file_exits_three(tmp_path, capsys, command, message, config):
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_bytes(good("ndjson", 1))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert b"\\u" in path.read_bytes()
+    out = tmp_path / "out"
+    inputs = [corpus] if command == "filter" else []
+    code, errors = run_cli(capsys, command, *inputs, "--config", path, "--out", out)
+    assert code == 3
+    assert len(errors) == 1 and errors[0].startswith(message) and errors[0].endswith("surrogates not allowed")
     assert not out.exists()
 
 

@@ -659,6 +659,7 @@ class TestStreamingEmit:
             right = StatsBundle().accumulate_all(entries[split:])
             bundle = left.merge(right)
         with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "new").mkdir()  # emit_all writes into a directory that exists
             new = bundle.emit_all(Path(tmp) / "new", top_n=top_n)
             old = legacy_emit_all(bundle, Path(tmp) / "old", top_n=top_n)
             assert [p.name for p in new] == [p.name for p in old]
@@ -686,6 +687,8 @@ class TestStreamingEmit:
             t: {sld: set(names) for sld, names in by_sld.items()}
             for t, by_sld in bundle.type_sld_fqdns.items()
         }
+        (tmp_path / "before").mkdir()
+        (tmp_path / "after").mkdir()
         bundle.emit_all(tmp_path / "before")
 
         view = bundle.sld_fqdns
