@@ -14,7 +14,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from operator import methodcaller
+from itertools import filterfalse
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
 
@@ -152,8 +152,10 @@ def _parse_rdata(value) -> tuple[str, ...]:
         return ()
     if not isinstance(value, list):
         raise RecordError("BadRdata", f"unsupported rdata value: {type(value).__name__}")
-    if not all(isinstance(v, str) for v in value):
-        raise RecordError("BadRdata", "rdata item is not a string")
+    try:
+        "".join(value)  # a type check of every item in one C loop
+    except TypeError:
+        raise RecordError("BadRdata", "rdata item is not a string") from None
     return tuple(value)
 
 
@@ -303,10 +305,11 @@ def _decode_csv(row: Union[list[str], csv.Error]) -> dict:
     return dict(zip(CSV_COLUMNS, row))
 
 
-# Per format: the records of an open stream (NDJSON: non-blank lines), and
-# the decoding of one record into a field dict, raising RecordError.
+# Per format: the records of an open stream (NDJSON: lines that are not all
+# ASCII whitespace), and the decoding of one record into a field dict,
+# raising RecordError.
 _FORMATS = {
-    "ndjson": (partial(filter, methodcaller("strip")), _decode_ndjson),
+    "ndjson": (partial(filterfalse, bytes.isspace), _decode_ndjson),
     "csv": (_csv_rows, _decode_csv),
 }
 

@@ -56,10 +56,16 @@ def read_domain_list(path: str | Path) -> frozenset[str]:
 
 def read_labels(path: str | Path) -> dict[str, tuple[str, str]]:
     """Load a labels sidecar: rrname -> (kind, class), from the first three
-    fields of each row. Blank lines are skipped; a file that is not UTF-8
-    or not readable as CSV, or a row of fewer than three fields, raises
-    ConfigError."""
+    fields of each row; the last row of an rrname wins. A first row whose
+    first field is `rrname` is the header. Blank lines are skipped; a file
+    that is not UTF-8 or not readable as CSV, or a row of fewer than three
+    fields, raises ConfigError.
+
+    Every rrname with the same (kind, class) maps to one shared tuple, so a
+    row costs its key and its dict slot: a corpus has a handful of classes
+    and tens of thousands of rows."""
     out: dict[str, tuple[str, str]] = {}
+    pairs: dict[tuple[str, str], tuple[str, str]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             reader = csv.reader(fh)
@@ -69,7 +75,8 @@ def read_labels(path: str | Path) -> dict[str, tuple[str, str]]:
                 reader = csv.reader(fh)
             for row in reader:
                 if len(row) >= 3:
-                    out[row[0]] = (row[1], row[2])
+                    pair = (row[1], row[2])
+                    out[row[0]] = pairs.setdefault(pair, pair)
                 elif "".join(row).strip():
                     raise ConfigError(
                         f"bad labels file {path}: line {reader.line_num} has {len(row)} of 3 fields"

@@ -11,7 +11,8 @@ run removes those of its command's artifacts that it did not write. A side
 input that is not UTF-8, a labels row short of fields or an `--alexa` list
 with no domain exits 3, a domain list line that is not a hostname exits 3
 naming the file and the line, and `report` on a damaged artifact exits 2,
-each with one line on stderr that names the file. A `gen` config from which
+each with one line on stderr that names the file; any labels sidecar, built
+from random bytes and rows, exits 0 or 3. A `gen` config from which
 the generator would make a host over 253 bytes, or that holds an unknown
 key or a value of the wrong type, exits 3 with one line that names the key,
 field or SLD, and writes nothing. A JSON `\\u` escape that decodes
@@ -29,6 +30,8 @@ import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pdnskit
 from pdnskit.ingest import CSV_COLUMNS
@@ -104,6 +107,23 @@ FAULTS = [
         ("ndjson", "csv"),
         non_utf8,
         {"BadEncoding": 1},
+    ),
+    (
+        # Whitespace that JSON does not allow between values, but that makes a
+        # line blank: an NDJSON blank line is skipped, not read or counted.
+        "vt-ff-only-lines",
+        ("ndjson",),
+        lambda fmt: b"\x0b\n\x0c\n \x0b\t\x0c\r\n",
+        {},
+    ),
+    (
+        # Strings first, then one item of another JSON type.
+        "non-string-rdata-item-after-strings",
+        ("ndjson", "csv"),
+        lambda fmt: b"".join(
+            record_bytes(fmt, rdata=["127.0.0.1", *tail]) for tail in ([7], ["b", None], ["b", ["c"]], ["b", {}])
+        ),
+        {"BadRdata": 4},
     ),
     (
         # A \u escape for half a surrogate pair: valid JSON, but no Unicode.
@@ -535,6 +555,55 @@ def test_bad_labels_file_exits_three(tmp_path, capsys, content, message):
     assert code == 3
     assert errors == [f"config error: bad labels file {labels}: {message}"]
     assert not out.exists()
+
+
+def csv_line(fields: list[str]) -> bytes:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(fields)
+    return buf.getvalue().encode()
+
+
+# The pieces of a hostile labels sidecar: rows of any width whose rrnames
+# repeat, blank lines, raw bytes (not UTF-8, NUL, a stray quote or CR) and a
+# field over csv.field_size_limit, under no header, a header or a BOM and one.
+_cell = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_label_line = st.one_of(
+    st.lists(_cell, max_size=5).map(csv_line),
+    st.tuples(st.sampled_from(["good1.teriava.com", "good2.teriava.com", "GOOD1.teriava.com."]), _cell, _cell).map(
+        lambda row: csv_line(list(row))
+    ),
+    st.sampled_from([b"", b" ", b"\t\x0b"]),
+    st.binary(max_size=12),
+    st.just(b"good1.teriava.com,tunnel," + b"x" * 131_073),
+)
+hostile_labels_st = st.builds(
+    lambda head, lines, end: head + end.join(lines),
+    st.sampled_from([b"", b"rrname,kind,class\n", b"\xef\xbb\xbfrrname,kind,class\n"]),
+    st.lists(_label_line, max_size=8),
+    st.sampled_from([b"\n", b"\r\n"]),
+)
+
+
+def snapshot(directory: Path):
+    """The bytes of each file in `directory`, or None if it does not exist."""
+    return {path.name: path.read_bytes() for path in directory.iterdir()} if directory.exists() else None
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=hostile_labels_st)
+def test_hostile_labels_file_exits_zero_or_three(tmp_path, capsys, content):
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_bytes(good("ndjson", 1) + good("ndjson", 2))
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(content)
+    out = tmp_path / "out"
+    before = snapshot(out)
+    code, errors = run_cli(capsys, "classify", corpus, "--out", out, "--labels", labels)
+    assert code in (0, 3)
+    assert len(errors) <= 1 and not any("Traceback" in line for line in errors)
+    if code == 3:
+        assert errors[0].startswith(f"config error: bad labels file {labels}: ")
+        assert snapshot(out) == before
 
 
 @pytest.mark.parametrize("content", [b"", b"# ranked list\n\n#\n"], ids=["empty", "comments-only"])

@@ -1,5 +1,7 @@
 """Property-based checks of the structural invariants."""
 
+import csv
+import io
 import string
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass, field, replace
@@ -7,7 +9,7 @@ from datetime import date, datetime, timezone
 from typing import Optional
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from pdnskit.fingerprint import ProfileSet, classify, detect_encoding
@@ -29,6 +31,7 @@ from pdnskit.pipeline import (
     stage_table,
 )
 from pdnskit.stats import StatsBundle
+from pdnskit.tables import read_labels
 
 from conftest import keep_stage, make_entry
 
@@ -432,3 +435,39 @@ class TestClassifyProperties:
             assert first.match_count == sum(first.per_attribute.values())
         if not first.is_unknown and not first.provider_rule:
             assert first.match_count >= 6
+
+
+def reference_labels(text: str) -> dict[str, tuple[str, str]]:
+    """The sidecar mapping built the plain way: a fresh tuple per row."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    if rows[:1] and rows[0][:1] == ["rrname"]:
+        rows = rows[1:]
+    return {row[0]: (row[1], row[2]) for row in rows if len(row) >= 3}
+
+
+class TestReadLabelsProperties:
+    @given(
+        header=st.booleans(),
+        rows=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=40),
+                st.sampled_from(["tunnel", "benign"]),
+                st.sampled_from(["iodine-null", "dnscat2", "plain-a", "cdn-like"]),
+            ),
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_one_value_object_per_distinct_pair(self, tmp_path, header, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        if header:
+            writer.writerow(("rrname", "kind", "class"))
+        # Names repeat, so later rows relabel earlier ones.
+        writer.writerows((f"h{i}.tun.example", kind, cls) for i, kind, cls in rows)
+        path = tmp_path / "labels.csv"
+        path.write_text(buf.getvalue(), encoding="utf-8")
+        labels = read_labels(path)
+        expected = reference_labels(buf.getvalue())
+        assert labels == expected
+        assert len({id(value) for value in labels.values()}) == len(set(expected.values()))
