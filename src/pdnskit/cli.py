@@ -29,7 +29,7 @@ from pdnskit.ingest import (
     read_stream,
 )
 from pdnskit.model import ConfigError, PublicSuffixList, RRType
-from pdnskit.tables import read_domain_list, read_labels, write_json
+from pdnskit.tables import read_domain_list, read_json, read_labels, write_json
 
 
 # Each command imports the modules only it runs, so a process loads no more
@@ -55,12 +55,10 @@ def _apply_config_file(ctx: click.Context) -> None:
     if not path:
         return
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
-        json.dumps(overrides, ensure_ascii=False).encode()  # a \u escape that is a lone surrogate
+        overrides = read_json(path)
     except OSError as exc:
         raise UnreadableSourceError(f"cannot open config {path}: {exc}") from exc
-    except ValueError as exc:  # not JSON, not UTF-8, or a lone surrogate
+    except ValueError as exc:
         raise ConfigError(f"bad config file {path}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -286,7 +284,7 @@ def cmd_classify(p, stream, outdir):
     metrics = tally.write(outdir)
     if metrics and metrics["tunnel_entries"]:
         click.echo(f"classify: tunnel accuracy {metrics['tunnel_accuracy']:.4f} over {metrics['tunnel_entries']} entries")
-    return f"classify: {tally.entries} entries over {len(tally.votes.totals)} SLDs"
+    return f"classify: {tally.entries} entries over {len(tally.totals)} SLDs"
 
 
 # ----------------------------------------------------------------------
@@ -327,12 +325,14 @@ _REPORT_ATT_LINES = 42
 
 def _quote(path: Path, render) -> list[str]:
     """The report lines `render` makes of an artifact's text. An artifact
-    that is not UTF-8, or not the JSON `render` reads, is damaged: a fatal
-    I/O error that names it."""
+    that is not UTF-8, not the JSON `render` reads, or that gives a line no
+    UTF-8 report can hold, is damaged: a fatal I/O error that names it."""
     try:
-        return render(path.read_text(encoding="utf-8"))
-    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        lines = render(path.read_text(encoding="utf-8"))
+        "\n".join(lines).encode()  # a \u escape that is a lone surrogate
+    except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as exc:
         raise OSError(f"damaged artifact {path}: {type(exc).__name__}: {exc}") from None
+    return lines
 
 
 def _stats_lines(text: str) -> list[str]:

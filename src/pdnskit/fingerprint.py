@@ -30,8 +30,6 @@ __all__ = [
     "ProfileError",
     "ProfileSet",
     "Attribution",
-    "SldAttribution",
-    "SldVotes",
     "detect_encoding",
     "extract_attributes",
     "match_profile",
@@ -199,9 +197,6 @@ class ProviderRule:
             and len(labels[-2]) == self.label_len
         )
 
-    def __str__(self) -> str:
-        return f"{self.label_len}char.{self.tld}"
-
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
@@ -294,7 +289,6 @@ class ProfileSet:
         self.markers: frozenset[str] = frozenset(
             m for p in self.profiles for m in p.markers
         )
-        self._order = {p.name: i for i, p in enumerate(self.profiles)}
         self._provider_by_sld: dict[tuple[str, int], str] = {}
         for p in self.profiles:
             if p.provider is not None:
@@ -307,9 +301,6 @@ class ProfileSet:
 
     def __len__(self):
         return len(self.profiles)
-
-    def order(self, name: str) -> int:
-        return self._order[name]
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ProfileSet":
@@ -344,11 +335,6 @@ class Attribution:
     # Read-only: `classify` hands entries with equal keys one shared result.
     per_attribute: Mapping[str, bool] = field(default_factory=dict)
     provider_rule: bool = False
-    tied_with: tuple[str, ...] = ()
-
-    @property
-    def is_unknown(self) -> bool:
-        return self.implementation == UNKNOWN
 
 
 def _matches(attrs: AttributeVector, profile: ImplementationProfile) -> tuple[bool, ...]:
@@ -393,8 +379,8 @@ def classify(
 
     Provider SLD rules win outright (a three-character provider domain is
     a tunnel domain no matter what the name looks like). Otherwise the
-    highest match count at or above `min_matches` wins; ties keep file
-    order and report the tied names. Below the threshold the entry stays
+    highest match count at or above `min_matches` wins, a tie going to the
+    profile first in file order. Below the threshold the entry stays
     unknown.
 
     The result depends only on the attribute vector, the provider rule
@@ -424,84 +410,27 @@ def classify(
 
 
 def _score(attrs: AttributeVector, profiles: ProfileSet, min_matches: int) -> Attribution:
-    """Score every profile by its match count; only the winner's
-    per-attribute explanation is built, by `match_profile`."""
+    """Score every profile by its match count; the first with the highest
+    count wins, and only its per-attribute explanation is built, by
+    `match_profile`."""
     best: Optional[ImplementationProfile] = None
     best_score = min_matches - 1
-    tied: list[str] = []
     for profile in profiles.profiles:
         score = sum(_matches(attrs, profile))
         if score > best_score:
-            best, best_score, tied = profile, score, []
-        elif score == best_score:
-            # Before any winner this score is below the threshold; `tied`
-            # is reset when a winner is found and unused if none is.
-            tied.append(profile.name)
+            best, best_score = profile, score
     if best is None:
         return Attribution(UNKNOWN, 0, MappingProxyType({}))
-    return replace(match_profile(attrs, best), tied_with=tuple(tied))
-
-
-@dataclass(frozen=True)
-class SldAttribution:
-    """Majority-vote attribution for all entries of one SLD."""
-
-    implementation: str
-    agreement: float  # fraction of all entries voting for the winner
-    unknown_fraction: float
-    entry_count: int
-    tied_with: tuple[str, ...] = ()
-
-
-class SldVotes:
-    """Majority votes of per-entry attributions, kept per SLD.
-
-    Unknown entries do not vote but count toward their SLD's total and are
-    reported as a fraction.
-    """
-
-    def __init__(self):
-        self.totals: Counter = Counter()  # entries per SLD
-        self._votes: dict[str, Counter] = {}  # only SLDs with a vote
-
-    def add(self, sld: str, result: Attribution) -> None:
-        self.totals[sld] += 1
-        implementation = result.implementation
-        if implementation != UNKNOWN:  # `is_unknown`, read without a property call
-            votes = self._votes.get(sld)
-            if votes is None:
-                votes = self._votes[sld] = Counter()
-            votes[implementation] += 1
-
-    def resolve(self, sld: str, profiles: ProfileSet) -> SldAttribution:
-        """The SLD's attribution. Ties break by vote count then profile
-        file order, with all tied names reported; an all-unknown SLD comes
-        back as (unknown, 0.0)."""
-        total = self.totals[sld]
-        if total < 1:
-            raise ValueError("vote resolution needs at least one entry")
-        votes = self._votes.get(sld, {})
-        unknown = total - sum(votes.values())
-        if not votes:
-            return SldAttribution(UNKNOWN, 0.0, unknown / total, total)
-        ordered = sorted(votes.items(), key=lambda kv: (-kv[1], profiles.order(kv[0])))
-        winner, count = ordered[0]
-        tied = tuple(name for name, c in ordered[1:] if c == count)
-        return SldAttribution(
-            implementation=winner,
-            agreement=count / total,
-            unknown_fraction=unknown / total,
-            entry_count=total,
-            tied_with=tied,
-        )
+    return match_profile(attrs, best)
 
 
 class ClassifyTally:
     """What `classify` reports over a corpus: each SLD's majority vote and,
     given a labels sidecar (rrname -> (kind, class)), the confusion counts
-    of true class against prediction. A tunnel's true class is its profile
-    name and a benign one's is `benign:<class>`; an rrname missing from the
-    sidecar has the true class `?` and counts in neither metrics total."""
+    of true class against prediction. Unknown entries do not vote but count
+    toward their SLD's total. A tunnel's true class is its profile name and
+    a benign one's is `benign:<class>`; an rrname missing from the sidecar
+    has the true class `?` and counts in neither metrics total."""
 
     def __init__(
         self,
@@ -510,29 +439,48 @@ class ClassifyTally:
         labels: Optional[Mapping[str, tuple[str, str]]] = None,
     ):
         self.profiles, self.psl, self.labels = profiles, psl, labels
-        self.votes = SldVotes()
+        self.totals: Counter = Counter()  # SLD -> entries
+        self._votes: dict[str, Counter] = {}  # SLD -> implementation -> entries; only SLDs with a vote
         self.confusion: Counter = Counter()  # (true class, prediction) -> entries
 
     def add_all(self, results: Iterable[tuple[PdnsEntry, Attribution]]) -> "ClassifyTally":
         """Count each (entry, its attribution) pair."""
-        psl, labels, vote, confusion = self.psl, self.labels, self.votes.add, self.confusion
+        psl, labels, totals, votes, confusion = self.psl, self.labels, self.totals, self._votes, self.confusion
         for entry, result in results:
-            vote(sld_name(entry, psl), result)
+            sld = sld_name(entry, psl)
+            totals[sld] += 1
+            implementation = result.implementation
+            if implementation != UNKNOWN:
+                sld_votes = votes.get(sld)
+                if sld_votes is None:
+                    sld_votes = votes[sld] = Counter()
+                sld_votes[implementation] += 1
             if labels is not None:
                 kind, cls = labels.get(entry.rrname.name, (None, None))
                 truth = "?" if kind is None else cls if kind == "tunnel" else f"benign:{cls}"
-                confusion[truth, result.implementation] += 1
+                confusion[truth, implementation] += 1
         return self
 
     @property
     def entries(self) -> int:
-        return self.votes.totals.total()
+        return self.totals.total()
 
-    def attributions(self) -> Iterator[tuple[str, SldAttribution]]:
-        """(SLD, its attribution), most entries first, then by name."""
-        totals = self.votes.totals
+    def attributions(self) -> Iterator[tuple[str, str, float, float, int]]:
+        """Rows (SLD, implementation, agreement, unknown fraction, entries),
+        most entries first, then by name. The implementation with the most
+        votes wins, a tie going to the profile first in file order, and
+        agreement is its share of the SLD's entries; an all-unknown SLD is
+        (unknown, 0.0)."""
+        totals, votes = self.totals, self._votes
+        rank = {name: i for i, name in enumerate(self.profiles.by_name)}
         for sld in sorted(totals, key=lambda s: (-totals[s], s)):
-            yield sld, self.votes.resolve(sld, self.profiles)
+            total, sld_votes = totals[sld], votes.get(sld)
+            if sld_votes is None:
+                yield sld, UNKNOWN, 0.0, 1.0, total
+                continue
+            winner = min(sld_votes, key=lambda name: (-sld_votes[name], rank[name]))
+            unknown = total - sum(sld_votes.values())
+            yield sld, winner, sld_votes[winner] / total, unknown / total, total
 
     def write(self, outdir: Path) -> Optional[dict]:
         """Write `attributions.csv` into `outdir` and, given labels,
@@ -542,8 +490,8 @@ class ClassifyTally:
             outdir / "attributions.csv",
             ("sld", "implementation", "agreement", "unknown_fraction", "entry_count"),
             (
-                (sld, att.implementation, fmt_share(att.agreement), fmt_share(att.unknown_fraction), att.entry_count)
-                for sld, att in self.attributions()
+                (sld, implementation, fmt_share(agreement), fmt_share(unknown), count)
+                for sld, implementation, agreement, unknown, count in self.attributions()
             ),
         )
         if self.labels is None:

@@ -1,5 +1,5 @@
 """Small deterministic CSV/JSON helpers: table emission shared by stats and
-reports, and the domain-list and labels-sidecar readers."""
+reports, and the config, domain-list and labels-sidecar readers."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 from pdnskit.model import ConfigError, FqdnError, parse_fqdn
 
-__all__ = ["write_csv", "write_json", "fmt_share", "read_domain_list", "read_labels"]
+__all__ = ["write_csv", "write_json", "fmt_share", "read_json", "read_domain_list", "read_labels"]
 
 
 # Fixed-precision share formatting so emitted tables are byte-stable. A bound
@@ -29,6 +29,20 @@ def write_json(path: str | Path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=False)
         fh.write("\n")
+
+
+def read_json(path: str | Path):
+    """The JSON value a UTF-8 file holds. ValueError when the text is not
+    UTF-8, not JSON, nested deeper than the parser goes, or holds a \\u
+    escape that is a lone surrogate; OSError when the file is unreadable."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        value = json.loads(text)
+        json.dumps(value, ensure_ascii=False).encode()  # a \u escape that is a lone surrogate
+    except RecursionError as exc:
+        raise ValueError(f"nested too deeply: {exc}") from None
+    return value
 
 
 def read_domain_list(path: str | Path) -> frozenset[str]:

@@ -33,6 +33,7 @@ from pdnskit.fingerprint import (
     ProfileSet,
 )
 from pdnskit.model import MAX_NAME_BYTES, ConfigError, Fqdn, FqdnError, PdnsEntry, RRType, parse_fqdn
+from pdnskit.tables import read_json
 
 __all__ = [
     "GenConfig",
@@ -44,7 +45,6 @@ __all__ = [
     "BACKGROUND_KINDS",
     "generate",
     "write_corpus",
-    "queries_for_payload",
     "MAX_TOTAL_QUERIES",
 ]
 
@@ -96,9 +96,7 @@ class GenConfig:
         `start_date` that is not a date; sizes and names are checked by
         `generate`."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-            json.dumps(obj, ensure_ascii=False).encode()  # a \u escape that is a lone surrogate
+            obj = read_json(path)
             _check_keys(obj, cls)
             seed = obj.get("seed", 1)
             if isinstance(seed, bool) or not isinstance(seed, int):
@@ -291,13 +289,6 @@ def derive_plan(profile: ImplementationProfile, sld: str, third: str) -> _QueryP
         rrtype_cycle=tuple(sorted(profile.rrtypes)),
         lead_chars=lead_chars,
     )
-
-
-def queries_for_payload(
-    profile: ImplementationProfile, sld: str, third: str, payload_bytes: int
-) -> int:
-    """How many queries a payload of the given size needs for this profile."""
-    return derive_plan(profile, sld, third).queries_for(payload_bytes)
 
 
 def _blob(rng: Random, size: int) -> str:

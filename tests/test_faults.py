@@ -463,11 +463,15 @@ DAMAGED_ARTIFACTS = [
     ("--stats", ["stats"], "stats_summary.json", _without_top_slds),
     ("--stats", ["stats"], "stats_summary.json", lambda path: b"\x00not json\n"),
     ("--classify", ["classify", "--labels"], "metrics.json", lambda path: path.read_bytes()[:-20]),
+    ("--stats", ["stats"], "stats_summary.json", lambda path: b"[" * 100_000),
+    ("--stats", ["stats"], "stats_summary.json", lambda path: path.read_bytes().replace(b'"sld": "', b'"sld": "\\ud800')),
 ]
 
 
 @pytest.mark.parametrize(
-    "option, command, artifact, damage", DAMAGED_ARTIFACTS, ids=["stats-key", "stats-not-json", "metrics-cut"]
+    "option, command, artifact, damage",
+    DAMAGED_ARTIFACTS,
+    ids=["stats-key", "stats-not-json", "metrics-cut", "stats-nested", "stats-lone-surrogate"],
 )
 def test_report_on_a_damaged_artifact_exits_two(tmp_path, capsys, option, command, artifact, damage):
     corpus = tmp_path / "c.ndjson"
@@ -534,6 +538,28 @@ def test_lone_surrogate_in_a_config_file_exits_three(tmp_path, capsys, command, 
     code, errors = run_cli(capsys, command, *inputs, "--config", path, "--out", out)
     assert code == 3
     assert len(errors) == 1 and errors[0].startswith(message) and errors[0].endswith("surrogates not allowed")
+    assert not out.exists()
+
+
+# (command, the start of the stderr line): the config file is JSON nested
+# deeper than the parser goes.
+DEEP_JSON_CONFIGS = [
+    ("filter", "config error: bad config file"),
+    ("gen", "config error: bad generator config"),
+]
+
+
+@pytest.mark.parametrize("command, message", DEEP_JSON_CONFIGS, ids=["filter", "gen"])
+def test_deeply_nested_config_file_exits_three(tmp_path, capsys, command, message):
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_bytes(good("ndjson", 1))
+    path = tmp_path / "config.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    out = tmp_path / "out"
+    inputs = [corpus] if command == "filter" else []
+    code, errors = run_cli(capsys, command, *inputs, "--config", path, "--out", out)
+    assert code == 3
+    assert len(errors) == 1 and errors[0].startswith(message) and "nested too deeply" in errors[0]
     assert not out.exists()
 
 

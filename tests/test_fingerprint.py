@@ -1,5 +1,6 @@
 import base64
 import string
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -15,7 +16,6 @@ from pdnskit.fingerprint import (
     ProfileSet,
     ClassifyTally,
     ProviderRule,
-    SldVotes,
     classify,
     detect_encoding,
     extract_attributes,
@@ -231,7 +231,7 @@ class TestClassify:
             "mail.example.com", rrtype="TXT", rdata=("v=spf1 ~all",)
         )
         result = classify(entry, profiles)
-        assert result.is_unknown
+        assert result.implementation == UNKNOWN
         for profile in profiles:
             attrs = extract_attributes(entry, profiles.markers)
             assert match_profile(attrs, profile).match_count <= 5
@@ -262,7 +262,7 @@ class TestProviderRule:
 
     def test_other_de_domains_unaffected(self, profiles):
         entry = make_entry("www.example.de", rrtype="A")
-        assert classify(entry, profiles).is_unknown
+        assert classify(entry, profiles).implementation == UNKNOWN
 
     def test_rule_matcher(self):
         rule = ProviderRule(label_len=3, tld="de")
@@ -272,10 +272,11 @@ class TestProviderRule:
 
 
 def vote(entries, profiles):
-    """The one attribution `ClassifyTally` gives entries of a single SLD."""
+    """The one (implementation, agreement, unknown fraction) that
+    `ClassifyTally` gives entries of a single SLD."""
     tally = ClassifyTally(profiles).add_all((e, classify(e, profiles)) for e in entries)
-    ((_, att),) = tally.attributions()
-    return att
+    ((_, implementation, agreement, unknown_fraction, _),) = tally.attributions()
+    return implementation, agreement, unknown_fraction
 
 
 class TestAttributeSld:
@@ -285,29 +286,24 @@ class TestAttributeSld:
         assert len(entries) == 9 or len(entries) == 10
         benign = [make_entry(f"w{i}.tun-q.net", "NULL") for i in range(len(entries) // 9 or 1)]
         mix = entries + benign
-        result = vote(mix, profiles)
-        assert result.implementation == "iodine-null"
-        assert result.agreement == pytest.approx(len(entries) / len(mix))
-        assert result.unknown_fraction == pytest.approx(len(benign) / len(mix))
+        implementation, agreement, unknown_fraction = vote(mix, profiles)
+        assert implementation == "iodine-null"
+        assert agreement == pytest.approx(len(entries) / len(mix))
+        assert unknown_fraction == pytest.approx(len(benign) / len(mix))
 
     def test_all_unknown(self, profiles):
         entries = [make_entry(f"w{i}.plain.net", "A") for i in range(5)]
-        result = vote(entries, profiles)
-        assert result.implementation == "unknown"
-        assert result.agreement == 0.0
+        implementation, agreement, _ = vote(entries, profiles)
+        assert implementation == "unknown"
+        assert agreement == 0.0
 
     def test_even_split_breaks_deterministically(self, profiles):
         a = one_generated("iodine-null", "tun-r.net", profiles, payload=71 * 4)
         b = one_generated("iodine-txt", "tun-r.net", profiles, payload=71 * 4)
         assert len(a) == len(b) == 4
-        result = vote(a + b, profiles)
+        implementation, _, _ = vote(a + b, profiles)
         # iodine-null precedes iodine-txt in the profile file.
-        assert result.implementation == "iodine-null"
-        assert result.tied_with == ("iodine-txt",)
-
-    def test_requires_entries(self, profiles):
-        with pytest.raises(ValueError):
-            SldVotes().resolve("tun-q.net", profiles)
+        assert implementation == "iodine-null"
 
 
 class TestClassifyTally:
@@ -335,6 +331,42 @@ class TestClassifyTally:
             "benign_unknown": 1,
             "benign_unknown_rate": 1.0,
         }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stream=st.lists(
+            st.tuples(
+                st.sampled_from(["a.com", "b.net", "c.org"]),
+                # Name order is not file order: iodine-txt, dns2tcp, ozymandns.
+                st.sampled_from([UNKNOWN, "ozymandns", "dns2tcp", "iodine-txt"]),
+            ),
+            max_size=40,
+        )
+    )
+    def test_vote_matches_recount(self, stream):
+        results = [(make_entry(f"x{i}.{sld}"), Attribution(name, 0)) for i, (sld, name) in enumerate(stream)]
+        tally = ClassifyTally(DEFAULT_PROFILES).add_all(results)
+        assert list(tally.attributions()) == recount_votes(stream, DEFAULT_PROFILES)
+        assert tally.entries == len(stream)
+
+
+def recount_votes(stream, profiles):
+    """`ClassifyTally.attributions()` by a plain recount of (SLD,
+    implementation or unknown) pairs: a Counter per SLD, the highest vote
+    count winning and a tie going to the profile first in file order."""
+    per_sld: dict[str, Counter] = {}
+    for sld, name in stream:
+        per_sld.setdefault(sld, Counter())[name] += 1
+    rows = []
+    for sld, counts in sorted(per_sld.items(), key=lambda item: (-item[1].total(), item[0])):
+        total, unknown = counts.total(), counts.pop(UNKNOWN, 0)
+        if not counts:
+            rows.append((sld, UNKNOWN, 0.0, 1.0, total))
+            continue
+        best = max(counts.values())
+        winner = next(p.name for p in profiles if counts[p.name] == best)
+        rows.append((sld, winner, best / total, unknown / total, total))
+    return rows
 
 
 class TestProfileFile:
@@ -400,21 +432,15 @@ def reference_classify(entry, profiles, min_matches):
                 profile.name, scored.match_count, scored.per_attribute, provider_rule=True
             )
     best = None
-    tied = []
     for profile in profiles:
         scored = match_profile(attrs, profile)
         if scored.match_count < min_matches:
             continue
         if best is None or scored.match_count > best.match_count:
             best = scored
-            tied = []
-        elif scored.match_count == best.match_count:
-            tied.append(profile.name)
     if best is None:
         return Attribution(UNKNOWN, 0, {})
-    return Attribution(
-        best.implementation, best.match_count, best.per_attribute, tied_with=tuple(tied)
-    )
+    return best
 
 
 DEFAULT_PROFILES = ProfileSet.default()
@@ -485,7 +511,6 @@ class TestCompiledScorer:
         want = reference_classify(entry, DEFAULT_PROFILES, min_matches)
         assert got.implementation == want.implementation
         assert got.match_count == want.match_count
-        assert got.tied_with == want.tied_with
         assert got.provider_rule == want.provider_rule
         assert got == want
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from pdnskit.fingerprint import ProfileSet, classify, detect_encoding
+from pdnskit.fingerprint import UNKNOWN, ProfileSet, classify, detect_encoding
 from pdnskit.model import (
     Fqdn,
     FqdnError,
@@ -232,6 +232,7 @@ class TestStatsProperties:
         assert {s: len(v) for s, v in merged.sld_fqdns.items()} == {
             s: len(v) for s, v in single.sld_fqdns.items()
         }
+        assert merged.sld_fqdn_counts() == single.sld_fqdn_counts()
 
     @given(st.lists(entry_st(), max_size=30))
     @settings(max_examples=150, deadline=None)
@@ -433,7 +434,7 @@ class TestClassifyProperties:
         assert first == second
         if first.per_attribute:
             assert first.match_count == sum(first.per_attribute.values())
-        if not first.is_unknown and not first.provider_rule:
+        if first.implementation != UNKNOWN and not first.provider_rule:
             assert first.match_count >= 6
 
 

@@ -18,7 +18,6 @@ from pdnskit.tunnelgen import (
     demo_config,
     derive_plan,
     generate,
-    queries_for_payload,
     write_corpus,
 )
 
@@ -65,14 +64,14 @@ class TestGenerate:
 
     def test_query_count_tracks_payload(self, profiles):
         profile = profiles.by_name["iodine-null"]
-        plan_queries = queries_for_payload(profile, "tun.example", "t", 10000)
+        plan = derive_plan(profile, "tun.example", "t")
+        plan_queries = plan.queries_for(10000)
         cfg = GenConfig(
             seed=3, tunnels=[TunnelSpec("iodine-null", "tun.example", "t", payload_bytes=10000)]
         )
         emitted = sum(1 for _ in generate(cfg, profiles))
         assert abs(emitted - plan_queries) <= 1
         # and the plan itself is ceil(payload / capacity)
-        plan = derive_plan(profile, "tun.example", "t")
         assert plan_queries == math.ceil(10000 / plan.bytes_per_query)
 
     def test_explicit_query_count(self, profiles):
