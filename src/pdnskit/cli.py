@@ -14,6 +14,7 @@ import os
 import shutil
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -127,7 +128,7 @@ def _run(ctx: click.Context, produce, artifacts: tuple[str, ...]) -> None:
     _apply_config_file(ctx)
     p = ctx.params
     stats = IngestStats()
-    stream = (entry for path in p["inputs"] for entry in read_stream(path, fmt=p["fmt"], stats=stats))
+    stream = chain.from_iterable(read_stream(path, fmt=p["fmt"], stats=stats) for path in p["inputs"])
     if p.get("dedup"):
         stream = first_seen_filter(stream, FirstSeenState(), stats=stats)
     outdir = Path(p["outdir"])

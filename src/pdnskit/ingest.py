@@ -13,12 +13,15 @@ import zlib
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from datetime import datetime
 from functools import partial
-from itertools import filterfalse
+from itertools import chain, filterfalse
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from pdnskit.model import (
+    _RRTYPE_CACHE,
+    _TIME_SEEN_SHAPE,
     Fqdn,
     FqdnError,
     PdnsEntry,
@@ -99,21 +102,62 @@ _NAME_CACHE: dict[str, Fqdn] = {}
 _NAME_CACHE_CAP = 256
 
 
-def _parse_name_field(value, what: str) -> Optional[Fqdn]:
+def _suffix_name(rrname: Fqdn, text: str) -> Optional[Fqdn]:
+    """parse_fqdn(text) when `text` is ASCII and, as a name, a label suffix
+    of `rrname`: then its labels are rrname's last ones, already checked.
+    None for any other text, which is left to parse_fqdn."""
+    if not text.isascii():
+        return None
+    s = text.lower()
+    if s.endswith("."):
+        s = s[:-1]
+    name = rrname.name
+    if s == name:
+        return rrname
+    if s and name.endswith("." + s):
+        return Fqdn(rrname.labels[-1 - s.count("."):], s)
+    return None
+
+
+def _parse_name_field(value, what: str, rrname: Optional[Fqdn]) -> Optional[Fqdn]:
+    """A `domain` or `bailiwick` field: None when missing or blank. On a
+    cache miss it is built from `rrname`, the record's parsed hostname,
+    when it is a label suffix of it, and parsed otherwise."""
     fqdn = _NAME_CACHE.get(value) if isinstance(value, str) else None
     if fqdn is None:
         text = _name_text(value, what)
         if text is None:
             return None
-        fqdn = parse_fqdn(text)
+        fqdn = _suffix_name(rrname, text) if rrname is not None else None
+        if fqdn is None:
+            fqdn = parse_fqdn(text)
         if len(_NAME_CACHE) >= _NAME_CACHE_CAP:
             _NAME_CACHE.clear()
         _NAME_CACHE[value] = fqdn
     return fqdn
 
 
+def _parse_names(rrname: str, domain_raw, bailiwick_raw) -> tuple[Optional[Fqdn], Optional[Fqdn], Fqdn]:
+    """The three names of a record, with the errors in the order domain,
+    bailiwick, rrname; rrname is parsed first, as the other two may be
+    built from it. A bailiwick that repeats the domain, as most do, is the
+    domain's name."""
+    try:
+        name, error = parse_fqdn(rrname), None
+    except FqdnError as exc:
+        name, error = None, exc
+    domain = _parse_name_field(domain_raw, "domain", name)
+    if bailiwick_raw == domain_raw:
+        bailiwick = domain
+    else:
+        bailiwick = _parse_name_field(bailiwick_raw, "bailiwick", name)
+    if error is not None:
+        raise error
+    return domain, bailiwick, name
+
+
 def _parse_rrtype(value) -> RRType:
-    if not value or isinstance(value, str) and not value.strip():
+    if value is None or isinstance(value, str) and not value.strip():
         raise RecordError("MissingField", "record has no rrtype")
     if isinstance(value, str):
         try:
@@ -121,6 +165,23 @@ def _parse_rrtype(value) -> RRType:
         except ValueError:
             pass
     raise RecordError("BadField", f"bad rrtype: {value!r:.60}")
+
+
+def _parse_time_field(value) -> datetime:
+    if value is None or value == "":
+        raise RecordError("MissingField", "record has no time_seen")
+    try:
+        return parse_time_seen(str(value))
+    except ValueError:
+        raise RecordError("BadTimestamp", f"bad time_seen: {value!r}") from None
+
+
+def _parse_rrclass(value) -> str:
+    if value is None or value == "":
+        return "IN"
+    if not isinstance(value, str):
+        raise RecordError("BadField", f"rrclass is not a string: {value!r:.60}")
+    return value
 
 
 def _check_escapes(obj, bad_kind: str, what: str) -> None:
@@ -163,31 +224,57 @@ def parse_record(obj: dict) -> PdnsEntry:
     """Build a PdnsEntry from one decoded record dict.
 
     Field names follow the feed schema; unknown fields (`keys`, `new_rr`,
-    ...) are ignored. Raises RecordError or FqdnError on bad records.
+    ...) are ignored. Raises RecordError or FqdnError on bad records, for
+    the first bad field in the order rrname text, rrtype, time_seen,
+    rrclass, domain, bailiwick, rrname name, rdata.
+
+    Each field is read once. Its common case (a string, a cached name or
+    rrtype, a timestamp of the feed's shape, a list of strings) is taken
+    here in C calls; any other value goes to the field's checker, which
+    accepts it or raises.
     """
-    rrname = _name_text(obj.get("rrname"), "rrname")
-    if rrname is None:
+    get = obj.get
+    rrname = get("rrname")
+    rrname = rrname.strip() if type(rrname) is str else _name_text(rrname, "rrname")
+    if not rrname:
         raise RecordError("MissingField", "record has no rrname")
-    rrtype = _parse_rrtype(obj.get("rrtype"))
-    time_raw = obj.get("time_seen")
-    if not time_raw:
-        raise RecordError("MissingField", "record has no time_seen")
+    rrtype = get("rrtype")
     try:
-        time_seen = parse_time_seen(str(time_raw))
-    except ValueError:
-        raise RecordError("BadTimestamp", f"bad time_seen: {time_raw!r}")
-    rrclass = obj.get("rrclass") or "IN"
-    if not isinstance(rrclass, str):
-        raise RecordError("BadField", f"rrclass is not a string: {rrclass!r:.60}")
-    return PdnsEntry(
-        _parse_name_field(obj.get("domain"), "domain"),
-        time_seen,
-        _parse_name_field(obj.get("bailiwick"), "bailiwick"),
-        parse_fqdn(rrname),
-        rrclass,
-        rrtype,
-        _parse_rdata(obj.get("rdata")),
-    )
+        rrtype = _RRTYPE_CACHE[rrtype]
+    except (KeyError, TypeError):
+        rrtype = _parse_rrtype(rrtype)
+    time_seen = get("time_seen")
+    if type(time_seen) is str and _TIME_SEEN_SHAPE.match(time_seen):
+        try:
+            time_seen = datetime.fromisoformat(time_seen + "+00:00")
+        except ValueError:  # an impossible date or time
+            time_seen = _parse_time_field(time_seen)
+    else:
+        time_seen = _parse_time_field(time_seen)
+    rrclass = get("rrclass")
+    if type(rrclass) is not str or not rrclass:
+        rrclass = _parse_rrclass(rrclass)
+    domain_raw = get("domain")
+    bailiwick_raw = get("bailiwick")
+    try:  # .get: a KeyError raised on each miss would cost ten lookups
+        domain = _NAME_CACHE.get(domain_raw)
+        bailiwick = _NAME_CACHE.get(bailiwick_raw)
+    except TypeError:  # an unhashable value, left to the checker
+        domain = None
+    if domain is None or bailiwick is None:
+        domain, bailiwick, name = _parse_names(rrname, domain_raw, bailiwick_raw)
+    else:
+        name = parse_fqdn(rrname)
+    rdata = get("rdata")
+    if type(rdata) is list:
+        try:
+            "".join(rdata)  # a type check of every item in one C loop
+            rdata = tuple(rdata)
+        except TypeError:
+            rdata = _parse_rdata(rdata)
+    else:
+        rdata = _parse_rdata(rdata)
+    return PdnsEntry(domain, time_seen, bailiwick, name, rrclass, rrtype, rdata)
 
 
 class _GzipChunks(io.RawIOBase):
@@ -268,11 +355,13 @@ def _decode_ndjson(line: bytes) -> dict:
 
 
 def _csv_rows(fh: IO) -> Iterator[Union[list[str], csv.Error]]:
-    """The non-blank rows, less a leading header row. Lines are decoded with
+    """The non-blank rows, less a leading header row. A UTF-8 byte order
+    mark that starts the first line is dropped. Lines are decoded with
     each bad byte kept as a lone surrogate, for _decode_csv to count. A row
     the reader rejects (a field over csv.field_size_limit) comes out as its
     csv.Error, so the rows after it are still read."""
-    lines = (line.decode("utf-8", "surrogateescape") for line in fh)
+    head = next(fh, b"").removeprefix(b"\xef\xbb\xbf")
+    lines = (line.decode("utf-8", "surrogateescape") for line in chain((head,), fh))
     reader = csv.reader(lines)
     first = True
     while True:
@@ -345,7 +434,10 @@ def read_stream(
                 except (RecordError, FqdnError) as exc:
                     stats.rejected_by_error[exc.kind] += 1
                     continue
-                if not entry.domain_matches_rrname():
+                # model.is_suffix, inline: a domain longer than the
+                # rrname takes the whole rrname and compares unequal.
+                domain = entry.domain
+                if domain is not None and entry.rrname.labels[-len(domain.labels):] != domain.labels:
                     stats.warnings["SuffixMismatch"] += 1
                 stats.accepted += 1
                 yield entry

@@ -271,10 +271,6 @@ class PdnsEntry:
         _ENTRY_SET_RRTYPE(self, rrtype)
         _ENTRY_SET_RDATA(self, rdata)
 
-    def domain_matches_rrname(self) -> bool:
-        """False when the feed's domain field is not a suffix of rrname."""
-        return self.domain is None or is_suffix(self.rrname, self.domain)
-
 
 _ENTRY_SET_DOMAIN = PdnsEntry.domain.__set__
 _ENTRY_SET_TIME_SEEN = PdnsEntry.time_seen.__set__

@@ -542,7 +542,7 @@ def _generate(
 def _corpus_record(entry: PdnsEntry) -> str:
     obj = {
         "domain": entry.domain.dotted if entry.domain else "",
-        "time_seen": entry.time_seen.strftime("%Y-%m-%d %H:%M:%S"),
+        "time_seen": entry.time_seen.isoformat(" ")[:19],
         "bailiwick": entry.bailiwick.dotted if entry.bailiwick else "",
         "rrname": entry.rrname.dotted,
         "rrclass": entry.rrclass,

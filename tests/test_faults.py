@@ -18,6 +18,8 @@ key or a value of the wrong type, exits 3 with one line that names the key,
 field or SLD, and writes nothing. A JSON `\\u` escape that decodes
 to a lone surrogate, in a name field or in rdata, counts as `BadEncoding`
 in every command; in a `--config` or `gen --config` file, it exits 3.
+A CSV corpus that starts with a UTF-8 byte order mark reads as it would
+without it, and a `gen` corpus dated before the year 1000 reads back whole.
 """
 
 import csv
@@ -132,6 +134,18 @@ FAULTS = [
         lambda fmt: record_bytes(fmt, rdata=["x\ud800"]),
         {"BadEncoding": 1},
     ),
+    # A value that is false but is not a string: only null, an absent key and
+    # "" are missing.
+    *(
+        (
+            f"falsy-{field}-{name}",
+            ("ndjson",),
+            lambda fmt, field=field, value=value: record_bytes(fmt, **{field: value}),
+            {kind: 1},
+        )
+        for field, kind in (("rrclass", "BadField"), ("rrtype", "BadField"), ("time_seen", "BadTimestamp"))
+        for name, value in (("false", False), ("zero", 0), ("empty-list", []), ("empty-object", {}))
+    ),
 ]
 
 ROWS = [
@@ -141,10 +155,11 @@ ROWS = [
 ]
 
 
-@pytest.mark.parametrize("fmt, make_bad, rejected", ROWS)
-def test_fault_is_counted_and_stream_continues(tmp_path, fmt, make_bad, rejected):
+def stats_of(tmp_path, fmt: str, data: bytes) -> dict:
+    """`ingest_stats.json` of `pdnskit stats`, run in its own process on
+    `data` as a corpus, which must exit 0."""
     corpus = tmp_path / f"in.{fmt}"
-    corpus.write_bytes(good(fmt, 1) + good(fmt, 2) + make_bad(fmt) + good(fmt, 3))
+    corpus.write_bytes(data)
     out = tmp_path / "out"
     result = subprocess.run(
         [sys.executable, "-m", "pdnskit", "stats", str(corpus), "--out", str(out), "--format", fmt],
@@ -153,16 +168,51 @@ def test_fault_is_counted_and_stream_continues(tmp_path, fmt, make_bad, rejected
         text=True,
     )
     assert result.returncode == 0, result.stderr
+    return json.loads((out / "ingest_stats.json").read_text(encoding="utf-8"))
+
+
+def accepted_only(n: int) -> dict:
+    return {"read": n, "accepted": n, "rejected_by_error": {}, "deduplicated": 0, "warnings": {}}
+
+
+@pytest.mark.parametrize("fmt, make_bad, rejected", ROWS)
+def test_fault_is_counted_and_stream_continues(tmp_path, fmt, make_bad, rejected):
     n_bad = sum(rejected.values())
-    assert json.loads((out / "ingest_stats.json").read_text(encoding="utf-8")) == {
+    assert stats_of(tmp_path, fmt, good(fmt, 1) + good(fmt, 2) + make_bad(fmt) + good(fmt, 3)) == {
         "read": 3 + n_bad,
         "accepted": 3,
         "rejected_by_error": rejected,
         "deduplicated": 0,
         "warnings": {},
     }
-    summary = json.loads((out / "stats_summary.json").read_text(encoding="utf-8"))
+    summary = json.loads((tmp_path / "out" / "stats_summary.json").read_text(encoding="utf-8"))
     assert summary["total_entries"] == 3
+
+
+# A CSV corpus may start with the UTF-8 byte order mark that spreadsheet
+# exports write; it is dropped before the header test.
+BOM_CSV = [
+    pytest.param(b"\xef\xbb\xbf" + ",".join(CSV_COLUMNS).encode() + b"\n", id="bom-header-csv"),
+    pytest.param(b"\xef\xbb\xbf", id="bom-first-row-csv"),
+]
+
+
+@pytest.mark.parametrize("head", BOM_CSV)
+def test_csv_corpus_starting_with_a_bom(tmp_path, head):
+    assert stats_of(tmp_path, "csv", head + good("csv", 1) + good("csv", 2)) == accepted_only(2)
+
+
+def test_gen_before_year_1000_reads_back(tmp_path, capsys):
+    """`gen` writes a four-digit year, zero-padded, which its reader takes."""
+    config = tmp_path / "gen.json"
+    config.write_text(json.dumps({
+        "start_date": "0999-07-01",
+        "background": [{"kind": "plain-a", "sld": "shop.example", "queries": 4}],
+    }), encoding="utf-8")
+    assert run_cli(capsys, "gen", "--config", config, "--out", tmp_path / "gen") == (0, [])
+    corpus = (tmp_path / "gen" / "corpus.ndjson").read_bytes()
+    assert all(json.loads(line)["time_seen"].startswith("0999-07-") for line in corpus.splitlines())
+    assert stats_of(tmp_path, "ndjson", corpus) == accepted_only(4)
 
 
 def cut_gzip(data: bytes) -> bytes:

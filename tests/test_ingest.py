@@ -9,7 +9,7 @@ import zlib
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdnskit import ingest
@@ -23,7 +23,7 @@ from pdnskit.ingest import (
     parse_record,
     read_stream,
 )
-from pdnskit.model import Fqdn, FqdnError
+from pdnskit.model import Fqdn, FqdnError, PdnsEntry, RRType, parse_fqdn, parse_time_seen
 
 from conftest import TABLE_RECORD, make_entry, ndjson_line, write_ndjson
 
@@ -88,6 +88,148 @@ class TestParseRecord:
             assert len(cache) <= ingest._NAME_CACHE_CAP
             assert not set(bad) & set(cache)
         assert all(isinstance(f, Fqdn) for f in cache.values())
+
+
+def reference_record(obj: dict) -> PdnsEntry:
+    """README's record rules in README's check order (rrname text, rrtype,
+    time_seen, rrclass, domain, bailiwick, rrname name, rdata), built only
+    from the model's parsers: no cache and no name built from another."""
+
+    def name_text(field):  # missing or blank is None; a non-string is BadField
+        value = obj.get(field)
+        if value is None:
+            return None
+        if not isinstance(value, str):
+            raise RecordError("BadField", field)
+        return value.strip() or None
+
+    rrname = name_text("rrname")
+    if rrname is None:
+        raise RecordError("MissingField", "rrname")
+    rrtype = obj.get("rrtype")
+    if rrtype is None or isinstance(rrtype, str) and not rrtype.strip():
+        raise RecordError("MissingField", "rrtype")
+    try:
+        rrtype = RRType.parse(rrtype) if isinstance(rrtype, str) else None
+    except ValueError:
+        rrtype = None
+    if rrtype is None:
+        raise RecordError("BadField", "rrtype")
+    time_seen = obj.get("time_seen")
+    if time_seen is None or time_seen == "":
+        raise RecordError("MissingField", "time_seen")
+    try:
+        time_seen = parse_time_seen(time_seen) if isinstance(time_seen, str) else None
+    except ValueError:
+        time_seen = None
+    if time_seen is None:
+        raise RecordError("BadTimestamp", "time_seen")
+    rrclass = obj.get("rrclass")
+    if rrclass is None or rrclass == "":
+        rrclass = "IN"
+    elif not isinstance(rrclass, str):
+        raise RecordError("BadField", "rrclass")
+    domain, bailiwick = (None if text is None else parse_fqdn(text) for text in map(name_text, ("domain", "bailiwick")))
+    name = parse_fqdn(rrname)
+    rdata = obj.get("rdata")
+    if isinstance(rdata, str):
+        text = rdata.strip()
+        if text.startswith("["):
+            try:
+                rdata = json.loads(text)
+            except ValueError:
+                raise RecordError("BadRdata", "rdata") from None
+        else:
+            rdata = [text] if text else []
+    if rdata is None:
+        rdata = []
+    if not isinstance(rdata, list) or not all(isinstance(item, str) for item in rdata):
+        raise RecordError("BadRdata", "rdata")
+    return PdnsEntry(domain, time_seen, bailiwick, name, rrclass, rrtype, tuple(rdata))
+
+
+ABSENT = object()  # a field left out of the record
+NOT_STRINGS = [None, ABSENT, False, 0, 7, [], {}, ["IN"]]
+
+
+def mostly(good: list, bad: list):
+    """One of `good` seven times in eight, else one of `bad`, so that most
+    records reach the fields checked last."""
+    return st.integers(0, 7).flatmap(lambda i: st.sampled_from(good if i else bad))
+
+
+hostname_st = st.one_of(
+    st.lists(st.sampled_from(["a", "Ab", "x1", "-", "é", "Ü", "q" * 63, "w" * 64, "", " s "]), min_size=1, max_size=5)
+    .map(".".join),
+    st.sampled_from([
+        "teriava.com.", "A.B.C.TERIAVA.COM", "  a.teriava.com.  ", "a.é.teriava.com", "ä.Ü.İ.teriava.com", ".", "a..b",
+        "b" * 250 + ".com",
+    ]),
+)
+
+
+@st.composite
+def side_name_st(draw, rrname):
+    """A `domain` or `bailiwick` value for a record whose rrname is `rrname`:
+    the rrname itself, a label suffix of it or a name that is not one (as
+    text, or as labels), re-cased, with or without the root dot, padded with
+    whitespace, non-ASCII, invalid, blank or not a string."""
+    if not isinstance(rrname, str) or draw(st.integers(0, 5)) == 0:
+        return draw(
+            st.sampled_from(["", "  ", "teriava.com", "a..com", "w" * 64 + ".com", "é.com", *NOT_STRINGS]) | hostname_st
+        )
+    labels = rrname.strip().rstrip(".").split(".")
+    value = ".".join(labels[draw(st.integers(0, len(labels))):]) or draw(hostname_st)
+    value = draw(st.sampled_from([
+        lambda v: v, lambda v: v, lambda v: v[1:], lambda v: "x" + v, lambda v: "é" + v, lambda v: "x." + v,
+    ]))(value)
+    value = draw(st.sampled_from([str, str.upper, str.lower, str.swapcase]))(value)
+    value = value.rstrip(".") + draw(st.sampled_from(["", ".", ".."]))
+    return draw(st.sampled_from(["", " ", "\t", "\u3000"])) + value + draw(st.sampled_from(["", " ", "\n"]))
+
+
+@st.composite
+def record_st(draw) -> dict:
+    rrname = draw(mostly([draw(hostname_st)], ["", "  ", *NOT_STRINGS]))
+    fields = {
+        "rrname": rrname,
+        "rrtype": draw(mostly(["A", "txt", " NULL ", "TYPE65"], ["", " ", "A B", "é", *NOT_STRINGS])),
+        "time_seen": draw(mostly(
+            ["2017-07-01 09:35:04", "0999-12-31 23:59:59"],
+            ["2017-02-30 00:00:00", "2017-07-01T09:35:04", "2017-07-01 24:00:00", "", " ", *NOT_STRINGS],
+        )),
+        "rrclass": draw(mostly(["IN", "CH", "", None, ABSENT], NOT_STRINGS)),
+        "domain": draw(side_name_st(rrname)),
+        "bailiwick": draw(side_name_st(rrname)),
+        "rdata": draw(mostly(
+            [["127.0.0.1"], [], ["a", "b"], "10 mx.example.com.", "  ", '["a","b"]', None, ABSENT],
+            [["a", 7], [None], "[1]", "[x", '{"a": 1}', 7, {}],
+        )),
+    }
+    return {k: v for k, v in fields.items() if v is not ABSENT}
+
+
+def outcome(parse, record):
+    """The entry with each name's `.name`, or the error kind."""
+    try:
+        entry = parse(record)
+    except (RecordError, FqdnError) as exc:
+        return exc.kind
+    names = [None if f is None else (f.labels, f.name) for f in (entry.domain, entry.bailiwick, entry.rrname)]
+    return entry, names, type(entry.rrtype)
+
+
+@given(record_st())
+@example(dict(TABLE_RECORD, rrname="a.é.teriava.com", domain="É.TERIAVA.COM", bailiwick="x.é.teriava.com"))
+@example(dict(TABLE_RECORD, rrname="a.xteriava.com.", domain="teriava.com.", bailiwick=" A.XTERIAVA.COM "))
+@settings(max_examples=600)
+def test_parse_record_matches_the_reference(record):
+    """The production parse, with the name cache cold and then warm, gives
+    the reference's entry or error kind for any record."""
+    expected = outcome(reference_record, record)
+    ingest._NAME_CACHE.clear()
+    assert outcome(parse_record, record) == expected
+    assert outcome(parse_record, record) == expected
 
 
 json_value_st = st.recursive(

@@ -114,7 +114,7 @@ class TestSecondLevelDomain:
 
     def test_suffix_mismatch_uses_rrname(self):
         entry = make_entry("a.b.example.net", domain="other.org")
-        assert not entry.domain_matches_rrname()
+        assert not is_suffix(entry.rrname, entry.domain)
         assert sld_name(entry) == "example.net"
 
     def test_result_is_suffix_of_rrname(self):
