@@ -156,15 +156,15 @@ def cli():
     """Passive-DNS measurement statistics and tunnel-candidate filtering."""
 
 
-def _corpus_command(name: str, artifacts: tuple[str, ...], *options):
+def _corpus_command(name: str, *options, optional: tuple[str, ...] = ()):
     """Register `produce` as the command `name`, run through `_run`. It takes
     CORPUS... --out DIR [--format] and `options`, then [--psl] [--config].
-    `artifacts` names every file it may write into --out."""
+    `optional` names the files only some runs write into --out."""
 
     def register(produce):
         @click.pass_context
         def command(ctx, **_):
-            _run(ctx, produce, artifacts)
+            _run(ctx, produce, optional)
 
         command.__doc__ = produce.__doc__
         for option in reversed((
@@ -189,11 +189,6 @@ _DEDUP = click.option("--dedup/--no-dedup", default=False, help="Drop repeated r
 
 @_corpus_command(
     "stats",
-    (
-        "rrtype_shares.csv", "rrtype_per_day.csv", "levels_per_day.csv", "rdata_buckets_per_day.csv",
-        "top_slds.csv", "top_slds_by_type.csv", "sld_cdf.csv", "sld_daily_top.csv",
-        "sld_rdata_means.csv", "stats_summary.json",
-    ),
     _DEDUP,
     click.option("--top", "top_n", default=10, show_default=True, type=click.IntRange(min=1), help="Rows in top-SLD tables."),
 )
@@ -213,7 +208,6 @@ def cmd_stats(p, stream, outdir):
 
 @_corpus_command(
     "filter",
-    ("candidates.json", "candidates.txt", "stage_counts.csv"),
     click.option("--types", default="NULL,TXT", show_default=True, type=RRTypeList(), help="Record types kept by the prefilter."),
     click.option("--min-level", default=4, show_default=True, type=click.IntRange(min=1)),
     click.option("--min-subdomains", default=2, show_default=True, type=click.IntRange(min=1), help="Distinct FQDNs an SLD needs to stay a candidate."),
@@ -228,16 +222,9 @@ def cmd_stats(p, stream, outdir):
 )
 def cmd_filter(p, stream, outdir):
     """Reduce pDNS inputs to candidate tunnel SLDs with stage accounting."""
-    from dataclasses import replace
-
     from pdnskit.pipeline import FilterConfig, KnownLists, PostFilterConfig
 
-    builtin = p["watchlist"] == "builtin"
-    known = KnownLists.from_files(
-        cdn=p["cdn_list"], known_tunnels=p["tunnel_list"], watchlist=None if builtin else p["watchlist"]
-    )
-    if builtin:
-        known = replace(known, watchlist=KnownLists.default(include_watchlist=True).watchlist)
+    known = KnownLists.from_files(cdn=p["cdn_list"], known_tunnels=p["tunnel_list"], watchlist=p["watchlist"])
     alexa = read_domain_list(p["alexa_path"]) if p["alexa_path"] else frozenset()
     if p["alexa_path"] and not alexa:
         raise ConfigError(f"--alexa {p['alexa_path']}: the list holds no domains")
@@ -264,13 +251,13 @@ def cmd_filter(p, stream, outdir):
 
 @_corpus_command(
     "classify",
-    ("attributions.csv", "confusion_matrix.csv", "metrics.json"),
     click.option(
         "--profiles", "profiles_path", default=None, envvar="PDNSKIT_PROFILES",
         help="Implementation profile file (default: bundled; env PDNSKIT_PROFILES).",
     ),
     click.option("--labels", "labels_path", default=None, help="Labels sidecar; enables the confusion matrix."),
     click.option("--min-matches", default=6, show_default=True, type=click.IntRange(0, 8), help="Attribute threshold out of 8."),
+    optional=("confusion_matrix.csv", "metrics.json"),
 )
 def cmd_classify(p, stream, outdir):
     """Attribute entries and SLDs to tunnel implementations."""

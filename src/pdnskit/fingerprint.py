@@ -308,7 +308,7 @@ class ProfileSet:
         content is not a valid profile set, OSError when it is unreadable."""
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 parser.read_file(fh)
             return cls(
                 [_profile_from_section(name, parser[name]) for name in parser.sections()]

@@ -27,7 +27,6 @@ from pdnskit.model import (
     PdnsEntry,
     RRType,
     parse_fqdn,
-    parse_time_seen,
 )
 
 __all__ = [
@@ -167,13 +166,11 @@ def _parse_rrtype(value) -> RRType:
     raise RecordError("BadField", f"bad rrtype: {value!r:.60}")
 
 
-def _parse_time_field(value) -> datetime:
+def _time_error(value) -> RecordError:
+    """The error of a `time_seen` that is not a string of the feed's shape."""
     if value is None or value == "":
-        raise RecordError("MissingField", "record has no time_seen")
-    try:
-        return parse_time_seen(str(value))
-    except ValueError:
-        raise RecordError("BadTimestamp", f"bad time_seen: {value!r}") from None
+        return RecordError("MissingField", "record has no time_seen")
+    return RecordError("BadTimestamp", f"bad time_seen: {value!r}")
 
 
 def _parse_rrclass(value) -> str:
@@ -231,7 +228,7 @@ def parse_record(obj: dict) -> PdnsEntry:
     Each field is read once. Its common case (a string, a cached name or
     rrtype, a timestamp of the feed's shape, a list of strings) is taken
     here in C calls; any other value goes to the field's checker, which
-    accepts it or raises.
+    accepts it or raises. A `time_seen` has no other valid value.
     """
     get = obj.get
     rrname = get("rrname")
@@ -244,13 +241,12 @@ def parse_record(obj: dict) -> PdnsEntry:
     except (KeyError, TypeError):
         rrtype = _parse_rrtype(rrtype)
     time_seen = get("time_seen")
-    if type(time_seen) is str and _TIME_SEEN_SHAPE.match(time_seen):
-        try:
-            time_seen = datetime.fromisoformat(time_seen + "+00:00")
-        except ValueError:  # an impossible date or time
-            time_seen = _parse_time_field(time_seen)
-    else:
-        time_seen = _parse_time_field(time_seen)
+    if not (isinstance(time_seen, str) and _TIME_SEEN_SHAPE.match(time_seen)):
+        raise _time_error(time_seen)
+    try:
+        time_seen = datetime.fromisoformat(time_seen + "+00:00")
+    except ValueError:  # an impossible date or time
+        raise _time_error(time_seen) from None
     rrclass = get("rrclass")
     if type(rrclass) is not str or not rrclass:
         rrclass = _parse_rrclass(rrclass)
@@ -434,8 +430,8 @@ def read_stream(
                 except (RecordError, FqdnError) as exc:
                     stats.rejected_by_error[exc.kind] += 1
                     continue
-                # model.is_suffix, inline: a domain longer than the
-                # rrname takes the whole rrname and compares unequal.
+                # Is the domain a label suffix of the rrname? One longer
+                # than the rrname takes the whole rrname and compares unequal.
                 domain = entry.domain
                 if domain is not None and entry.rrname.labels[-len(domain.labels):] != domain.labels:
                     stats.warnings["SuffixMismatch"] += 1

@@ -24,7 +24,6 @@ __all__ = [
     "PublicSuffixList",
     "parse_fqdn",
     "label_length",
-    "is_suffix",
     "sld_name",
 ]
 
@@ -178,12 +177,6 @@ def label_length(fqdn: Fqdn, level_index: int) -> Optional[int]:
     return _byte_len(fqdn.labels[len(fqdn.labels) - level_index])
 
 
-def is_suffix(fqdn: Fqdn, suffix: Fqdn) -> bool:
-    """True when `suffix` equals `fqdn` or is an ancestor of it, by labels."""
-    n = len(suffix.labels)
-    return n <= len(fqdn.labels) and fqdn.labels[-n:] == suffix.labels
-
-
 class PublicSuffixList:
     """Minimal public-suffix lookup supporting plain, `*.`, and `!` rules.
 
@@ -210,7 +203,7 @@ class PublicSuffixList:
     @classmethod
     def from_file(cls, path: str | Path) -> "PublicSuffixList":
         """The list in a rules file; ConfigError if it is not UTF-8."""
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             try:
                 return cls(fh)
             except UnicodeDecodeError as exc:

@@ -63,22 +63,15 @@ class KnownLists:
             raise ConfigError(f"known lists overlap: {sorted(overlap)[:5]}")
 
     @classmethod
-    def default(cls, include_watchlist: bool = False) -> "KnownLists":
-        """Shipped defaults: the provider tunnel domains, an empty CDN
-        list, and optionally the example IOC watchlist."""
-        return cls(
-            cdn=frozenset(),
-            known_tunnels=_shipped("known_tunnel_domains.txt"),
-            watchlist=_shipped("watchlist_example.txt") if include_watchlist else frozenset(),
-        )
-
-    @classmethod
     def from_files(
         cls,
         cdn: Optional[str | Path] = None,
         known_tunnels: Optional[str | Path] = None,
         watchlist: Optional[str | Path] = None,
     ) -> "KnownLists":
+        """The lists in the files given. Without `known_tunnels` the stage-1
+        tunnel list is the bundled provider list; `watchlist="builtin"` is
+        the bundled example IOC watchlist. No argument: the shipped defaults."""
         return cls(
             cdn=read_domain_list(cdn) if cdn else frozenset(),
             known_tunnels=(
@@ -86,7 +79,11 @@ class KnownLists:
                 if known_tunnels
                 else _shipped("known_tunnel_domains.txt")
             ),
-            watchlist=read_domain_list(watchlist) if watchlist else frozenset(),
+            watchlist=(
+                _shipped("watchlist_example.txt")
+                if watchlist == "builtin"
+                else read_domain_list(watchlist) if watchlist else frozenset()
+            ),
         )
 
 
@@ -109,7 +106,7 @@ class FilterConfig:
     prefilter_types: frozenset[RRType] = frozenset(
         (RRType.parse("NULL"), RRType.parse("TXT"))
     )
-    known: KnownLists = field(default_factory=KnownLists.default)
+    known: KnownLists = field(default_factory=KnownLists.from_files)
     min_level: int = 4
     min_distinct_fqdns: int = 2
     post_filters: PostFilterConfig = field(default_factory=PostFilterConfig)

@@ -35,7 +35,7 @@ def read_json(path: str | Path):
     """The JSON value a UTF-8 file holds. ValueError when the text is not
     UTF-8, not JSON, nested deeper than the parser goes, or holds a \\u
     escape that is a lone surrogate; OSError when the file is unreadable."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     try:
         value = json.loads(text)
@@ -53,7 +53,7 @@ def read_domain_list(path: str | Path) -> frozenset[str]:
     not a hostname, raises ConfigError.
     """
     out = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             for number, line in enumerate(fh, 1):
                 text = line.strip()
@@ -80,7 +80,7 @@ def read_labels(path: str | Path) -> dict[str, tuple[str, str]]:
     and tens of thousands of rows."""
     out: dict[str, tuple[str, str]] = {}
     pairs: dict[tuple[str, str], tuple[str, str]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             reader = csv.reader(fh)
             header = next(reader, None)

@@ -10,7 +10,6 @@ common reasons real feeds contain high-volume or oddly-shaped names.
 from __future__ import annotations
 
 import base64
-import csv
 import gzip
 import io
 import json
@@ -33,7 +32,7 @@ from pdnskit.fingerprint import (
     ProfileSet,
 )
 from pdnskit.model import MAX_NAME_BYTES, ConfigError, Fqdn, FqdnError, PdnsEntry, RRType, parse_fqdn
-from pdnskit.tables import read_json
+from pdnskit.tables import read_json, write_csv
 
 __all__ = [
     "GenConfig",
@@ -560,7 +559,7 @@ def write_corpus(entries: Iterable[LabeledEntry], corpus_path: str | Path) -> tu
     corpus_path.parent.mkdir(parents=True, exist_ok=True)
     stem = corpus_path.name.removesuffix(".gz").rsplit(".", 1)[0]
     labels_path = corpus_path.with_name(stem + ".labels.csv")
-    labels: dict[str, tuple[str, str]] = {}
+    labels: dict[str, tuple[str, str, str]] = {}  # rrname -> its sidecar row
     if corpus_path.name.endswith(".gz"):
         # A zero header mtime keeps the bytes a function of the seed alone.
         fh = io.TextIOWrapper(gzip.GzipFile(corpus_path, "wb", mtime=0), encoding="utf-8")
@@ -570,12 +569,9 @@ def write_corpus(entries: Iterable[LabeledEntry], corpus_path: str | Path) -> tu
         for item in entries:
             fh.write(_corpus_record(item.entry))
             fh.write("\n")
-            labels.setdefault(item.entry.rrname.name, (item.kind, item.label))
-    with open(labels_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("rrname", "kind", "class"))
-        for rrname, (kind, label) in labels.items():
-            writer.writerow((rrname, kind, label))
+            rrname = item.entry.rrname.name
+            labels.setdefault(rrname, (rrname, item.kind, item.label))
+    write_csv(labels_path, ("rrname", "kind", "class"), labels.values())
     return corpus_path, labels_path
 
 

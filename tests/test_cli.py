@@ -142,6 +142,34 @@ class TestFilterCommand:
         assert report["candidates"][0]["watchlist"] is True
         assert report["watchlist_hits"][0]["sld"] == "teriava.com"
 
+    def test_tunnel_list_with_builtin_watchlist(self, tmp_path, capsys):
+        lines = [
+            ndjson_line(rrname=f"x{i}.t.{sld}.", domain=f"{sld}.", rrtype="NULL")
+            for sld in ("teriava.com", "my-tunnel.net", "other.org")
+            for i in range(3)
+        ]
+        corpus = tmp_path / "w.ndjson"
+        write_ndjson(corpus, lines)
+        tunnels = tmp_path / "tunnels.txt"
+        tunnels.write_text("my-tunnel.net\nother.org\n", encoding="utf-8")
+        out = tmp_path / "out"
+        result = run_cli("filter", corpus, "--out", out, "--tunnel-list", tunnels, "--watchlist", "builtin")
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "candidates.json").read_text())
+        assert report["dropped_known_tunnels"] == [
+            {"sld": "my-tunnel.net", "entry_count": 3}, {"sld": "other.org", "entry_count": 3}
+        ]
+        assert [c["sld"] for c in report["candidates"]] == ["teriava.com"]
+        assert [h["sld"] for h in report["watchlist_hits"]] == ["teriava.com"]
+
+        # An SLD on the tunnel list and the bundled watchlist is a config error.
+        tunnels.write_text("my-tunnel.net\nteriava.com\n", encoding="utf-8")
+        capsys.readouterr()
+        argv = ["filter", str(corpus), "--out", str(tmp_path / "both"), "--tunnel-list", str(tunnels)]
+        assert main(argv + ["--watchlist", "builtin"]) == 3
+        assert capsys.readouterr().err == "config error: known lists overlap: ['teriava.com']\n"
+        assert not (tmp_path / "both").exists()
+
     def test_config_file_overridden_by_flags(self, demo_corpus, tmp_path):
         corpus, _ = demo_corpus
         cfg = tmp_path / "cfg.json"

@@ -18,8 +18,8 @@ key or a value of the wrong type, exits 3 with one line that names the key,
 field or SLD, and writes nothing. A JSON `\\u` escape that decodes
 to a lone surrogate, in a name field or in rdata, counts as `BadEncoding`
 in every command; in a `--config` or `gen --config` file, it exits 3.
-A CSV corpus that starts with a UTF-8 byte order mark reads as it would
-without it, and a `gen` corpus dated before the year 1000 reads back whole.
+A CSV corpus, or a side input of any kind, that starts with a UTF-8 byte
+order mark reads as it would without it, and a `gen` corpus dated before the year 1000 reads back whole.
 """
 
 import csv
@@ -200,6 +200,36 @@ BOM_CSV = [
 @pytest.mark.parametrize("head", BOM_CSV)
 def test_csv_corpus_starting_with_a_bom(tmp_path, head):
     assert stats_of(tmp_path, "csv", head + good("csv", 1) + good("csv", 2)) == accepted_only(2)
+
+
+# (command, option, a side input whose first line changes what the command
+# does): each reader of a side input drops a leading byte order mark.
+BOM_SIDE_INPUTS = [
+    ("stats", "--config", '{"top_n": 1}\n'),
+    ("stats", "--psl", "teriava.com\n"),
+    ("filter", "--cdn-list", "teriava.com\n"),
+    ("classify", "--labels", "good1.teriava.com,tunnel,iodine-null\n"),
+    ("classify", "--profiles", (Path(pdnskit.__file__).parent / "data" / "tunnel_profiles.conf").read_text("utf-8")),
+]
+
+
+@pytest.mark.parametrize(
+    "command, option, text", BOM_SIDE_INPUTS, ids=["json-config", "psl", "domain-list", "labels", "profiles"]
+)
+def test_side_input_starting_with_a_bom(tmp_path, capsys, command, option, text):
+    # NULL records pass the filter's prefilter; with no domain, a --psl decides the SLD.
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_bytes(b"".join(
+        record_bytes("ndjson", rrname=f"good{i}.teriava.com.", rrtype="NULL", domain="", bailiwick="") for i in (1, 2)
+    ))
+    side = tmp_path / "side"
+    outputs = []
+    for head in (b"", b"\xef\xbb\xbf"):
+        side.write_bytes(head + text.encode())
+        out = tmp_path / f"out{len(outputs)}"
+        assert run_cli(capsys, command, corpus, "--out", out, option, side) == (0, [])
+        outputs.append(snapshot(out))
+    assert outputs[0] == outputs[1]
 
 
 def test_gen_before_year_1000_reads_back(tmp_path, capsys):

@@ -150,6 +150,12 @@ def reference_record(obj: dict) -> PdnsEntry:
 
 ABSENT = object()  # a field left out of the record
 NOT_STRINGS = [None, ABSENT, False, 0, 7, [], {}, ["IN"]]
+# Not a string, though its str() is a timestamp of the feed's shape.
+NAIVE_TIME = datetime(2017, 7, 1, 9, 35, 4)
+
+
+class TextSubclass(str):
+    """A string, though not of type str."""
 
 
 def mostly(good: list, bad: list):
@@ -196,7 +202,7 @@ def record_st(draw) -> dict:
         "rrtype": draw(mostly(["A", "txt", " NULL ", "TYPE65"], ["", " ", "A B", "é", *NOT_STRINGS])),
         "time_seen": draw(mostly(
             ["2017-07-01 09:35:04", "0999-12-31 23:59:59"],
-            ["2017-02-30 00:00:00", "2017-07-01T09:35:04", "2017-07-01 24:00:00", "", " ", *NOT_STRINGS],
+            ["2017-02-30 00:00:00", "2017-07-01T09:35:04", "2017-07-01 24:00:00", "", " ", NAIVE_TIME, *NOT_STRINGS],
         )),
         "rrclass": draw(mostly(["IN", "CH", "", None, ABSENT], NOT_STRINGS)),
         "domain": draw(side_name_st(rrname)),
@@ -222,6 +228,8 @@ def outcome(parse, record):
 @given(record_st())
 @example(dict(TABLE_RECORD, rrname="a.é.teriava.com", domain="É.TERIAVA.COM", bailiwick="x.é.teriava.com"))
 @example(dict(TABLE_RECORD, rrname="a.xteriava.com.", domain="teriava.com.", bailiwick=" A.XTERIAVA.COM "))
+@example(dict(TABLE_RECORD, time_seen=NAIVE_TIME))
+@example(dict(TABLE_RECORD, time_seen=TextSubclass("2017-07-01 09:35:04")))
 @settings(max_examples=600)
 def test_parse_record_matches_the_reference(record):
     """The production parse, with the name cache cold and then warm, gives

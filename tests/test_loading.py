@@ -1,4 +1,5 @@
-"""What each command loads, and the names a tracer replaces on `pdnskit.cli`.
+"""What each command loads, the names a tracer replaces on `pdnskit.cli`,
+and the names each module exports.
 
 Every command is its own process, so whatever `pdnskit.cli` imports at
 start-up is paid by every command. The budget below keeps a top-level import
@@ -8,6 +9,7 @@ from loading another command's modules, or OpenSSL's `_hashlib`, again.
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -138,3 +140,14 @@ print(all(getattr(cli, n) is getattr(m, n) for n, m in zip(names, owners)))
         if name == "classify":
             n_entries = json.loads((tmp_path / "out" / "ingest_stats.json").read_text())["accepted"]
             assert len(calls) == n_entries
+
+
+# Every module of the package but `__main__`, which runs the CLI on import.
+MODULES = ["pdnskit"] + [f"pdnskit.{m.name}" for m in pkgutil.iter_modules(pdnskit.__path__) if m.name != "__main__"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    """A name left in `__all__` after its definition is deleted is caught here."""
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

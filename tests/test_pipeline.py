@@ -69,7 +69,7 @@ class TestPrefilterRrtype:
 
 class TestFilterKnownDomains:
     def test_known_tunnel_counted(self):
-        config = FilterConfig(known=KnownLists.default())
+        config = FilterConfig(known=KnownLists.from_files())
         entries = [
             make_entry("x1y2z3.a.53r.de", "NULL", "53r.de"),
             make_entry("other.site.net", "NULL", "site.net"),
@@ -251,7 +251,7 @@ class TestRunPipeline:
         assert [(c.sld, r) for c, r in report.post_filtered] == [("popular.com", "alexa-top")]
 
     def test_watchlist_never_dropped_and_annotated(self):
-        known = KnownLists.default(include_watchlist=True)
+        known = KnownLists.from_files(watchlist="builtin")
         entries = [
             make_entry("k1.teriava.com", "NULL", "teriava.com"),
             make_entry("k2.teriava.com", "NULL", "teriava.com"),
