@@ -15,7 +15,16 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from pdnskit.model import ConfigError, Fqdn, PdnsEntry, PublicSuffixList, RRType, label_length, sld_name
+from pdnskit.model import (
+    ConfigError,
+    Fqdn,
+    PdnsEntry,
+    PublicSuffixList,
+    RRType,
+    _new_tuple,
+    label_length,
+    sld_name,
+)
 from pdnskit.tables import fmt_share, write_csv, write_json
 
 __all__ = [
@@ -132,11 +141,6 @@ class AttributeVector(NamedTuple):
     markers: frozenset[str]  # marker substrings found anywhere in the name
 
 
-# Builds a tuple subclass from one iterable, skipping the Python-level
-# `__new__` that NamedTuple generates.
-_new_tuple = tuple.__new__
-
-
 def extract_attributes(
     entry: PdnsEntry, markers: Iterable[str] = ()
 ) -> AttributeVector:
@@ -153,7 +157,7 @@ def extract_attributes(
     own constructor ends in, so its fields and type are the same.
     """
     rrname = entry.rrname
-    labels = rrname.labels
+    labels, name = rrname.labels, rrname.name
     n = len(labels)
     if n > 3:
         payload = "".join(labels[: n - 3])
@@ -177,7 +181,7 @@ def extract_attributes(
             entry.rrtype,
             detect_encoding(payload),
             _FIRST_CHAR_CLASS.get(labels[0][0], "other"),
-            frozenset([m for m in markers if m in rrname.name]),
+            frozenset([m for m in markers if m in name]),
         ),
     )
 

@@ -26,6 +26,7 @@ from pdnskit.model import (
     FqdnError,
     PdnsEntry,
     RRType,
+    _new_tuple,
     parse_fqdn,
 )
 
@@ -114,7 +115,7 @@ def _suffix_name(rrname: Fqdn, text: str) -> Optional[Fqdn]:
     if s == name:
         return rrname
     if s and name.endswith("." + s):
-        return Fqdn(rrname.labels[-1 - s.count("."):], s)
+        return _new_tuple(Fqdn, (rrname.labels[-1 - s.count("."):], s))
     return None
 
 
@@ -270,7 +271,7 @@ def parse_record(obj: dict) -> PdnsEntry:
             rdata = _parse_rdata(rdata)
     else:
         rdata = _parse_rdata(rdata)
-    return PdnsEntry(domain, time_seen, bailiwick, name, rrclass, rrtype, rdata)
+    return _new_tuple(PdnsEntry, (domain, time_seen, bailiwick, name, rrclass, rrtype, rdata))
 
 
 class _GzipChunks(io.RawIOBase):
@@ -433,8 +434,10 @@ def read_stream(
                 # Is the domain a label suffix of the rrname? One longer
                 # than the rrname takes the whole rrname and compares unequal.
                 domain = entry.domain
-                if domain is not None and entry.rrname.labels[-len(domain.labels):] != domain.labels:
-                    stats.warnings["SuffixMismatch"] += 1
+                if domain is not None:
+                    labels = domain.labels
+                    if entry.rrname.labels[-len(labels):] != labels:
+                        stats.warnings["SuffixMismatch"] += 1
                 stats.accepted += 1
                 yield entry
         except _TRUNCATED_GZIP:

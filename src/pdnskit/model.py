@@ -7,10 +7,10 @@ threads; every operation in this module is a pure function.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 __all__ = [
     "ConfigError",
@@ -87,22 +87,47 @@ class RRType(str):
 _RRTYPE_CACHE: dict[str, RRType] = {}
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Fqdn:
+# Builds a NamedTuple instance from one tuple of its fields, skipping the
+# Python-level `__new__` that NamedTuple generates. The parsers build each
+# record's Fqdn and PdnsEntry values this way, in C, as `fingerprint` builds
+# its attribute vectors.
+_new_tuple = tuple.__new__
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Fqdn(NamedTuple):
     """A parsed hostname: lowercase labels, leftmost first, no root dot.
 
     `name` is the normalized dotted form. Equality and hashing consider the
-    labels only.
+    labels only, and an Fqdn equals only another Fqdn, never a plain tuple.
     """
 
     labels: tuple[str, ...]
-    name: str = field(compare=False)
+    name: str
 
-    # Sets the slots directly: a generated frozen __init__ pays for an
-    # object.__setattr__ call per field.
-    def __init__(self, labels: tuple[str, ...], name: str):
-        _FQDN_SET_LABELS(self, labels)
-        _FQDN_SET_NAME(self, name)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self[0] == other[0]
+        # Any other tuple's __eq__, tried next, would compare the fields.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return self[0] != other[0]
+        return True if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self):  # a frozen dataclass's hash of the labels field alone
+        return hash((self[0],))
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
 
     @property
     def level(self) -> int:
@@ -116,10 +141,6 @@ class Fqdn:
 
     def __str__(self) -> str:
         return self.name
-
-
-_FQDN_SET_LABELS = Fqdn.labels.__set__
-_FQDN_SET_NAME = Fqdn.name.__set__
 
 
 def _byte_len(s: str) -> int:
@@ -145,7 +166,7 @@ def parse_fqdn(raw: str) -> Fqdn:
         if s.endswith("."):
             s = s[:-1]
         if len(s) <= MAX_NAME_BYTES:
-            return Fqdn(tuple(s.split(".")), s)
+            return _new_tuple(Fqdn, (tuple(s.split(".")), s))
     return _parse_fqdn_general(raw)
 
 
@@ -162,7 +183,7 @@ def _parse_fqdn_general(raw: str) -> Fqdn:
             raise EmptyLabelError(f"empty label in {raw!r}")
         if _byte_len(lab) > MAX_LABEL_BYTES:
             raise LabelTooLongError(f"label exceeds {MAX_LABEL_BYTES} bytes in {raw!r}")
-    return Fqdn(tuple(labels), s)
+    return _new_tuple(Fqdn, (tuple(labels), s))
 
 
 def label_length(fqdn: Fqdn, level_index: int) -> Optional[int]:
@@ -230,12 +251,12 @@ class PublicSuffixList:
         if len(fqdn.labels) <= n:
             return None
         labels = fqdn.labels[-(n + 1):]
-        return Fqdn(labels, ".".join(labels))
+        return _new_tuple(Fqdn, (labels, ".".join(labels)))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class PdnsEntry:
-    """One passive-DNS record, field order as in the feed."""
+class PdnsEntry(NamedTuple):
+    """One passive-DNS record, field order as in the feed. It equals only
+    another PdnsEntry, never a plain tuple."""
 
     domain: Optional[Fqdn]
     time_seen: datetime
@@ -245,33 +266,19 @@ class PdnsEntry:
     rrtype: RRType
     rdata: tuple[str, ...]
 
-    # Sets the slots directly, as Fqdn.__init__ does.
-    def __init__(
-        self,
-        domain: Optional[Fqdn],
-        time_seen: datetime,
-        bailiwick: Optional[Fqdn],
-        rrname: Fqdn,
-        rrclass: str,
-        rrtype: RRType,
-        rdata: tuple[str, ...],
-    ):
-        _ENTRY_SET_DOMAIN(self, domain)
-        _ENTRY_SET_TIME_SEEN(self, time_seen)
-        _ENTRY_SET_BAILIWICK(self, bailiwick)
-        _ENTRY_SET_RRNAME(self, rrname)
-        _ENTRY_SET_RRCLASS(self, rrclass)
-        _ENTRY_SET_RRTYPE(self, rrtype)
-        _ENTRY_SET_RDATA(self, rdata)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
 
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__ne__(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
 
-_ENTRY_SET_DOMAIN = PdnsEntry.domain.__set__
-_ENTRY_SET_TIME_SEEN = PdnsEntry.time_seen.__set__
-_ENTRY_SET_BAILIWICK = PdnsEntry.bailiwick.__set__
-_ENTRY_SET_RRNAME = PdnsEntry.rrname.__set__
-_ENTRY_SET_RRCLASS = PdnsEntry.rrclass.__set__
-_ENTRY_SET_RRTYPE = PdnsEntry.rrtype.__set__
-_ENTRY_SET_RDATA = PdnsEntry.rdata.__set__
+    __hash__ = tuple.__hash__
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
 
 
 def sld_name(entry: PdnsEntry, psl: Optional[PublicSuffixList] = None) -> str:
@@ -283,16 +290,18 @@ def sld_name(entry: PdnsEntry, psl: Optional[PublicSuffixList] = None) -> str:
     rrname. The result is always a suffix of rrname, in dotted form.
     """
     rrname = entry.rrname
+    labels = rrname.labels
     dom = entry.domain
     if dom is not None:
-        n = len(dom.labels)
-        if n <= len(rrname.labels) and rrname.labels[-n:] == dom.labels:
+        # A domain longer than rrname takes all of its labels and compares unequal.
+        dom_labels = dom.labels
+        if labels[-len(dom_labels):] == dom_labels:
             return dom.name
     if psl is not None:
         reg = psl.registrable(rrname)
         if reg is not None:
             return reg.name
-    return ".".join(rrname.labels[-2:])
+    return ".".join(labels[-2:])
 
 
 # The feed's one timestamp shape: ASCII digits only, and hours 00-23, so

@@ -185,8 +185,9 @@ class SldGroup:
                 self.samples.append(name)
         self.days.add(entry.time_seen.date())
         self.rrtype_mix[str(entry.rrtype)] += 1
-        if entry.bailiwick is not None:
-            self.bailiwicks[entry.bailiwick.name] += 1
+        bailiwick = entry.bailiwick
+        if bailiwick is not None:
+            self.bailiwicks[bailiwick.name] += 1
 
 
 # ----------------------------------------------------------------------

@@ -121,13 +121,14 @@ class StatsBundle:
         rrtype = entry.rrtype
         sld = sld_name(entry, self.psl)
         size = rdata_wire_size(entry.rdata)
+        rrname = entry.rrname
 
         self.per_day_rrtype[(day, rrtype)] += 1
-        self.level_per_day[(day, len(entry.rrname.labels))] += 1
+        self.level_per_day[(day, len(rrname.labels))] += 1
         self.rdata_buckets_per_day[(day, _bucket(size))] += 1
         self.sld_rdata_sum[sld] += size
         self.type_sld_entries[rrtype][sld] += 1
-        self.type_sld_fqdns[rrtype][sld].add(entry.rrname.name)
+        self.type_sld_fqdns[rrtype][sld].add(rrname.name)
         self.day_sld_entries[day][sld] += 1
 
     def accumulate_all(self, stream: Iterable[PdnsEntry]) -> "StatsBundle":

@@ -538,17 +538,23 @@ def _generate(
         yield from _gen_background(spec, sld, start, span_s, seed)
 
 
+# json.dumps with any option builds a new encoder per call; this one is
+# built once, with the same defaults.
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _corpus_record(entry: PdnsEntry) -> str:
+    domain, bailiwick = entry.domain, entry.bailiwick
     obj = {
-        "domain": entry.domain.dotted if entry.domain else "",
+        "domain": domain.dotted if domain else "",
         "time_seen": entry.time_seen.isoformat(" ")[:19],
-        "bailiwick": entry.bailiwick.dotted if entry.bailiwick else "",
+        "bailiwick": bailiwick.dotted if bailiwick else "",
         "rrname": entry.rrname.dotted,
         "rrclass": entry.rrclass,
         "rrtype": str(entry.rrtype),
         "rdata": list(entry.rdata),
     }
-    return json.dumps(obj, separators=(",", ":"))
+    return _encode_compact(obj)
 
 
 def write_corpus(entries: Iterable[LabeledEntry], corpus_path: str | Path) -> tuple[Path, Path]:

@@ -89,6 +89,26 @@ class TestParseRecord:
             assert not set(bad) & set(cache)
         assert all(isinstance(f, Fqdn) for f in cache.values())
 
+    def test_records_are_built_in_c(self):
+        # With the domain, bailiwick and rrtype cached, a record runs only
+        # parse_record and parse_fqdn in Python: no constructor of either type.
+        record = json.loads(ndjson_line())
+        parse_record(record)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_qualname)
+
+        old = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            entry = parse_record(record)
+        finally:
+            sys.setprofile(old)
+        assert calls == ["parse_record", "parse_fqdn"]
+        assert type(entry) is PdnsEntry and type(entry.rrname) is Fqdn
+
 
 def reference_record(obj: dict) -> PdnsEntry:
     """README's record rules in README's check order (rrname text, rrtype,

@@ -4,7 +4,7 @@ import csv
 import io
 import string
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, field
 from datetime import date, datetime, timezone
 from typing import Optional
 
@@ -130,8 +130,8 @@ def parse_outcome(parse, raw):
     return f.labels, f.name
 
 
-# The generated dataclasses the hand-written constructors replace, as the
-# reference for equality, hashing and repr.
+# Frozen dataclasses with the types' fields, as the reference for equality,
+# hashing and repr.
 @dataclass(frozen=True, slots=True)
 class RefFqdn:
     labels: tuple
@@ -179,10 +179,19 @@ class TestModelFastPaths:
         same = PdnsEntry(**{name: getattr(e, name) for name in RefPdnsEntry.__dataclass_fields__})
         assert e == same and hash(e) == hash(same) == hash(ref)
         assert repr(e) == repr(ref).replace("RefPdnsEntry", "PdnsEntry")
-        other = replace(e, rrtype=RRType.parse(rrtype))
+        other = e._replace(rrtype=RRType.parse(rrtype))
         assert (other == e) == (rrtype == e.rrtype)
         with pytest.raises(FrozenInstanceError):
             e.rrname = parse_fqdn("x.com")
+
+    @given(entry_st())
+    @settings(max_examples=200)
+    def test_types_equal_only_their_own_class(self, e):
+        # Both are tuples, and a tuple's own __eq__ compares the fields.
+        f = e.rrname
+        for a, b in ((f, (f.labels, f.name)), (e, tuple(e)), (f, e)):
+            for x, y in ((a, b), (b, a)):
+                assert (x == y, x != y) == (False, True)
 
     @given(st.from_regex(r"\A\d{4}-\d\d-\d\d \d\d:\d\d:\d\d\Z", fullmatch=True))
     @settings(max_examples=500)
