@@ -2,23 +2,24 @@
 
 Exit codes: 0 success, 1 usage error, 2 fatal I/O, 3 config validation,
 130 interrupt. Flag defaults mirror the pipeline defaults (types NULL,TXT;
-level 4; two subdomains); a JSON config file can override defaults, and
-explicit flags override the file.
+level 4; two subdomains). Each option's value comes from its flag, else
+(for --profiles) a non-empty PDNSKIT_PROFILES, else the --config JSON file
+of a command that reads a corpus, else its default.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import json
 import os
 import shutil
 import sys
 import tempfile
+from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Optional
-
-import click
+from typing import Callable, NamedTuple, Optional
 
 from pdnskit import __version__
 from pdnskit.ingest import (
@@ -49,49 +50,220 @@ def __getattr__(name: str):
     return value
 
 
-def _apply_config_file(ctx: click.Context) -> None:
-    """Fill parameters still at their defaults from --config JSON values,
-    each checked and converted by its option's declared type."""
-    path = ctx.params.get("config")
-    if not path:
-        return
+class UsageError(Exception):
+    """A command line that cannot run as given: exit 1."""
+
+
+# ----------------------------------------------------------------------
+# Options. A converter takes an option's value, as flag text (`flag` true)
+# or as the JSON value a --config file holds, and returns what the command
+# reads; its ValueError says what is wrong with the value.
+
+
+def _shown(value, flag: bool) -> str:
+    return repr(value) if flag else json.dumps(value)
+
+
+def _path(value, flag: bool) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{_shown(value, flag)} is not a string.")
+    if "\0" in value:
+        raise ValueError(f"{_shown(value, flag)} holds a NUL character, which no file name can.")
+    return value
+
+
+def _switch(value, flag: bool) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{_shown(value, flag)} is not true or false.")
+    return value
+
+
+def _integer(low: Optional[int] = None, high: Optional[int] = None):
+    """Integers within [low, high] where given: flag text `int` reads, or a
+    JSON integer (not a float, not `true`)."""
+    bounds = f"{low}<=x<={high}" if high is not None else f"x>={low}" if low is not None else ""
+
+    def convert(value, flag: bool) -> int:
+        if flag:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"{value!r} is not a valid integer{' range' if bounds else ''}.") from None
+        elif not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{json.dumps(value)} is not an integer.")
+        if (low is not None and value < low) or (high is not None and value > high):
+            raise ValueError(f"{value} is not in the range {bounds}.")
+        return value
+
+    return convert
+
+
+def _choice(*choices: str):
+    def convert(value, flag: bool) -> str:
+        if not isinstance(value, str) or value not in choices:
+            raise ValueError(f"{_shown(value, flag)} is not one of {', '.join(map(repr, choices))}.")
+        return value
+
+    return convert
+
+
+def _types(value, flag: bool) -> frozenset[RRType]:
+    """Record types as a comma-separated string or, from a config file, a
+    JSON list of strings."""
+    names = value.split(",") if isinstance(value, str) else value
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ValueError(f"expected a comma-separated string or a list of strings, got {value!r}")
+    types = frozenset(RRType.parse(n) for n in names if n.strip())
+    if not types:
+        raise ValueError(f"{_shown(value, flag)} names no record type.")
+    return types
+
+
+def _directory(value, flag: bool) -> str:
+    if os.path.isfile(_path(value, flag)):
+        raise ValueError(f"Directory {value!r} is a file.")
+    return value
+
+
+def _file(value, flag: bool) -> str:
+    if os.path.isdir(_path(value, flag)):
+        raise ValueError(f"File {value!r} is a directory.")
+    return value
+
+
+_REQUIRED = object()  # the default of an option that must be given
+
+
+class Option(NamedTuple):
+    """One option: its flag (and a switch's negating flag), the name the
+    command reads its value under, which is also its --config key, its
+    converter, its default, its help and the environment variable that may
+    set it."""
+
+    flags: tuple[str, ...]
+    dest: str
+    convert: Callable
+    default: object = None
+    help: str = ""
+    env: Optional[str] = None
+
+
+class Command(NamedTuple):
+    """`run(params)` does a command's work, given each option's value by
+    its `dest` (and `inputs`, the paths of a command that reads a corpus)."""
+
+    run: Callable[[dict], None]
+    help: str
+    options: tuple[Option, ...]
+    corpus: bool  # takes INPUTS... and a --config file of option values
+
+
+_COMMANDS: dict[str, Command] = {}
+
+# What a --config file cannot set: the inputs are arguments, and these two.
+_NOT_IN_CONFIG = ("outdir", "config")
+
+
+def _usage(name: Optional[str]) -> str:
+    if name is None:
+        return "pdnskit [OPTIONS] COMMAND [ARGS]..."
+    return f"pdnskit {name} [OPTIONS]" + (" INPUTS..." if _COMMANDS[name].corpus else "")
+
+
+def _parser(name: str, command: Command) -> argparse.ArgumentParser:
+    """The command's parser. It only splits the command line: a flag not
+    given stays out of the namespace, and no value is converted yet."""
+    parser = argparse.ArgumentParser(
+        prog=f"pdnskit {name}", usage=_usage(name), description=command.help, add_help=False,
+        allow_abbrev=False, argument_default=argparse.SUPPRESS, exit_on_error=False,
+    )
+    if command.corpus:
+        parser.add_argument("inputs", nargs="*", metavar="INPUTS", help="Corpus files; - reads stdin.")
+    for option in command.options:
+        shown = " [required]" if option.default is _REQUIRED else ""
+        if option.convert is _switch:
+            parser.add_argument(option.flags[0], dest=option.dest, action="store_const", const=True, help=option.help)
+            for negation in option.flags[1:]:
+                parser.add_argument(negation, dest=option.dest, action="store_const", const=False)
+        else:
+            parser.add_argument(*option.flags, dest=option.dest, help=option.help + shown)
+    parser.add_argument("--help", action="store_true", help="Show this message and exit.")
+    return parser
+
+
+def _converted(option: Option, value, flag: bool):
     try:
-        overrides = read_json(path)
+        return option.convert(value, flag)
+    except ValueError as exc:
+        raise ValueError(f"Invalid value for '{option.flags[0]}': {exc}") from None
+
+
+def _read_config(path: str, options: tuple[Option, ...]) -> dict:
+    """The option values a --config file holds, by option name."""
+    try:
+        values = read_json(path)
     except OSError as exc:
         raise UnreadableSourceError(f"cannot open config {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"bad config file {path}: {exc}") from exc
-    if not isinstance(overrides, dict):
+    if not isinstance(values, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    params = {param.name: param for param in ctx.command.params}
-    for name, value in overrides.items():
-        if name not in ctx.params:
+    settable = {option.dest for option in options}.difference(_NOT_IN_CONFIG)
+    for name in values:
+        if name not in settable:
             raise ConfigError(f"config file {path}: unknown option {name!r}")
-        source = ctx.get_parameter_source(name)
-        if source == click.core.ParameterSource.DEFAULT:
-            param = params[name]
+    return values
+
+
+def _parse(name: str, args: list[str]) -> Optional[dict]:
+    """Each option's value for one command line, or None after --help.
+
+    A flag's value is converted as it is read, so every usage error (exit 1)
+    is raised before the --config file is read. The rest resolve in one
+    ordered merge: flag, environment, config file, default."""
+    command = _COMMANDS[name]
+    parser = _parser(name, command)
+    try:
+        namespace, extras = parser.parse_known_intermixed_args(args)
+    except argparse.ArgumentError as exc:
+        raise UsageError(f"Option '{exc.argument_name}': {exc.message}.") from None
+    if extras:
+        extra = extras[0]
+        if extra.startswith("-") and extra != "-":
+            raise UsageError(f"No such option '{extra.partition('=')[0]}'.")
+        raise UsageError(f"Got unexpected extra argument ({extra}).")
+    given = vars(namespace)
+    if given.pop("help", False):
+        parser.print_help()
+        return None
+    if command.corpus and not given.get("inputs"):
+        raise UsageError("Missing argument 'INPUTS...'.")
+    for option in command.options:
+        if option.dest in given:
             try:
-                # click's integer types truncate 2.5 to 2 and read true as 1.
-                if isinstance(param.type, click.types.IntParamType) and isinstance(value, (bool, float)):
-                    raise click.BadParameter(f"{json.dumps(value)} is not an integer.", ctx, param)
-                ctx.params[name] = param.type_cast_value(ctx, value)
-            except click.BadParameter as exc:
-                raise ConfigError(f"config file {path}: {exc.format_message()}") from exc
+                given[option.dest] = _converted(option, given[option.dest], flag=True)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
+        elif option.default is _REQUIRED:
+            raise UsageError(f"Missing option '{option.flags[0]}'.")
 
-
-class RRTypeList(click.ParamType):
-    """Record types as a comma-separated string or a JSON list of strings."""
-
-    name = "types"
-
-    def convert(self, value, param, ctx):
-        names = value.split(",") if isinstance(value, str) else value
-        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-            self.fail(f"expected a comma-separated string or a list of strings, got {value!r}", param, ctx)
-        try:
-            return frozenset(RRType.parse(n) for n in names if n.strip())
-        except ValueError as exc:
-            self.fail(str(exc), param, ctx)
+    path = given.get("config") if command.corpus else None
+    file = _read_config(path, command.options) if path else {}
+    params = {"inputs": given.get("inputs")}
+    for option in command.options:
+        dest, env = option.dest, option.env and os.environ.get(option.env)
+        if dest in given:
+            params[dest] = given[dest]
+        elif env:
+            params[dest] = _converted(option, env, flag=True)
+        elif file.get(dest) is not None:
+            try:
+                params[dest] = _converted(option, file[dest], flag=False)
+            except ValueError as exc:
+                raise ConfigError(f"config file {path}: {exc}") from None
+        else:
+            params[dest] = option.default
+    return params
 
 
 def _load_psl(path: Optional[str]) -> Optional[PublicSuffixList]:
@@ -120,13 +292,11 @@ def _staged(outdir: Path, artifacts: tuple[str, ...] = ()):
     staging.rmdir()
 
 
-def _run(ctx: click.Context, produce, artifacts: tuple[str, ...]) -> None:
-    """Run a command that reads a corpus: resolve --config, read the inputs
-    (first-seen only under --dedup), and stage into --out what
-    `produce(params, stream, outdir)` writes, then `ingest_stats.json`.
-    Exits 2 if an input was cut short, else echoes `produce`'s summary."""
-    _apply_config_file(ctx)
-    p = ctx.params
+def _run(produce, artifacts: tuple[str, ...], p: dict) -> None:
+    """Run a command that reads a corpus: read the inputs (first-seen only
+    under --dedup), and stage into --out what `produce(p, stream, outdir)`
+    writes, then `ingest_stats.json`. Exits 2 if an input was cut short,
+    else prints `produce`'s summary."""
     stats = IngestStats()
     stream = chain.from_iterable(read_stream(path, fmt=p["fmt"], stats=stats) for path in p["inputs"])
     if p.get("dedup"):
@@ -147,41 +317,39 @@ def _run(ctx: click.Context, produce, artifacts: tuple[str, ...]) -> None:
             f"{truncated} gzip input(s) ended early; artifacts in {outdir} "
             "cover the records before the cut"
         )
-    click.echo(f"{summary} -> {outdir}")
+    print(f"{summary} -> {outdir}")
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="pdnskit")
-def cli():
-    """Passive-DNS measurement statistics and tunnel-candidate filtering."""
+def _command(name: str, *options: Option):
+    """Register `run(params)` as the command `name` with `options`."""
 
-
-def _corpus_command(name: str, *options, optional: tuple[str, ...] = ()):
-    """Register `produce` as the command `name`, run through `_run`. It takes
-    CORPUS... --out DIR [--format] and `options`, then [--psl] [--config].
-    `optional` names the files only some runs write into --out."""
-
-    def register(produce):
-        @click.pass_context
-        def command(ctx, **_):
-            _run(ctx, produce, optional)
-
-        command.__doc__ = produce.__doc__
-        for option in reversed((
-            click.argument("inputs", nargs=-1, required=True),
-            click.option("--out", "outdir", required=True, type=click.Path(file_okay=False)),
-            click.option("--format", "fmt", type=click.Choice(["ndjson", "csv"]), default="ndjson"),
-            *options,
-            click.option("--psl", "psl_path", default=None, help="Public-suffix list file for SLD extraction."),
-            click.option("--config", default=None, help="JSON file of option overrides (flags win)."),
-        )):
-            command = option(command)
-        return cli.command(name)(command)
+    def register(run):
+        _COMMANDS[name] = Command(run, run.__doc__, options, corpus=False)
+        return run
 
     return register
 
 
-_DEDUP = click.option("--dedup/--no-dedup", default=False, help="Drop repeated rrnames (newly-observed semantics).")
+def _corpus_command(name: str, *options: Option, optional: tuple[str, ...] = ()):
+    """Register `produce` as the command `name`, run through `_run`. It takes
+    INPUTS... --out DIR [--format] and `options`, then [--psl] [--config].
+    `optional` names the files only some runs write into --out."""
+
+    def register(produce):
+        _COMMANDS[name] = Command(partial(_run, produce, optional), produce.__doc__, (
+            Option(("--out",), "outdir", _directory, _REQUIRED),
+            Option(("--format",), "fmt", _choice("ndjson", "csv"), "ndjson", "ndjson or csv."),
+            *options,
+            Option(("--psl",), "psl_path", _path, None, "Public-suffix list file for SLD extraction."),
+            Option(("--config",), "config", _path, None, "JSON file of option values (flags win)."),
+        ), corpus=True)
+        return produce
+
+    return register
+
+
+_DEDUP = Option(("--dedup", "--no-dedup"), "dedup", _switch, False, "Drop repeated rrnames (newly-observed semantics).")
+_PROFILES_HELP = "Implementation profile file (default: bundled; env PDNSKIT_PROFILES)."
 
 
 # ----------------------------------------------------------------------
@@ -190,7 +358,7 @@ _DEDUP = click.option("--dedup/--no-dedup", default=False, help="Drop repeated r
 @_corpus_command(
     "stats",
     _DEDUP,
-    click.option("--top", "top_n", default=10, show_default=True, type=click.IntRange(min=1), help="Rows in top-SLD tables."),
+    Option(("--top",), "top_n", _integer(1), 10, "Rows in top-SLD tables. [default: 10]"),
 )
 def cmd_stats(p, stream, outdir):
     """Aggregate measurement tables and series from pDNS inputs."""
@@ -199,7 +367,7 @@ def cmd_stats(p, stream, outdir):
     bundle = StatsBundle(psl=_load_psl(p["psl_path"])).accumulate_all(stream)
     bundle.emit_all(outdir, top_n=p["top_n"])
     if bundle.total == 0:
-        click.echo("warning: no entries accumulated; tables contain headers only", err=True)
+        print("warning: no entries accumulated; tables contain headers only", file=sys.stderr)
     return f"stats: {bundle.total} entries, {len(bundle.sld_rdata_sum)} SLDs"
 
 
@@ -208,16 +376,16 @@ def cmd_stats(p, stream, outdir):
 
 @_corpus_command(
     "filter",
-    click.option("--types", default="NULL,TXT", show_default=True, type=RRTypeList(), help="Record types kept by the prefilter."),
-    click.option("--min-level", default=4, show_default=True, type=click.IntRange(min=1)),
-    click.option("--min-subdomains", default=2, show_default=True, type=click.IntRange(min=1), help="Distinct FQDNs an SLD needs to stay a candidate."),
-    click.option("--cdn-list", default=None, help="File of CDN SLDs to drop at stage 1."),
-    click.option("--tunnel-list", default=None, help="File of known tunnel SLDs (default: bundled provider list)."),
-    click.option("--watchlist", default=None, help="File of IOC SLDs to annotate ('builtin' for the bundled example)."),
-    click.option("--drop-daily-seen", is_flag=True, default=False, help="Drop SLDs seen on every observation day."),
-    click.option("--drop-single-entry", is_flag=True, default=False, help="Drop SLDs left with a single entry."),
-    click.option("--alexa", "alexa_path", default=None, help="Ranked domain list; candidates on it are dropped."),
-    click.option("--observation-days", default=None, type=click.IntRange(min=1), help="Override the day count for --drop-daily-seen."),
+    Option(("--types",), "types", _types, _types("NULL,TXT", True), "Record types kept by the prefilter. [default: NULL,TXT]"),
+    Option(("--min-level",), "min_level", _integer(1), 4, "[default: 4]"),
+    Option(("--min-subdomains",), "min_subdomains", _integer(1), 2, "Distinct FQDNs an SLD needs to stay a candidate. [default: 2]"),
+    Option(("--cdn-list",), "cdn_list", _path, None, "File of CDN SLDs to drop at stage 1."),
+    Option(("--tunnel-list",), "tunnel_list", _path, None, "File of known tunnel SLDs (default: bundled provider list)."),
+    Option(("--watchlist",), "watchlist", _path, None, "File of IOC SLDs to annotate ('builtin' for the bundled example)."),
+    Option(("--drop-daily-seen",), "drop_daily_seen", _switch, False, "Drop SLDs seen on every observation day."),
+    Option(("--drop-single-entry",), "drop_single_entry", _switch, False, "Drop SLDs left with a single entry."),
+    Option(("--alexa",), "alexa_path", _path, None, "Ranked domain list; candidates on it are dropped."),
+    Option(("--observation-days",), "observation_days", _integer(1), None, "Override the day count for --drop-daily-seen."),
     _DEDUP,
 )
 def cmd_filter(p, stream, outdir):
@@ -251,12 +419,9 @@ def cmd_filter(p, stream, outdir):
 
 @_corpus_command(
     "classify",
-    click.option(
-        "--profiles", "profiles_path", default=None, envvar="PDNSKIT_PROFILES",
-        help="Implementation profile file (default: bundled; env PDNSKIT_PROFILES).",
-    ),
-    click.option("--labels", "labels_path", default=None, help="Labels sidecar; enables the confusion matrix."),
-    click.option("--min-matches", default=6, show_default=True, type=click.IntRange(0, 8), help="Attribute threshold out of 8."),
+    Option(("--profiles",), "profiles_path", _path, None, _PROFILES_HELP, env="PDNSKIT_PROFILES"),
+    Option(("--labels",), "labels_path", _path, None, "Labels sidecar; enables the confusion matrix."),
+    Option(("--min-matches",), "min_matches", _integer(0, 8), 6, "Attribute threshold out of 8. [default: 6]"),
     optional=("confusion_matrix.csv", "metrics.json"),
 )
 def cmd_classify(p, stream, outdir):
@@ -271,37 +436,40 @@ def cmd_classify(p, stream, outdir):
     )
     metrics = tally.write(outdir)
     if metrics and metrics["tunnel_entries"]:
-        click.echo(f"classify: tunnel accuracy {metrics['tunnel_accuracy']:.4f} over {metrics['tunnel_entries']} entries")
+        print(f"classify: tunnel accuracy {metrics['tunnel_accuracy']:.4f} over {metrics['tunnel_entries']} entries")
     return f"classify: {tally.entries} entries over {len(tally.totals)} SLDs"
 
 
 # ----------------------------------------------------------------------
 
 
-@cli.command("gen")
-@click.option("--config", "config_path", default=None, help="Generator config JSON.")
-@click.option("--demo", is_flag=True, default=False, help="Use the built-in demo corpus config.")
-@click.option("--out", "outdir", required=True, type=click.Path(file_okay=False))
-@click.option("--name", default="corpus.ndjson", show_default=True, help="Corpus file name (.gz compresses).")
-@click.option("--seed", default=None, type=int, help="Override the config seed.")
-@click.option("--profiles", "profiles_path", default=None, envvar="PDNSKIT_PROFILES")
-def cmd_gen(config_path, demo, outdir, name, seed, profiles_path):
+@_command(
+    "gen",
+    Option(("--config",), "config_path", _path, None, "Generator config JSON."),
+    Option(("--demo",), "demo", _switch, False, "Use the built-in demo corpus config."),
+    Option(("--out",), "outdir", _directory, _REQUIRED),
+    Option(("--name",), "name", _path, "corpus.ndjson", "Corpus file name (.gz compresses). [default: corpus.ndjson]"),
+    Option(("--seed",), "seed", _integer(), None, "Override the config seed."),
+    Option(("--profiles",), "profiles_path", _path, None, _PROFILES_HELP, env="PDNSKIT_PROFILES"),
+)
+def cmd_gen(p):
     """Generate a labeled synthetic corpus (NDJSON + labels sidecar)."""
     from pdnskit.fingerprint import ProfileSet
     from pdnskit.tunnelgen import GenConfig, demo_config, generate, write_corpus
 
-    if demo == bool(config_path):
-        raise click.UsageError("pass exactly one of --config or --demo")
+    name = p["name"]
+    if p["demo"] == bool(p["config_path"]):
+        raise UsageError("pass exactly one of --config or --demo")
     if name in ("", ".", "..") or "/" in name:
-        raise click.UsageError(f"--name must be a bare file name, not {name!r}")
-    cfg = demo_config() if demo else GenConfig.from_json_file(config_path)
-    if seed is not None:
-        cfg.seed = seed
-    profiles = ProfileSet.from_file(profiles_path) if profiles_path else ProfileSet.default()
+        raise UsageError(f"--name must be a bare file name, not {name!r}")
+    cfg = demo_config() if p["demo"] else GenConfig.from_json_file(p["config_path"])
+    if p["seed"] is not None:
+        cfg.seed = p["seed"]
+    profiles = ProfileSet.from_file(p["profiles_path"]) if p["profiles_path"] else ProfileSet.default()
     entries = generate(cfg, profiles)  # checks the config before anything is made
-    with _staged(Path(outdir)) as staging:
+    with _staged(Path(p["outdir"])) as staging:
         corpus, labels = write_corpus(entries, staging / name)
-    click.echo(f"gen: wrote {Path(outdir, corpus.name)} and {Path(outdir, labels.name)}")
+    print(f"gen: wrote {Path(p['outdir'], corpus.name)} and {Path(p['outdir'], labels.name)}")
 
 
 # ----------------------------------------------------------------------
@@ -354,15 +522,18 @@ def _accuracy_lines(text: str) -> list[str]:
                 f"over {metrics['tunnel_entries']} tunnel entries"]
 
 
-@cli.command("report")
-@click.option("--stats", "stats_dir", default=None, type=click.Path(file_okay=False))
-@click.option("--filter", "filter_dir", default=None, type=click.Path(file_okay=False))
-@click.option("--classify", "classify_dir", default=None, type=click.Path(file_okay=False))
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-def cmd_report(stats_dir, filter_dir, classify_dir, out_path):
+@_command(
+    "report",
+    Option(("--stats",), "stats_dir", _directory),
+    Option(("--filter",), "filter_dir", _directory),
+    Option(("--classify",), "classify_dir", _directory),
+    Option(("--out",), "out_path", _file, _REQUIRED),
+)
+def cmd_report(p):
     """Combine stats/filter/classify artifacts into one text summary."""
+    stats_dir, filter_dir, classify_dir = p["stats_dir"], p["filter_dir"], p["classify_dir"]
     if not (stats_dir or filter_dir or classify_dir):
-        raise click.UsageError("pass at least one of --stats/--filter/--classify")
+        raise UsageError("pass at least one of --stats/--filter/--classify")
     lines = ["passive-DNS analysis summary", "=" * 28, ""]
     if stats_dir:
         lines += _quote(Path(stats_dir) / "stats_summary.json", _stats_lines)
@@ -374,31 +545,63 @@ def cmd_report(stats_dir, filter_dir, classify_dir, out_path):
         if metrics_path.exists():
             lines += _quote(metrics_path, _accuracy_lines)
         lines.append("")
-    out_path = Path(out_path)
+    out_path = Path(p["out_path"])
     with _staged(out_path.parent) as staging:
         (staging / out_path.name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    click.echo(f"report: wrote {out_path}")
+    print(f"report: wrote {out_path}")
 
 
 # ----------------------------------------------------------------------
 
 
+def _help() -> str:
+    width = max(map(len, _COMMANDS))
+    return "\n".join([
+        f"Usage: {_usage(None)}",
+        "",
+        "  Passive-DNS measurement statistics and tunnel-candidate filtering.",
+        "",
+        "Options:",
+        "  --version  Show the version and exit.",
+        "  --help     Show this message and exit.",
+        "",
+        "Commands:",
+        *(f"  {name:<{width}}  {_COMMANDS[name].help}" for name in sorted(_COMMANDS)),
+    ])
+
+
+def _usage_error(name: Optional[str], message: str) -> int:
+    prog = f"pdnskit {name}" if name else "pdnskit"
+    print(f"Usage: {_usage(name)}\nTry '{prog} --help' for help.\n\nError: {message}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
+    """Run one command line (`sys.argv[1:]` by default); return its exit code."""
+    args = list(sys.argv[1:] if argv is None else argv)
+    name = args[0] if args else None
+    if name in (None, "--help"):  # with no command, the help is the error
+        print(_help(), file=sys.stderr if name is None else sys.stdout)
+        return 1 if name is None else 0
+    if name == "--version":
+        print(f"pdnskit, version {__version__}")
+        return 0
+    if name not in _COMMANDS:
+        return _usage_error(None, f"No such {'option' if name.startswith('-') else 'command'} {name!r}.")
     try:
-        cli.main(args=argv, prog_name="pdnskit", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.exceptions.Abort:  # Ctrl-C; click has ended the ^C line
-        click.echo("interrupted", err=True)
+        params = _parse(name, args[1:])
+        if params is not None:
+            _COMMANDS[name].run(params)
+    except UsageError as exc:
+        return _usage_error(name, str(exc))
+    except KeyboardInterrupt:  # end the terminal's ^C line first
+        print("\ninterrupted", file=sys.stderr)
         return 130
-    except click.ClickException as exc:
-        exc.show()
-        return 1
     except ConfigError as exc:  # the generator's and profile errors subclass it
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
+        print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     return 0
 

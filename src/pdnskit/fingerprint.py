@@ -8,8 +8,7 @@ live in a data file (`data/tunnel_profiles.conf`), not in code.
 from __future__ import annotations
 
 import configparser
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from collections import Counter, namedtuple
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
@@ -21,6 +20,7 @@ from pdnskit.model import (
     PdnsEntry,
     PublicSuffixList,
     RRType,
+    _make_checked,
     _new_tuple,
     label_length,
     sld_name,
@@ -186,8 +186,7 @@ def extract_attributes(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ProviderRule:
+class ProviderRule(NamedTuple):
     """SLD pattern tied to a tunnel provider, e.g. three-character .de."""
 
     label_len: int
@@ -212,8 +211,12 @@ def _parse_set(text: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
-@dataclass(frozen=True)
-class ImplementationProfile:
+class ImplementationProfile(
+    namedtuple(
+        "ImplementationProfile",
+        "name payload_len levels label4_len label5_len rrtypes encodings first_chars markers provider",
+    )
+):
     """Attribute-value ranges characterizing one tunnel implementation.
 
     `encodings` is ordered: the first entry is the tool's native payload
@@ -221,27 +224,34 @@ class ImplementationProfile:
     a match during classification.
     """
 
-    name: str
-    payload_len: tuple[int, int]
-    levels: tuple[int, int]
-    label4_len: tuple[int, int]
-    label5_len: tuple[int, int]
-    rrtypes: frozenset[RRType]
-    encodings: tuple[str, ...]
-    first_chars: frozenset[str]
-    markers: tuple[str, ...] = ()
-    provider: Optional[ProviderRule] = None
+    __slots__ = ()
+    _make = classmethod(_make_checked)
 
-    def __post_init__(self):
-        for rng in (self.payload_len, self.levels, self.label4_len, self.label5_len):
+    def __new__(
+        cls,
+        name: str,
+        payload_len: tuple[int, int],
+        levels: tuple[int, int],
+        label4_len: tuple[int, int],
+        label5_len: tuple[int, int],
+        rrtypes: frozenset[RRType],
+        encodings: tuple[str, ...],
+        first_chars: frozenset[str],
+        markers: tuple[str, ...] = (),
+        provider: Optional[ProviderRule] = None,
+    ):
+        for rng in (payload_len, levels, label4_len, label5_len):
             if rng[1] < rng[0]:
-                raise ValueError(f"profile {self.name}: empty range {rng}")
-        for enc in self.encodings:
+                raise ValueError(f"profile {name}: empty range {rng}")
+        for enc in encodings:
             if enc not in ENCODINGS:
-                raise ValueError(f"profile {self.name}: unknown encoding {enc!r}")
-        for cls in self.first_chars:
-            if cls not in CHAR_CLASSES:
-                raise ValueError(f"profile {self.name}: unknown char class {cls!r}")
+                raise ValueError(f"profile {name}: unknown encoding {enc!r}")
+        for char_class in first_chars:
+            if char_class not in CHAR_CLASSES:
+                raise ValueError(f"profile {name}: unknown char class {char_class!r}")
+        return super().__new__(
+            cls, name, payload_len, levels, label4_len, label5_len, rrtypes, encodings, first_chars, markers, provider
+        )
 
 
 class ProfileError(ConfigError):
@@ -330,14 +340,13 @@ class ProfileSet:
             return cls.from_file(path)
 
 
-@dataclass(frozen=True)
-class Attribution:
+class Attribution(NamedTuple):
     """Outcome of classifying one entry against a profile set."""
 
     implementation: str  # profile name or "unknown"
     match_count: int
     # Read-only: `classify` hands entries with equal keys one shared result.
-    per_attribute: Mapping[str, bool] = field(default_factory=dict)
+    per_attribute: Mapping[str, bool] = MappingProxyType({})
     provider_rule: bool = False
 
 
@@ -404,7 +413,7 @@ def classify(
     result = memo.get(key)
     if result is None:
         if provider is not None:
-            result = replace(match_profile(attrs, profiles.by_name[provider]), provider_rule=True)
+            result = match_profile(attrs, profiles.by_name[provider])._replace(provider_rule=True)
         else:
             result = _score(attrs, profiles, min_matches)
         if len(memo) >= _MEMO_CAP:

@@ -12,7 +12,6 @@ import sys
 import zlib
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from datetime import datetime
 from functools import partial
 from itertools import chain, filterfalse
@@ -67,16 +66,33 @@ class RecordError(ValueError):
         self.kind = kind
 
 
-@dataclass
 class IngestStats:
-    """Accounting for one ingest pass: read == accepted + rejected + deduplicated."""
+    """Accounting for one ingest pass: read == accepted + rejected + deduplicated.
 
-    read: int = 0
-    accepted: int = 0  # passed on downstream, after first-seen dedup
-    rejected_by_error: Counter = field(default_factory=Counter)
-    deduplicated: int = 0
-    # Non-fatal anomalies on accepted entries (e.g. SuffixMismatch).
-    warnings: Counter = field(default_factory=Counter)
+    `rejected_by_error` counts rejected records by error kind, and
+    `warnings` non-fatal anomalies on accepted entries (e.g.
+    SuffixMismatch); each is a new Counter when not given."""
+
+    __slots__ = ("read", "accepted", "rejected_by_error", "deduplicated", "warnings")
+
+    def __init__(
+        self,
+        read: int = 0,
+        accepted: int = 0,  # passed on downstream, after first-seen dedup
+        rejected_by_error: Optional[Counter] = None,
+        deduplicated: int = 0,
+        warnings: Optional[Counter] = None,
+    ):
+        self.read = read
+        self.accepted = accepted
+        self.rejected_by_error = Counter() if rejected_by_error is None else rejected_by_error
+        self.deduplicated = deduplicated
+        self.warnings = Counter() if warnings is None else warnings
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def rejected(self) -> int:

@@ -7,7 +7,6 @@ threads; every operation in this module is a pure function.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError
 from datetime import datetime
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
@@ -94,11 +93,23 @@ _RRTYPE_CACHE: dict[str, RRType] = {}
 _new_tuple = tuple.__new__
 
 
+def _make_checked(cls, values):
+    """`_make`, and with it `_replace`, for a named tuple whose `__new__`
+    checks its fields: the new value goes through that check."""
+    return cls(*values)
+
+
+# The frozen dataclass's error, imported only when raised: no command that
+# reads a corpus loads `dataclasses` (or `inspect`, which it imports).
 def _frozen_setattr(self, name, value):
+    from dataclasses import FrozenInstanceError
+
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _frozen_delattr(self, name):
+    from dataclasses import FrozenInstanceError
+
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 

@@ -11,13 +11,12 @@ the candidate list further; they too are one table, `post_filter_table`.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import asdict, astuple, dataclass, field
+from collections import Counter, namedtuple
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from pdnskit.model import ConfigError, PdnsEntry, PublicSuffixList, RRType, sld_name
+from pdnskit.model import ConfigError, PdnsEntry, PublicSuffixList, RRType, _make_checked, sld_name
 from pdnskit.tables import read_domain_list, write_csv, write_json
 
 __all__ = [
@@ -46,21 +45,24 @@ def _shipped(name: str) -> frozenset[str]:
         return read_domain_list(path)
 
 
-@dataclass(frozen=True)
-class KnownLists:
+class KnownLists(namedtuple("KnownLists", "cdn known_tunnels watchlist")):
     """Known-domain sets: CDNs and tunnel domains are dropped at stage 1;
-    watchlist domains are never dropped, only annotated."""
+    watchlist domains are never dropped, only annotated. No SLD may be on
+    two of them."""
 
-    cdn: frozenset[str] = frozenset()
-    known_tunnels: frozenset[str] = frozenset()
-    watchlist: frozenset[str] = frozenset()
+    __slots__ = ()
+    _make = classmethod(_make_checked)
 
-    def __post_init__(self):
-        overlap = (self.cdn & self.known_tunnels) | (self.cdn & self.watchlist) | (
-            self.known_tunnels & self.watchlist
-        )
+    def __new__(
+        cls,
+        cdn: frozenset[str] = frozenset(),
+        known_tunnels: frozenset[str] = frozenset(),
+        watchlist: frozenset[str] = frozenset(),
+    ):
+        overlap = (cdn & known_tunnels) | (cdn & watchlist) | (known_tunnels & watchlist)
         if overlap:
             raise ConfigError(f"known lists overlap: {sorted(overlap)[:5]}")
+        return super().__new__(cls, cdn, known_tunnels, watchlist)
 
     @classmethod
     def from_files(
@@ -87,38 +89,62 @@ class KnownLists:
         )
 
 
-@dataclass(frozen=True)
-class PostFilterConfig:
-    drop_daily_seen: bool = False
-    drop_single_entry: bool = False
-    # SLDs dropped as popular; the alexa post-filter runs when this is non-empty.
-    alexa_domains: frozenset[str] = frozenset()
-    # Days the input is supposed to cover; None derives it from the data.
-    observation_days: Optional[int] = None
+class PostFilterConfig(
+    namedtuple("PostFilterConfig", "drop_daily_seen drop_single_entry alexa_domains observation_days")
+):
+    """The optional post-filters. `alexa_domains` are the SLDs dropped as
+    popular: the alexa post-filter runs when it is non-empty.
+    `observation_days` is the days the input is supposed to cover; None
+    derives it from the data."""
 
-    def __post_init__(self):
-        if self.observation_days is not None and self.observation_days < 1:
+    __slots__ = ()
+    _make = classmethod(_make_checked)
+
+    def __new__(
+        cls,
+        drop_daily_seen: bool = False,
+        drop_single_entry: bool = False,
+        alexa_domains: frozenset[str] = frozenset(),
+        observation_days: Optional[int] = None,
+    ):
+        if observation_days is not None and observation_days < 1:
             raise ConfigError("observation_days must be >= 1")
+        return super().__new__(cls, drop_daily_seen, drop_single_entry, alexa_domains, observation_days)
 
 
-@dataclass(frozen=True)
-class FilterConfig:
-    prefilter_types: frozenset[RRType] = frozenset(
-        (RRType.parse("NULL"), RRType.parse("TXT"))
-    )
-    known: KnownLists = field(default_factory=KnownLists.from_files)
-    min_level: int = 4
-    min_distinct_fqdns: int = 2
-    post_filters: PostFilterConfig = field(default_factory=PostFilterConfig)
-    psl: Optional[PublicSuffixList] = None
+class FilterConfig(
+    namedtuple("FilterConfig", "prefilter_types known min_level min_distinct_fqdns post_filters psl")
+):
+    """What `run_pipeline` keeps. `known` defaults to
+    `KnownLists.from_files()` and `post_filters` to `PostFilterConfig()`."""
 
-    def __post_init__(self):
-        if self.min_level < 1:
+    __slots__ = ()
+    _make = classmethod(_make_checked)
+
+    def __new__(
+        cls,
+        prefilter_types: frozenset[RRType] = frozenset((RRType.parse("NULL"), RRType.parse("TXT"))),
+        known: Optional[KnownLists] = None,
+        min_level: int = 4,
+        min_distinct_fqdns: int = 2,
+        post_filters: Optional[PostFilterConfig] = None,
+        psl: Optional[PublicSuffixList] = None,
+    ):
+        if min_level < 1:
             raise ConfigError("min_level must be >= 1")
-        if self.min_distinct_fqdns < 1:
+        if min_distinct_fqdns < 1:
             raise ConfigError("min_distinct_fqdns must be >= 1")
-        if not self.prefilter_types:
+        if not prefilter_types:
             raise ConfigError("prefilter_types must not be empty")
+        return super().__new__(
+            cls,
+            prefilter_types,
+            KnownLists.from_files() if known is None else known,
+            min_level,
+            min_distinct_fqdns,
+            PostFilterConfig() if post_filters is None else post_filters,
+            psl,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -164,17 +190,28 @@ def stage_table(config: FilterConfig) -> tuple[Stage, ...]:
     )
 
 
-@dataclass
 class SldGroup:
     """Accumulated view of all surviving entries under one SLD."""
 
-    sld: str
-    entry_count: int = 0
-    fqdns: set = field(default_factory=set)
-    days: set = field(default_factory=set)
-    rrtype_mix: Counter = field(default_factory=Counter)
-    bailiwicks: Counter = field(default_factory=Counter)
-    samples: list = field(default_factory=list)
+    __slots__ = ("sld", "entry_count", "fqdns", "days", "rrtype_mix", "bailiwicks", "samples")
+
+    def __init__(
+        self,
+        sld: str,
+        entry_count: int = 0,
+        fqdns: Optional[set] = None,
+        days: Optional[set] = None,
+        rrtype_mix: Optional[Counter] = None,
+        bailiwicks: Optional[Counter] = None,
+        samples: Optional[list] = None,
+    ):
+        self.sld = sld
+        self.entry_count = entry_count
+        self.fqdns = set() if fqdns is None else fqdns
+        self.days = set() if days is None else days
+        self.rrtype_mix = Counter() if rrtype_mix is None else rrtype_mix
+        self.bailiwicks = Counter() if bailiwicks is None else bailiwicks
+        self.samples = [] if samples is None else samples
 
     def add(self, entry: PdnsEntry) -> None:
         self.entry_count += 1
@@ -194,8 +231,7 @@ class SldGroup:
 # Full pipeline with accounting
 
 
-@dataclass(frozen=True)
-class StageCount:
+class StageCount(NamedTuple):
     stage_id: str  # conventional numbering: "0".."4", or "post:*"
     name: str
     entries_in: int
@@ -203,8 +239,7 @@ class StageCount:
     slds_out: int
 
 
-@dataclass(frozen=True)
-class CandidateRow:
+class CandidateRow(NamedTuple):
     """One SLD's grouped entries. Field order is the key order of its JSON
     object; `rrtype_mix` is sorted by type."""
 
@@ -222,17 +257,36 @@ class CandidateRow:
 _WATCHLIST_HIT_KEYS = ("sld", "entry_count", "fqdn_count", "days_seen", "rrtype_mix")
 
 
-@dataclass
 class CandidateReport:
-    stage_counts: list[StageCount]
-    candidates: list[CandidateRow]
-    dropped_known_tunnels: list[tuple[str, int]]
-    dropped_cdn: list[tuple[str, int]]
-    post_filtered: list[tuple[CandidateRow, str]]
-    watchlist_hits: list[CandidateRow]
-    input_entries: int
-    observation_days: int
-    survivor_entries: Optional[list[PdnsEntry]] = None
+    """What `run_pipeline` found: the stage table, the candidates and what
+    was dropped, post-filtered or watched."""
+
+    __slots__ = (
+        "stage_counts", "candidates", "dropped_known_tunnels", "dropped_cdn", "post_filtered",
+        "watchlist_hits", "input_entries", "observation_days", "survivor_entries",
+    )
+
+    def __init__(
+        self,
+        stage_counts: list[StageCount],
+        candidates: list[CandidateRow],
+        dropped_known_tunnels: list[tuple[str, int]],
+        dropped_cdn: list[tuple[str, int]],
+        post_filtered: list[tuple[CandidateRow, str]],
+        watchlist_hits: list[CandidateRow],
+        input_entries: int,
+        observation_days: int,
+        survivor_entries: Optional[list[PdnsEntry]] = None,
+    ):
+        self.stage_counts = stage_counts
+        self.candidates = candidates
+        self.dropped_known_tunnels = dropped_known_tunnels
+        self.dropped_cdn = dropped_cdn
+        self.post_filtered = post_filtered
+        self.watchlist_hits = watchlist_hits
+        self.input_entries = input_entries
+        self.observation_days = observation_days
+        self.survivor_entries = survivor_entries
 
     def candidate_slds(self) -> list[str]:
         return [row.sld for row in self.candidates]
@@ -241,8 +295,8 @@ class CandidateReport:
         return {
             "input_entries": self.input_entries,
             "observation_days": self.observation_days,
-            "stages": [asdict(s) for s in self.stage_counts],
-            "candidates": [asdict(c) for c in self.candidates],
+            "stages": [s._asdict() for s in self.stage_counts],
+            "candidates": [c._asdict() for c in self.candidates],
             "dropped_known_tunnels": [
                 {"sld": sld, "entry_count": n} for sld, n in self.dropped_known_tunnels
             ],
@@ -311,7 +365,7 @@ class CandidateReport:
         write_csv(
             csv_path,
             ("stage_id", "name", "entries_in", "entries_out", "slds_out"),
-            [astuple(s) for s in self.stage_counts],
+            self.stage_counts,
         )
         return [json_path, text_path, csv_path]
 

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import partial
 from itertools import accumulate
 from operator import truediv
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from pdnskit.model import PdnsEntry, PublicSuffixList, RRType, sld_name
 from pdnskit.tables import fmt_share, write_csv, write_json
@@ -86,8 +85,7 @@ def _top(counts: dict[str, int], n: int) -> list[tuple[str, int, float]]:
     return [(sld, c, c / total) for sld, c in top]
 
 
-@dataclass(frozen=True)
-class CdfSeries:
+class CdfSeries(NamedTuple):
     """Cumulative share of distinct FQDNs by SLD rank."""
 
     points: tuple[tuple[int, float], ...]  # (rank, cumulative share)

@@ -1,14 +1,16 @@
 import gzip
+import io
 import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
-from pdnskit.cli import cli, main
+from pdnskit.cli import main
 from pdnskit.fingerprint import ProfileSet
 from pdnskit.tunnelgen import MAX_TOTAL_QUERIES, demo_config, generate, write_corpus
 
@@ -24,12 +26,22 @@ def demo_corpus(tmp_path_factory):
     return corpus, labels
 
 
-def run_cli(*args):
-    return CliRunner().invoke(cli, [str(a) for a in args], catch_exceptions=False)
+@pytest.fixture
+def run_cli(capsys):
+    """Run one command line in process: its exit code, stdout, stderr, and
+    the two together as `output`."""
+
+    def run(*args):
+        capsys.readouterr()
+        code = main([str(a) for a in args])
+        out, err = capsys.readouterr()
+        return SimpleNamespace(exit_code=code, stdout=out, stderr=err, output=out + err)
+
+    return run
 
 
 class TestStatsCommand:
-    def test_writes_artifacts(self, demo_corpus, tmp_path):
+    def test_writes_artifacts(self, run_cli, demo_corpus, tmp_path):
         corpus, _ = demo_corpus
         result = run_cli("stats", corpus, "--out", tmp_path)
         assert result.exit_code == 0, result.output
@@ -39,16 +51,14 @@ class TestStatsCommand:
         assert summary["total_entries"] > 0
         assert f"stats: {summary['total_entries']} entries, {summary['distinct_slds']} SLDs" in result.output
 
-    def test_empty_input_warns_and_exits_zero(self, tmp_path):
+    def test_empty_input_warns_and_exits_zero(self, run_cli, tmp_path):
         empty = tmp_path / "empty.ndjson"
         empty.write_text("", encoding="utf-8")
-        result = CliRunner().invoke(
-            cli, ["stats", str(empty), "--out", str(tmp_path / "out")]
-        )
+        result = run_cli("stats", empty, "--out", tmp_path / "out")
         assert result.exit_code == 0
         assert (tmp_path / "out" / "rrtype_shares.csv").read_text().startswith("rrtype")
 
-    def test_two_files_equal_concatenation(self, tmp_path):
+    def test_two_files_equal_concatenation(self, run_cli, tmp_path):
         lines = [ndjson_line(rrname=f"h{i}.x{i % 3}.com.", domain=f"x{i % 3}.com.") for i in range(30)]
         whole = tmp_path / "whole.ndjson"
         write_ndjson(whole, lines)
@@ -76,7 +86,7 @@ class TestStatsCommand:
         for path in sorted(from_path.iterdir()):
             assert path.read_bytes() == (from_stdin / path.name).read_bytes(), path.name
 
-    def test_deterministic_across_runs(self, demo_corpus, tmp_path):
+    def test_deterministic_across_runs(self, run_cli, demo_corpus, tmp_path):
         corpus, _ = demo_corpus
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         run_cli("stats", corpus, "--out", out1)
@@ -86,7 +96,7 @@ class TestStatsCommand:
 
 
 class TestFilterCommand:
-    def test_planted_tunnels_reported(self, demo_corpus, tmp_path):
+    def test_planted_tunnels_reported(self, run_cli, demo_corpus, tmp_path):
         corpus, _ = demo_corpus
         out = tmp_path / "flt"
         result = run_cli("filter", corpus, "--out", out)
@@ -104,7 +114,7 @@ class TestFilterCommand:
             "stage_id,name,entries_in,entries_out,slds_out"
         )
 
-    def test_types_flag_changes_prefilter(self, demo_corpus, tmp_path):
+    def test_types_flag_changes_prefilter(self, run_cli, demo_corpus, tmp_path):
         corpus, _ = demo_corpus
         out = tmp_path / "nullonly"
         result = run_cli("filter", corpus, "--out", out, "--types", "NULL")
@@ -116,7 +126,7 @@ class TestFilterCommand:
         for candidate in report["candidates"]:
             assert set(candidate["rrtype_mix"]) == {"NULL"}
 
-    def test_types_list_in_config_file(self, demo_corpus, tmp_path):
+    def test_types_list_in_config_file(self, run_cli, demo_corpus, tmp_path):
         corpus, _ = demo_corpus
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"types": ["NULL", "TXT"]}), encoding="utf-8")
@@ -127,7 +137,7 @@ class TestFilterCommand:
         assert stage_counts == (from_flag / "stage_counts.csv").read_bytes()
         assert json.loads((from_config / "candidates.json").read_text())["candidates"]
 
-    def test_watchlist_annotation(self, tmp_path):
+    def test_watchlist_annotation(self, run_cli, tmp_path):
         lines = [
             ndjson_line(rrname=f"x{i}.t.teriava.com.", domain="teriava.com.", rrtype="NULL")
             for i in range(4)
@@ -142,7 +152,7 @@ class TestFilterCommand:
         assert report["candidates"][0]["watchlist"] is True
         assert report["watchlist_hits"][0]["sld"] == "teriava.com"
 
-    def test_tunnel_list_with_builtin_watchlist(self, tmp_path, capsys):
+    def test_tunnel_list_with_builtin_watchlist(self, run_cli, tmp_path, capsys):
         lines = [
             ndjson_line(rrname=f"x{i}.t.{sld}.", domain=f"{sld}.", rrtype="NULL")
             for sld in ("teriava.com", "my-tunnel.net", "other.org")
@@ -170,7 +180,7 @@ class TestFilterCommand:
         assert capsys.readouterr().err == "config error: known lists overlap: ['teriava.com']\n"
         assert not (tmp_path / "both").exists()
 
-    def test_config_file_overridden_by_flags(self, demo_corpus, tmp_path):
+    def test_config_file_overridden_by_flags(self, run_cli, demo_corpus, tmp_path):
         corpus, _ = demo_corpus
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"types": "NULL", "min_level": 5}), encoding="utf-8")
@@ -194,7 +204,7 @@ class TestFilterCommand:
 
 
 class TestClassifyCommand:
-    def test_attributions_and_metrics(self, demo_corpus, tmp_path):
+    def test_attributions_and_metrics(self, run_cli, demo_corpus, tmp_path):
         corpus, labels = demo_corpus
         out = tmp_path / "cls"
         result = run_cli("classify", corpus, "--out", out, "--labels", labels)
@@ -212,7 +222,7 @@ class TestClassifyCommand:
         assert metrics["benign_unknown_rate"] == 1.0
         assert (out / "confusion_matrix.csv").exists()
 
-    def test_profiles_env_var(self, demo_corpus, tmp_path, monkeypatch):
+    def test_profiles_env_var(self, run_cli, demo_corpus, tmp_path, monkeypatch):
         # A one-profile file via PDNSKIT_PROFILES: nothing else matches.
         custom = tmp_path / "only_dnscat.conf"
         custom.write_text(
@@ -229,15 +239,13 @@ class TestClassifyCommand:
         monkeypatch.setenv("PDNSKIT_PROFILES", str(custom))
         corpus, _ = demo_corpus
         out = tmp_path / "envout"
-        result = CliRunner().invoke(
-            cli, ["classify", str(corpus), "--out", str(out)], catch_exceptions=False
-        )
+        result = run_cli("classify", corpus, "--out", out)
         assert result.exit_code == 0
         rows = (out / "attributions.csv").read_text().splitlines()[1:]
         implementations = {line.split(",")[1] for line in rows}
         assert implementations <= {"dnscat", "unknown"}
 
-    def test_stats_dedup_flag(self, tmp_path):
+    def test_stats_dedup_flag(self, run_cli, tmp_path):
         lines = [ndjson_line(rrname="same.x.com.", domain="x.com.")] * 5
         corpus = tmp_path / "dup.ndjson"
         write_ndjson(corpus, lines)
@@ -251,7 +259,7 @@ class TestClassifyCommand:
         rejected = sum(ingest["rejected_by_error"].values())
         assert ingest["read"] == ingest["accepted"] + rejected + ingest["deduplicated"]
 
-    def test_benign_only_corpus_all_unknown(self, tmp_path):
+    def test_benign_only_corpus_all_unknown(self, run_cli, tmp_path):
         from pdnskit.tunnelgen import BackgroundSpec, GenConfig
 
         cfg = GenConfig(
@@ -268,7 +276,7 @@ class TestClassifyCommand:
 
 
 class TestGenCommand:
-    def test_demo_corpus_roundtrip(self, tmp_path):
+    def test_demo_corpus_roundtrip(self, run_cli, tmp_path):
         out = tmp_path / "gen"
         result = run_cli("gen", "--demo", "--out", out)
         assert result.exit_code == 0
@@ -285,7 +293,7 @@ class TestGenCommand:
         assert capsys.readouterr().err.splitlines()[-1] == f"Error: --name must be a bare file name, not {name!r}"
         assert list(tmp_path.iterdir()) == []
 
-    def test_from_config_json(self, tmp_path):
+    def test_from_config_json(self, run_cli, tmp_path):
         cfg = tmp_path / "gen.json"
         cfg.write_text(
             json.dumps(
@@ -307,7 +315,7 @@ class TestGenCommand:
 
 
 class TestReportCommand:
-    def test_combined_summary(self, demo_corpus, tmp_path):
+    def test_combined_summary(self, run_cli, demo_corpus, tmp_path):
         corpus, labels = demo_corpus
         stats_dir, filter_dir, cls_dir = tmp_path / "s", tmp_path / "f", tmp_path / "c"
         run_cli("stats", corpus, "--out", stats_dir)
@@ -346,7 +354,7 @@ class TestReportCommand:
         assert shown == [f"  {row}" for row in rows[:42]]
         assert ("  ..." in quoted) == cut
 
-    def test_stable_across_runs(self, demo_corpus, tmp_path):
+    def test_stable_across_runs(self, run_cli, demo_corpus, tmp_path):
         corpus, _ = demo_corpus
         stats_dir = tmp_path / "s"
         run_cli("stats", corpus, "--out", stats_dir)
@@ -354,6 +362,91 @@ class TestReportCommand:
         run_cli("report", "--stats", stats_dir, "--out", out1)
         run_cli("report", "--stats", stats_dir, "--out", out2)
         assert out1.read_bytes() == out2.read_bytes()
+
+
+# Usage errors, one row each: (id, argv, the text the last stderr line
+# names). In argv, C is a corpus, O a --out directory that does not exist,
+# F an existing file, S a stats --out directory and R a report path.
+USAGE_ERRORS = [
+    ("unknown-command", ["frobnicate"], "'frobnicate'"),
+    ("no-inputs", ["stats"], "INPUTS"),
+    ("no-out", ["stats", "C"], "--out"),
+    ("out-is-a-file", ["stats", "C", "--out", "F"], "--out"),
+    ("unknown-format", ["stats", "C", "--out", "O", "--format", "xml"], "--format"),
+    ("unknown-option", ["stats", "C", "--out", "O", "--frobnicate"], "--frobnicate"),
+    ("abbreviated-option", ["stats", "C", "--ou", "O"], "--ou"),
+    ("top-without-value", ["stats", "C", "--out", "O", "--top"], "--top"),
+    ("top-not-an-integer", ["stats", "C", "--out", "O", "--top", "abc"], "--top"),
+    ("report-out-is-a-directory", ["report", "--stats", "S", "--out", "S"], "--out"),
+    ("report-stats-is-a-file", ["report", "--stats", "F", "--out", "R"], "--stats"),
+]
+
+
+class TestCommandLineContract:
+    """What a command line gets, in process through `main(argv)`."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        lines = [ndjson_line(rrname=f"h{i}.x{i % 3}.com.", domain=f"x{i % 3}.com.") for i in range(6)]
+        write_ndjson(tmp_path / "c.ndjson", lines + lines[:2])  # two repeats
+        (tmp_path / "file").write_text("x", encoding="utf-8")
+        assert main(["stats", str(tmp_path / "c.ndjson"), "--out", str(tmp_path / "s")]) == 0
+        return {"C": tmp_path / "c.ndjson", "O": tmp_path / "out", "F": tmp_path / "file",
+                "S": tmp_path / "s", "R": tmp_path / "r.txt"}
+
+    @pytest.mark.parametrize("argv, names", [row[1:] for row in USAGE_ERRORS], ids=[row[0] for row in USAGE_ERRORS])
+    def test_usage_error_exits_one_naming_the_argument(self, run_cli, paths, argv, names):
+        result = run_cli(*(paths.get(arg, arg) for arg in argv))
+        assert result.exit_code == 1
+        last = result.stderr.splitlines()[-1]
+        assert last.startswith("Error: ") and names in last, result.stderr
+        assert not paths["O"].exists() and not paths["R"].exists()
+
+    def test_no_command_prints_the_commands_on_stderr(self, run_cli):
+        result = run_cli()
+        assert result.exit_code == 1 and result.stdout == ""
+        assert all(name in result.stderr for name in ("stats", "filter", "classify", "gen", "report"))
+
+    @pytest.mark.parametrize("argv, shown", [(["--help"], "classify"), (["stats", "--help"], "--top")])
+    def test_help_on_stdout(self, run_cli, argv, shown):
+        result = run_cli(*argv)
+        assert result.exit_code == 0 and result.stderr == ""
+        assert shown in result.stdout and "--help" in result.stdout
+
+    def test_version(self, run_cli):
+        result = run_cli("--version")
+        assert (result.exit_code, result.output) == (0, "pdnskit, version 0.1.0\n")
+
+    def read(self, outdir: Path) -> dict:
+        return json.loads((outdir / "ingest_stats.json").read_text(encoding="utf-8"))
+
+    def test_inputs_on_both_sides_of_an_option(self, run_cli, paths):
+        assert run_cli("stats", paths["C"], "--out", paths["O"], paths["C"]).exit_code == 0
+        assert self.read(paths["O"])["read"] == 16
+
+    def test_option_values_after_an_equals_sign(self, run_cli, paths):
+        assert run_cli("stats", paths["C"], f"--out={paths['O']}", "--top=2").exit_code == 0
+        assert len((paths["O"] / "top_slds.csv").read_text(encoding="utf-8").splitlines()) == 1 + 2
+
+    def test_dash_reads_stdin(self, run_cli, paths, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(paths["C"].read_bytes())))
+        assert run_cli("stats", "-", "--out", paths["O"]).exit_code == 0
+        assert self.read(paths["O"])["read"] == 8
+
+    @pytest.mark.parametrize("flags, deduplicated", [(["--dedup", "--no-dedup"], 0), (["--no-dedup", "--dedup"], 2)])
+    def test_last_dedup_flag_wins(self, run_cli, paths, flags, deduplicated):
+        assert run_cli("stats", paths["C"], "--out", paths["O"], *flags).exit_code == 0
+        assert self.read(paths["O"])["deduplicated"] == deduplicated
+
+    @pytest.mark.parametrize("env, code", [(True, 0), (False, 2)], ids=["set", "empty"])
+    def test_profiles_env_var_wins_over_the_config_file(self, run_cli, paths, monkeypatch, tmp_path, env, code):
+        # The config file names a missing profile file: read, it exits 2.
+        copy = tmp_path / "profiles.conf"
+        copy.write_bytes(resources.files("pdnskit.data").joinpath("tunnel_profiles.conf").read_bytes())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profiles_path": str(tmp_path / "missing.conf")}), encoding="utf-8")
+        monkeypatch.setenv("PDNSKIT_PROFILES", str(copy) if env else "")
+        assert run_cli("classify", paths["C"], "--out", paths["O"], "--config", cfg).exit_code == code
 
 
 GOOD_PROFILE = (
@@ -567,7 +660,7 @@ class TestExitCodes:
         ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={json.dumps(x)}" for k, x in v.items()),
     )
     def test_non_integer_config_value_is_three(self, demo_corpus, tmp_path, capsys, command, config):
-        # click's integer types would truncate 2.5 to 2 and read true as 1.
+        # An integer option neither truncates 2.5 to 2 nor reads true as 1.
         corpus, _ = demo_corpus
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config), encoding="utf-8")
@@ -577,6 +670,46 @@ class TestExitCodes:
         assert len(errors) == 1 and errors[0].startswith("config error:")
         assert "is not an integer" in errors[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, config, named",
+        [
+            ("stats", {"dedup": 1}, "'--dedup'"),
+            ("stats", {"dedup": "yes"}, "'--dedup'"),
+            ("stats", {"top_n": "3"}, "'--top'"),
+            ("stats", {"psl_path": 5}, "'--psl'"),
+            ("stats", {"fmt": "xml"}, "'--format'"),
+            ("filter", {"types": ""}, "'--types'"),
+            ("classify", {"labels_path": ["a.csv"]}, "'--labels'"),
+            ("stats", {"inputs": ["c.ndjson"]}, "'inputs'"),
+            ("stats", {"outdir": "elsewhere"}, "'outdir'"),
+            ("filter", {"config": "other.json"}, "'config'"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={json.dumps(x)}" for k, x in v.items()),
+    )
+    def test_config_value_of_another_type_or_unsettable_key_is_three(
+        self, demo_corpus, tmp_path, capsys, command, config, named
+    ):
+        corpus, _ = demo_corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, str(corpus), "--out", str(out), "--config", str(cfg)]) == 3
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith(f"config error: config file {cfg}: ")
+        assert named in errors[0]
+        assert not out.exists()
+
+    def test_null_config_value_keeps_the_default(self, demo_corpus, tmp_path):
+        corpus, _ = demo_corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"top_n": None, "fmt": None, "dedup": None, "psl_path": None}), encoding="utf-8")
+        plain, nulls = tmp_path / "plain", tmp_path / "nulls"
+        assert main(["stats", str(corpus), "--out", str(plain)]) == 0
+        assert main(["stats", str(corpus), "--out", str(nulls), "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in nulls.iterdir()) == sorted(p.name for p in plain.iterdir())
+        for path in plain.iterdir():
+            assert path.read_bytes() == (nulls / path.name).read_bytes(), path.name
 
     def test_integer_config_value_still_applies(self, demo_corpus, tmp_path):
         corpus, _ = demo_corpus

@@ -26,6 +26,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import zlib
@@ -447,7 +448,7 @@ def test_failed_write_removes_the_directories_it_made(tmp_path, monkeypatch, com
 @pytest.mark.parametrize(
     "exc, code, errors",
     [
-        # click ends the terminal's ^C line with a newline of its own.
+        # The interrupt ends the terminal's ^C line with a newline of its own.
         (KeyboardInterrupt(), 130, ["", "interrupted"]),
         (OSError(28, "No space left on device"), 2, ["i/o error: [Errno 28] No space left on device"]),
     ],
@@ -709,6 +710,132 @@ def test_hostile_labels_file_exits_zero_or_three(tmp_path, capsys, content):
     assert len(errors) <= 1 and not any("Traceback" in line for line in errors)
     if code == 3:
         assert errors[0].startswith(f"config error: bad labels file {labels}: ")
+        assert snapshot(out) == before
+
+
+# Each command's --config keys: key -> (its flag, the JSON values it takes).
+_CORPUS_KEYS = {"fmt": ("--format", "format"), "psl_path": ("--psl", "path")}
+CONFIG_KEYS = {
+    "stats": {**_CORPUS_KEYS, "dedup": ("--dedup", "switch"), "top_n": ("--top", "count")},
+    "filter": {
+        **_CORPUS_KEYS,
+        "types": ("--types", "types"),
+        "min_level": ("--min-level", "count"),
+        "min_subdomains": ("--min-subdomains", "count"),
+        "cdn_list": ("--cdn-list", "path"),
+        "tunnel_list": ("--tunnel-list", "path"),
+        "watchlist": ("--watchlist", "path"),
+        "drop_daily_seen": ("--drop-daily-seen", "switch"),
+        "drop_single_entry": ("--drop-single-entry", "switch"),
+        "alexa_path": ("--alexa", "path"),
+        "observation_days": ("--observation-days", "count"),
+        "dedup": ("--dedup", "switch"),
+    },
+    "classify": {
+        **_CORPUS_KEYS,
+        "profiles_path": ("--profiles", "path"),
+        "labels_path": ("--labels", "path"),
+        "min_matches": ("--min-matches", "threshold"),
+    },
+}
+# Keys of options no config file sets: the inputs, --out and --config.
+UNSETTABLE_KEYS = ["inputs", "outdir", "config"]
+_RRTYPE_NAME = re.compile(r"[A-Za-z0-9-]*[A-Za-z0-9][A-Za-z0-9-]*")
+
+
+def config_value_ok(kind: str, value) -> bool:
+    """Whether a config value is null or of its option's JSON type and range,
+    as README states the rules."""
+    if value is None:
+        return True
+    if kind == "switch":
+        return isinstance(value, bool)
+    if kind in ("count", "threshold"):
+        low, high = (1, None) if kind == "count" else (0, 8)
+        is_int = isinstance(value, int) and not isinstance(value, bool)
+        return is_int and value >= low and (high is None or value <= high)
+    if kind == "format":
+        return isinstance(value, str) and value in ("ndjson", "csv")
+    if kind == "path":
+        return isinstance(value, str) and "\0" not in value
+    names = value.split(",") if isinstance(value, str) else value  # types
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        return False
+    names = [name.strip() for name in names if name.strip()]
+    return bool(names) and all(_RRTYPE_NAME.fullmatch(name) for name in names)
+
+
+_config_text = st.one_of(
+    st.sampled_from(["", ".", "builtin", "missing.txt", "NULL", "NULL,TXT", " ,txt", "NULL,A.B", "csv", "ndjson"]),
+    st.text(max_size=8),
+)
+_config_scalar = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 10),
+    st.integers(),
+    st.just(10**40),
+    st.floats(),
+    _config_text,
+)
+_config_value = st.one_of(
+    _config_scalar,
+    st.lists(st.one_of(_config_text, st.integers()), max_size=3),
+    st.dictionaries(st.text(max_size=3), _config_scalar, max_size=2),
+)
+
+# A value of each option type, mostly in range.
+_typical_value = {
+    "switch": st.booleans(),
+    "count": st.integers(0, 10**6),
+    "threshold": st.integers(-1, 9),
+    "format": st.sampled_from(["ndjson", "csv", "CSV"]),
+    "path": _config_text,
+    "types": st.one_of(_config_text, st.lists(_config_text, max_size=3)),
+}
+
+
+@st.composite
+def hostile_config_st(draw):
+    """(command, config): up to four of the command's keys, each as likely
+    to hold a value of its option's type as any value, and at most one key
+    that is unsettable or a random name."""
+    command = draw(st.sampled_from(sorted(CONFIG_KEYS)))
+    keys = CONFIG_KEYS[command]
+    config = {
+        key: draw(st.one_of(_typical_value[keys[key][1]], _config_value))
+        for key in draw(st.lists(st.sampled_from(sorted(keys)), max_size=4, unique=True))
+    }
+    for key in draw(st.lists(st.one_of(st.sampled_from(UNSETTABLE_KEYS), st.text(max_size=6)), max_size=1)):
+        config[key] = draw(_config_value)
+    return command, config
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=hostile_config_st())
+def test_hostile_config_file_exits_zero_two_or_three(tmp_path, capsys, monkeypatch, case):
+    command, config = case
+    monkeypatch.delenv("PDNSKIT_PROFILES", raising=False)
+    cwd = tmp_path / "cwd"  # empty: no relative path a value names exists
+    cwd.mkdir(exist_ok=True)
+    monkeypatch.chdir(cwd)
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_bytes(good("ndjson", 1) + good("ndjson", 2))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    before = snapshot(out)
+    code, errors = run_cli(capsys, command, corpus, "--out", out, "--config", path)
+    assert code in (0, 2, 3)
+    assert len(errors) <= 1 and not any("Traceback" in line for line in errors)
+    keys = CONFIG_KEYS[command]
+    unknown = [key for key in config if key not in keys]
+    bad = [keys[key][0] for key, value in config.items() if key in keys and not config_value_ok(keys[key][1], value)]
+    assert (code == 3) == bool(unknown or bad), (code, errors)
+    if code == 3:
+        assert errors[0].startswith(f"config error: config file {path}: ")
+        named = [f"unknown option {key!r}" for key in unknown] + [f"Invalid value for '{flag}'" for flag in bad]
+        assert any(name in errors[0] for name in named), errors
         assert snapshot(out) == before
 
 

@@ -1,7 +1,6 @@
 import base64
 import string
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -177,8 +176,8 @@ RANGES = {"payload_len": "payload_len", "level": "levels", "label4_len": "label4
 _defaults = ProfileSet.default()
 BOUNDS_PROFILES = [
     *_defaults,
-    replace(_defaults.by_name["iodine-null"], name="wide", label4_len=(0, 10**6), label5_len=(0, 10**6)),
-    replace(_defaults.by_name["dnscat"], name="two-markers", markers=("dnscat", "toytool")),
+    _defaults.by_name["iodine-null"]._replace(name="wide", label4_len=(0, 10**6), label5_len=(0, 10**6)),
+    _defaults.by_name["dnscat"]._replace(name="two-markers", markers=("dnscat", "toytool")),
 ]
 
 
@@ -396,6 +395,14 @@ class TestProfileFile:
         with pytest.raises(ValueError):
             ProfileSet(list(profiles) + [profiles.profiles[0]])
 
+    def test_replace_checks_like_the_constructor(self, profiles):
+        profile = profiles.profiles[0]
+        with pytest.raises(ValueError, match="empty range"):
+            profile._replace(payload_len=(10, 5))
+        with pytest.raises(ValueError, match="unknown encoding"):
+            profile._replace(encodings=("rot13",))
+        assert profile._replace(name="copy").name == "copy"
+
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             ImplementationProfile(
@@ -580,7 +587,7 @@ class TestClassifyMemo:
 
     def test_first_provider_in_file_order_wins(self):
         yf = DEFAULT_PROFILES.by_name["your-freedom"]
-        twin = replace(yf, name="yf-twin")
+        twin = yf._replace(name="yf-twin")
         entry = make_entry("xj29ab.53r.de", rrtype="A", domain="53r.de")
         for order in ([yf, twin], [twin, yf]):
             profiles = ProfileSet(order)

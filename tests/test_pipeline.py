@@ -315,3 +315,18 @@ class TestConfigValidation:
                 cdn=frozenset({"x.com"}),
                 known_tunnels=frozenset({"x.com"}),
             )
+
+    @pytest.mark.parametrize(
+        "value, changes",
+        [
+            (FilterConfig(), {"min_level": 0}),
+            (FilterConfig(), {"prefilter_types": frozenset()}),
+            (PostFilterConfig(), {"observation_days": 0}),
+            (KnownLists(cdn=frozenset({"x.com"})), {"watchlist": frozenset({"x.com"})}),
+        ],
+        ids=["min-level", "no-types", "observation-days", "overlap"],
+    )
+    def test_replace_checks_like_the_constructor(self, value, changes):
+        with pytest.raises(ConfigError):
+            value._replace(**changes)
+        assert value._replace() == value
