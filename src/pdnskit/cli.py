@@ -238,6 +238,11 @@ def _parse(name: str, args: list[str]) -> Optional[dict]:
         return None
     if command.corpus and not given.get("inputs"):
         raise UsageError("Missing argument 'INPUTS...'.")
+    for path in given.get("inputs", ()):
+        try:
+            _path(path, flag=True)
+        except ValueError as exc:
+            raise UsageError(f"Invalid value for 'INPUTS...': {exc}") from None
     for option in command.options:
         if option.dest in given:
             try:
@@ -390,25 +395,24 @@ def cmd_stats(p, stream, outdir):
 )
 def cmd_filter(p, stream, outdir):
     """Reduce pDNS inputs to candidate tunnel SLDs with stage accounting."""
-    from pdnskit.pipeline import FilterConfig, KnownLists, PostFilterConfig
+    from pdnskit.pipeline import FilterConfig
 
-    known = KnownLists.from_files(cdn=p["cdn_list"], known_tunnels=p["tunnel_list"], watchlist=p["watchlist"])
     alexa = read_domain_list(p["alexa_path"]) if p["alexa_path"] else frozenset()
-    if p["alexa_path"] and not alexa:
-        raise ConfigError(f"--alexa {p['alexa_path']}: the list holds no domains")
-    cfg = FilterConfig(
+    cfg = FilterConfig.from_files(
+        cdn=p["cdn_list"],
+        known_tunnels=p["tunnel_list"],
+        watchlist=p["watchlist"],
         prefilter_types=p["types"],
-        known=known,
         min_level=p["min_level"],
         min_distinct_fqdns=p["min_subdomains"],
-        post_filters=PostFilterConfig(
-            drop_daily_seen=p["drop_daily_seen"],
-            drop_single_entry=p["drop_single_entry"],
-            alexa_domains=alexa,
-            observation_days=p["observation_days"],
-        ),
+        drop_daily_seen=p["drop_daily_seen"],
+        drop_single_entry=p["drop_single_entry"],
+        alexa_domains=alexa,
+        observation_days=p["observation_days"],
         psl=_load_psl(p["psl_path"]),
     )
+    if p["alexa_path"] and not alexa:
+        raise ConfigError(f"--alexa {p['alexa_path']}: the list holds no domains")
     report = getattr(sys.modules[__name__], "run_pipeline")(stream, cfg)
     report.write(outdir)
     return f"filter: {report.input_entries} entries -> {len(report.candidates)} candidate SLDs"

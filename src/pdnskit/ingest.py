@@ -20,7 +20,6 @@ from typing import IO, Iterable, Iterator, Optional, Union
 
 from pdnskit.model import (
     _RRTYPE_CACHE,
-    _TIME_SEEN_SHAPE,
     Fqdn,
     FqdnError,
     PdnsEntry,
@@ -181,6 +180,11 @@ def _parse_rrtype(value) -> RRType:
         except ValueError:
             pass
     raise RecordError("BadField", f"bad rrtype: {value!r:.60}")
+
+
+# The feed's one timestamp shape: ASCII digits only, and hours 00-23, so
+# that no datetime version's reading of `24:00` matters.
+_TIME_SEEN_SHAPE = re.compile(r"\d{4}-\d\d-\d\d (?:[01]\d|2[0-3]):\d\d:\d\d\Z", re.ASCII)
 
 
 def _time_error(value) -> RecordError:

@@ -314,21 +314,3 @@ def sld_name(entry: PdnsEntry, psl: Optional[PublicSuffixList] = None) -> str:
             return reg.name
     return ".".join(labels[-2:])
 
-
-# The feed's one timestamp shape: ASCII digits only, and hours 00-23, so
-# that no datetime version's reading of `24:00` matters.
-_TIME_SEEN_SHAPE = re.compile(r"\d{4}-\d\d-\d\d (?:[01]\d|2[0-3]):\d\d:\d\d\Z", re.ASCII)
-
-
-def parse_time_seen(text: str) -> datetime:
-    """Parse the feed's `YYYY-MM-DD HH:MM:SS` UTC timestamp.
-
-    ValueError for any other shape (a `T` separator, a sign, a space or a
-    non-ASCII digit in a field) and for an impossible date or time.
-    """
-    if not _TIME_SEEN_SHAPE.match(text):
-        raise ValueError(f"bad time_seen: {text!r}")
-    try:
-        return datetime.fromisoformat(text + "+00:00")
-    except ValueError as exc:
-        raise ValueError(f"bad time_seen: {text!r}") from exc

@@ -21,8 +21,6 @@ from pdnskit.tables import read_domain_list, write_csv, write_json
 
 __all__ = [
     "ConfigError",
-    "KnownLists",
-    "PostFilterConfig",
     "FilterConfig",
     "StageCount",
     "CandidateRow",
@@ -45,78 +43,22 @@ def _shipped(name: str) -> frozenset[str]:
         return read_domain_list(path)
 
 
-class KnownLists(namedtuple("KnownLists", "cdn known_tunnels watchlist")):
-    """Known-domain sets: CDNs and tunnel domains are dropped at stage 1;
-    watchlist domains are never dropped, only annotated. No SLD may be on
-    two of them."""
-
-    __slots__ = ()
-    _make = classmethod(_make_checked)
-
-    def __new__(
-        cls,
-        cdn: frozenset[str] = frozenset(),
-        known_tunnels: frozenset[str] = frozenset(),
-        watchlist: frozenset[str] = frozenset(),
-    ):
-        overlap = (cdn & known_tunnels) | (cdn & watchlist) | (known_tunnels & watchlist)
-        if overlap:
-            raise ConfigError(f"known lists overlap: {sorted(overlap)[:5]}")
-        return super().__new__(cls, cdn, known_tunnels, watchlist)
-
-    @classmethod
-    def from_files(
-        cls,
-        cdn: Optional[str | Path] = None,
-        known_tunnels: Optional[str | Path] = None,
-        watchlist: Optional[str | Path] = None,
-    ) -> "KnownLists":
-        """The lists in the files given. Without `known_tunnels` the stage-1
-        tunnel list is the bundled provider list; `watchlist="builtin"` is
-        the bundled example IOC watchlist. No argument: the shipped defaults."""
-        return cls(
-            cdn=read_domain_list(cdn) if cdn else frozenset(),
-            known_tunnels=(
-                read_domain_list(known_tunnels)
-                if known_tunnels
-                else _shipped("known_tunnel_domains.txt")
-            ),
-            watchlist=(
-                _shipped("watchlist_example.txt")
-                if watchlist == "builtin"
-                else read_domain_list(watchlist) if watchlist else frozenset()
-            ),
-        )
-
-
-class PostFilterConfig(
-    namedtuple("PostFilterConfig", "drop_daily_seen drop_single_entry alexa_domains observation_days")
-):
-    """The optional post-filters. `alexa_domains` are the SLDs dropped as
-    popular: the alexa post-filter runs when it is non-empty.
-    `observation_days` is the days the input is supposed to cover; None
-    derives it from the data."""
-
-    __slots__ = ()
-    _make = classmethod(_make_checked)
-
-    def __new__(
-        cls,
-        drop_daily_seen: bool = False,
-        drop_single_entry: bool = False,
-        alexa_domains: frozenset[str] = frozenset(),
-        observation_days: Optional[int] = None,
-    ):
-        if observation_days is not None and observation_days < 1:
-            raise ConfigError("observation_days must be >= 1")
-        return super().__new__(cls, drop_daily_seen, drop_single_entry, alexa_domains, observation_days)
-
-
 class FilterConfig(
-    namedtuple("FilterConfig", "prefilter_types known min_level min_distinct_fqdns post_filters psl")
+    namedtuple(
+        "FilterConfig",
+        "prefilter_types cdn known_tunnels watchlist min_level min_distinct_fqdns"
+        " drop_daily_seen drop_single_entry alexa_domains observation_days psl",
+    )
 ):
-    """What `run_pipeline` keeps. `known` defaults to
-    `KnownLists.from_files()` and `post_filters` to `PostFilterConfig()`."""
+    """What `run_pipeline` keeps, in stage order. Stage 0 keeps
+    `prefilter_types`; stage 1 drops the `cdn` and `known_tunnels` SLDs
+    (None: the bundled provider list), while `watchlist` SLDs are never
+    dropped, only annotated, and no SLD may be on two of the three lists.
+    Stages 2 and 3 need `min_level` labels and `min_distinct_fqdns` names.
+    The post-filters drop SLDs seen on every one of `observation_days`
+    days (None derives it from the data), SLDs with a single entry, and
+    the `alexa_domains` SLDs (run when non-empty). `psl` is the SLD rule's
+    public-suffix list."""
 
     __slots__ = ()
     _make = classmethod(_make_checked)
@@ -124,26 +66,55 @@ class FilterConfig(
     def __new__(
         cls,
         prefilter_types: frozenset[RRType] = frozenset((RRType.parse("NULL"), RRType.parse("TXT"))),
-        known: Optional[KnownLists] = None,
+        cdn: frozenset[str] = frozenset(),
+        known_tunnels: Optional[frozenset[str]] = None,
+        watchlist: frozenset[str] = frozenset(),
         min_level: int = 4,
         min_distinct_fqdns: int = 2,
-        post_filters: Optional[PostFilterConfig] = None,
+        drop_daily_seen: bool = False,
+        drop_single_entry: bool = False,
+        alexa_domains: frozenset[str] = frozenset(),
+        observation_days: Optional[int] = None,
         psl: Optional[PublicSuffixList] = None,
     ):
+        if known_tunnels is None:
+            known_tunnels = _shipped("known_tunnel_domains.txt")
+        overlap = (cdn & known_tunnels) | (cdn & watchlist) | (known_tunnels & watchlist)
+        if overlap:
+            raise ConfigError(f"known lists overlap: {sorted(overlap)[:5]}")
         if min_level < 1:
             raise ConfigError("min_level must be >= 1")
         if min_distinct_fqdns < 1:
             raise ConfigError("min_distinct_fqdns must be >= 1")
         if not prefilter_types:
             raise ConfigError("prefilter_types must not be empty")
+        if observation_days is not None and observation_days < 1:
+            raise ConfigError("observation_days must be >= 1")
         return super().__new__(
-            cls,
-            prefilter_types,
-            KnownLists.from_files() if known is None else known,
-            min_level,
-            min_distinct_fqdns,
-            PostFilterConfig() if post_filters is None else post_filters,
-            psl,
+            cls, prefilter_types, cdn, known_tunnels, watchlist, min_level, min_distinct_fqdns,
+            drop_daily_seen, drop_single_entry, alexa_domains, observation_days, psl,
+        )
+
+    @classmethod
+    def from_files(
+        cls,
+        cdn: Optional[str | Path] = None,
+        known_tunnels: Optional[str | Path] = None,
+        watchlist: Optional[str | Path] = None,
+        **values,
+    ) -> "FilterConfig":
+        """The config of `values` with the lists in the files given. Without
+        `known_tunnels` the stage-1 tunnel list is the bundled provider
+        list; `watchlist="builtin"` is the bundled example IOC watchlist."""
+        return cls(
+            cdn=read_domain_list(cdn) if cdn else frozenset(),
+            known_tunnels=read_domain_list(known_tunnels) if known_tunnels else None,
+            watchlist=(
+                _shipped("watchlist_example.txt")
+                if watchlist == "builtin"
+                else read_domain_list(watchlist) if watchlist else frozenset()
+            ),
+            **values,
         )
 
 
@@ -180,7 +151,7 @@ def stage_table(config: FilterConfig) -> tuple[Stage, ...]:
     (4) no reverse-DNS `.arpa` name and no DMARC/DKIM/SPF name or TXT
     payload. Each predicate takes the entry and its SLD."""
     types = config.prefilter_types
-    known = config.known.cdn | config.known.known_tunnels
+    known = config.cdn | config.known_tunnels
     min_level = config.min_level
     return (
         Stage("0", "rrtype-prefilter", lambda entry, sld: entry.rrtype in types),
@@ -195,23 +166,14 @@ class SldGroup:
 
     __slots__ = ("sld", "entry_count", "fqdns", "days", "rrtype_mix", "bailiwicks", "samples")
 
-    def __init__(
-        self,
-        sld: str,
-        entry_count: int = 0,
-        fqdns: Optional[set] = None,
-        days: Optional[set] = None,
-        rrtype_mix: Optional[Counter] = None,
-        bailiwicks: Optional[Counter] = None,
-        samples: Optional[list] = None,
-    ):
+    def __init__(self, sld: str):
         self.sld = sld
-        self.entry_count = entry_count
-        self.fqdns = set() if fqdns is None else fqdns
-        self.days = set() if days is None else days
-        self.rrtype_mix = Counter() if rrtype_mix is None else rrtype_mix
-        self.bailiwicks = Counter() if bailiwicks is None else bailiwicks
-        self.samples = [] if samples is None else samples
+        self.entry_count = 0
+        self.fqdns = set()
+        self.days = set()
+        self.rrtype_mix = Counter()
+        self.bailiwicks = Counter()
+        self.samples = []
 
     def add(self, entry: PdnsEntry) -> None:
         self.entry_count += 1
@@ -257,36 +219,19 @@ class CandidateRow(NamedTuple):
 _WATCHLIST_HIT_KEYS = ("sld", "entry_count", "fqdn_count", "days_seen", "rrtype_mix")
 
 
-class CandidateReport:
+class CandidateReport(NamedTuple):
     """What `run_pipeline` found: the stage table, the candidates and what
     was dropped, post-filtered or watched."""
 
-    __slots__ = (
-        "stage_counts", "candidates", "dropped_known_tunnels", "dropped_cdn", "post_filtered",
-        "watchlist_hits", "input_entries", "observation_days", "survivor_entries",
-    )
-
-    def __init__(
-        self,
-        stage_counts: list[StageCount],
-        candidates: list[CandidateRow],
-        dropped_known_tunnels: list[tuple[str, int]],
-        dropped_cdn: list[tuple[str, int]],
-        post_filtered: list[tuple[CandidateRow, str]],
-        watchlist_hits: list[CandidateRow],
-        input_entries: int,
-        observation_days: int,
-        survivor_entries: Optional[list[PdnsEntry]] = None,
-    ):
-        self.stage_counts = stage_counts
-        self.candidates = candidates
-        self.dropped_known_tunnels = dropped_known_tunnels
-        self.dropped_cdn = dropped_cdn
-        self.post_filtered = post_filtered
-        self.watchlist_hits = watchlist_hits
-        self.input_entries = input_entries
-        self.observation_days = observation_days
-        self.survivor_entries = survivor_entries
+    stage_counts: list[StageCount]
+    candidates: list[CandidateRow]
+    dropped_known_tunnels: list[tuple[str, int]]
+    dropped_cdn: list[tuple[str, int]]
+    post_filtered: list[tuple[CandidateRow, str]]
+    watchlist_hits: list[CandidateRow]
+    input_entries: int
+    observation_days: int
+    survivor_entries: Optional[list[PdnsEntry]] = None
 
     def candidate_slds(self) -> list[str]:
         return [row.sld for row in self.candidates]
@@ -391,26 +336,21 @@ def _group_row(group: SldGroup, watchlist: bool) -> CandidateRow:
 
 
 def post_filter_table(
-    post_filters: PostFilterConfig, observation_days: int
+    config: FilterConfig, observation_days: int
 ) -> tuple[tuple[str, str, Callable[[CandidateRow], bool]], ...]:
     """The enabled post-filters as `(stage_id, name, drops)` rows, in the
     order `run_pipeline` tries them: SLDs seen on every one of
     `observation_days` days, SLDs left with a single entry, SLDs on the
     alexa list. `drops(row)` is True for a candidate row the filter removes;
     `name` is the reason reported for it."""
-    alexa = post_filters.alexa_domains
+    alexa = config.alexa_domains
     table = (
-        (post_filters.drop_daily_seen, "daily-seen",
+        (config.drop_daily_seen, "post:daily-seen", "daily-seen",
          lambda row: 0 < observation_days <= row.days_seen),
-        (post_filters.drop_single_entry, "single-entry", lambda row: row.entry_count == 1),
-        (bool(alexa), "alexa-top", lambda row: row.sld in alexa),
+        (config.drop_single_entry, "post:single-entry", "single-entry", lambda row: row.entry_count == 1),
+        (bool(alexa), "post:alexa", "alexa-top", lambda row: row.sld in alexa),
     )
-    # A stage id is "post:" and the name, less the alexa filter's "-top".
-    return tuple(
-        ("post:" + name.removesuffix("-top"), name, drops)
-        for enabled, name, drops in table
-        if enabled
-    )
+    return tuple((stage_id, name, drops) for enabled, stage_id, name, drops in table if enabled)
 
 
 def run_pipeline(
@@ -428,8 +368,8 @@ def run_pipeline(
     stages = stage_table(config)
     keeps = [stage.keep for stage in stages]
     known_index = [stage.stage_id for stage in stages].index("1")
-    known_tunnels = config.known.known_tunnels
-    watch = config.known.watchlist
+    known_tunnels = config.known_tunnels
+    watch = config.watchlist
     psl = config.psl
 
     n_read = 0
@@ -449,7 +389,7 @@ def run_pipeline(
         if watch and sld in watch:
             wg = watch_groups.get(sld)
             if wg is None:
-                wg = watch_groups[sld] = SldGroup(sld=sld)
+                wg = watch_groups[sld] = SldGroup(sld)
             wg.add(entry)
         for i, keep in enumerate(keeps):
             if not keep(entry, sld):
@@ -462,7 +402,7 @@ def run_pipeline(
             # stage 3: grouping
             group = groups.get(sld)
             if group is None:
-                group = groups[sld] = SldGroup(sld=sld)
+                group = groups[sld] = SldGroup(sld)
             group.add(entry)
             if survivors is not None:
                 survivors.append(entry)
@@ -483,10 +423,10 @@ def run_pipeline(
         StageCount("3", "min-subdomains", entries_in, grouped_entries, len(surviving))
     )
 
-    observation_days = config.post_filters.observation_days
+    observation_days = config.observation_days
     if observation_days is None:
         observation_days = len(all_days)
-    post_filters = post_filter_table(config.post_filters, observation_days)
+    post_filters = post_filter_table(config, observation_days)
     kept: list[CandidateRow] = []
     post_filtered: list[tuple[CandidateRow, str]] = []
     for group in sorted(surviving.values(), key=_by_entries):

@@ -7,7 +7,7 @@ from datetime import datetime, timezone
 
 import pytest
 
-from pdnskit.model import PdnsEntry, RRType, parse_fqdn, parse_time_seen, sld_name
+from pdnskit.model import PdnsEntry, RRType, parse_fqdn, sld_name
 from pdnskit.pipeline import stage_table
 
 TABLE_RECORD = {
@@ -32,7 +32,7 @@ def make_entry(
 ) -> PdnsEntry:
     return PdnsEntry(
         domain=parse_fqdn(domain) if domain else None,
-        time_seen=parse_time_seen(time_seen),
+        time_seen=datetime.fromisoformat(time_seen + "+00:00"),
         bailiwick=parse_fqdn(bailiwick) if bailiwick else None,
         rrname=parse_fqdn(rrname),
         rrclass=rrclass,

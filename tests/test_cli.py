@@ -203,6 +203,57 @@ class TestFilterCommand:
         )
 
 
+# Each filter option that configures the pipeline, as flags with a value
+# that is not its default (L a domain list, P a public-suffix list), and
+# the one FilterConfig field it sets.
+FILTER_OPTION_FIELDS = [
+    (["--types", "NULL"], "prefilter_types"),
+    (["--min-level", "3"], "min_level"),
+    (["--min-subdomains", "1"], "min_distinct_fqdns"),
+    (["--cdn-list", "L"], "cdn"),
+    (["--tunnel-list", "L"], "known_tunnels"),
+    (["--watchlist", "L"], "watchlist"),
+    (["--drop-daily-seen"], "drop_daily_seen"),
+    (["--drop-single-entry"], "drop_single_entry"),
+    (["--alexa", "L"], "alexa_domains"),
+    (["--observation-days", "5"], "observation_days"),
+    (["--psl", "P"], "psl"),
+]
+
+
+class TestFilterOptions:
+    """No filter option does nothing: each sets its own config field."""
+
+    def test_every_pipeline_option_has_a_row(self):
+        from pdnskit.cli import _COMMANDS
+
+        flags = {option.flags[0] for option in _COMMANDS["filter"].options}
+        not_pipeline = {"--out", "--format", "--dedup", "--config"}
+        assert flags - not_pipeline == {args[0] for args, _ in FILTER_OPTION_FIELDS}
+
+    @pytest.mark.parametrize("args, field", FILTER_OPTION_FIELDS, ids=[args[0] for args, _ in FILTER_OPTION_FIELDS])
+    def test_option_sets_exactly_its_field(self, run_cli, tmp_path, monkeypatch, args, field):
+        from pdnskit import cli, pipeline
+
+        configs = []
+
+        def record(stream, config):
+            configs.append(config)
+            return pipeline.run_pipeline(stream, config)
+
+        monkeypatch.setattr(cli, "run_pipeline", record)
+        corpus = tmp_path / "c.ndjson"
+        write_ndjson(corpus, [ndjson_line(rrname=f"x{i}.t.teriava.com.", rrtype="NULL") for i in range(3)])
+        values = {"L": tmp_path / "domains.txt", "P": tmp_path / "psl.dat"}
+        values["L"].write_text("example.org\n", encoding="utf-8")
+        values["P"].write_text("com\n", encoding="utf-8")
+        assert run_cli("filter", corpus, "--out", tmp_path / "default").exit_code == 0
+        result = run_cli("filter", corpus, "--out", tmp_path / "given", *(values.get(a, a) for a in args))
+        assert result.exit_code == 0, result.output
+        default, given = configs
+        assert [f for f in default._fields if getattr(given, f) != getattr(default, f)] == [field]
+
+
 class TestClassifyCommand:
     def test_attributions_and_metrics(self, run_cli, demo_corpus, tmp_path):
         corpus, labels = demo_corpus
@@ -379,6 +430,7 @@ USAGE_ERRORS = [
     ("top-not-an-integer", ["stats", "C", "--out", "O", "--top", "abc"], "--top"),
     ("report-out-is-a-directory", ["report", "--stats", "S", "--out", "S"], "--out"),
     ("report-stats-is-a-file", ["report", "--stats", "F", "--out", "R"], "--stats"),
+    ("nul-in-input", ["stats", "a\0b", "--out", "O"], "Invalid value for 'INPUTS...'"),
 ]
 
 

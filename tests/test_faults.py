@@ -875,6 +875,44 @@ def test_domain_list_line_not_a_hostname_exits_three(tmp_path, capsys, option, l
     assert not out.exists()
 
 
+# The lines of a hostile domain list: names the lists share (re-cased, with
+# a root dot), comments, blank and dot-only lines, a 64-byte label, NUL and
+# raw bytes that are not UTF-8, under no BOM or one.
+_domain_line = st.one_of(
+    st.sampled_from([b"teriava.com", b"TERIAVA.COM.", b"shared.example", b"53r.de", b"x.y.example"]),
+    st.sampled_from([b"#", b"# ranked list", b"", b" ", b".", b"..", b"a" * 64 + b".com", b"\0", b"ok\0.example"]),
+    st.binary(max_size=12),
+)
+hostile_domain_list_st = st.builds(
+    lambda head, lines, end: head + end.join(lines),
+    st.sampled_from([b"", b"\xef\xbb\xbf"]),
+    st.lists(_domain_line, max_size=6),
+    st.sampled_from([b"\n", b"\r\n"]),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lists=st.dictionaries(
+    st.sampled_from(["--cdn-list", "--tunnel-list", "--watchlist", "--alexa"]),
+    hostile_domain_list_st, min_size=1, max_size=3,
+))
+def test_hostile_domain_lists_exit_zero_or_three(tmp_path, capsys, lists):
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_bytes(good("ndjson", 1) + good("ndjson", 2))
+    args = []
+    for option, content in lists.items():
+        path = tmp_path / f"{option.lstrip('-')}.txt"
+        path.write_bytes(content)
+        args += [option, path]
+    out = tmp_path / "out"
+    before = snapshot(out)
+    code, errors = run_cli(capsys, "filter", corpus, "--out", out, *args)
+    assert code in (0, 3), errors
+    assert len(errors) <= 1 and not any("Traceback" in line for line in errors)
+    if code == 3:
+        assert snapshot(out) == before
+
+
 def assert_gen_refuses(tmp_path, capsys, config, message: str) -> None:
     """`gen --config` with `config` exits 3 with `message` as its one stderr
     line and writes nothing."""

@@ -23,7 +23,7 @@ from pdnskit.ingest import (
     parse_record,
     read_stream,
 )
-from pdnskit.model import Fqdn, FqdnError, PdnsEntry, RRType, parse_fqdn, parse_time_seen
+from pdnskit.model import Fqdn, FqdnError, PdnsEntry, RRType, parse_fqdn
 
 from conftest import TABLE_RECORD, make_entry, ndjson_line, write_ndjson
 
@@ -138,9 +138,16 @@ def reference_record(obj: dict) -> PdnsEntry:
     time_seen = obj.get("time_seen")
     if time_seen is None or time_seen == "":
         raise RecordError("MissingField", "time_seen")
-    try:
-        time_seen = parse_time_seen(time_seen) if isinstance(time_seen, str) else None
-    except ValueError:
+    # README's shape: 19 characters, ASCII digits, and "-", " " and ":" where shown.
+    shape = "dddd-dd-dd dd:dd:dd"
+    if isinstance(time_seen, str) and len(time_seen) == len(shape) and all(
+        c in "0123456789" if s == "d" else c == s for c, s in zip(time_seen, shape)
+    ):
+        try:
+            time_seen = datetime.strptime(time_seen, "%Y-%m-%d %H:%M:%S").replace(tzinfo=timezone.utc)
+        except ValueError:  # an impossible date or time
+            time_seen = None
+    else:
         time_seen = None
     if time_seen is None:
         raise RecordError("BadTimestamp", "time_seen")

@@ -2,6 +2,7 @@ from datetime import datetime, timezone
 
 import pytest
 
+from pdnskit.ingest import RecordError, parse_record
 from pdnskit.model import (
     EmptyLabelError,
     Fqdn,
@@ -11,11 +12,10 @@ from pdnskit.model import (
     RRType,
     label_length,
     parse_fqdn,
-    parse_time_seen,
     sld_name,
 )
 
-from conftest import make_entry
+from conftest import TABLE_RECORD, make_entry
 
 
 class TestParseFqdn:
@@ -157,9 +157,11 @@ class TestRRType:
 
 
 class TestParseTimeSeen:
+    """The record parse's `time_seen` field, in an otherwise valid record."""
+
     def test_feed_format(self):
-        dt = parse_time_seen("2017-07-01 09:35:04")
-        assert dt == datetime(2017, 7, 1, 9, 35, 4, tzinfo=timezone.utc)
+        entry = parse_record(dict(TABLE_RECORD, time_seen="2017-07-01 09:35:04"))
+        assert entry.time_seen == datetime(2017, 7, 1, 9, 35, 4, tzinfo=timezone.utc)
 
     @pytest.mark.parametrize(
         "bad",
@@ -178,8 +180,9 @@ class TestParseTimeSeen:
         ],
     )
     def test_bad_inputs(self, bad):
-        with pytest.raises(ValueError):
-            parse_time_seen(bad)
+        with pytest.raises(RecordError) as info:
+            parse_record(dict(TABLE_RECORD, time_seen=bad))
+        assert info.value.kind == "BadTimestamp"
 
 
 def test_fqdn_equality_ignores_raw():

@@ -6,8 +6,6 @@ from pdnskit.pipeline import (
     CandidateReport,
     ConfigError,
     FilterConfig,
-    KnownLists,
-    PostFilterConfig,
     run_pipeline,
 )
 from pdnskit.tunnelgen import BackgroundSpec, GenConfig, TunnelSpec, generate
@@ -69,7 +67,7 @@ class TestPrefilterRrtype:
 
 class TestFilterKnownDomains:
     def test_known_tunnel_counted(self):
-        config = FilterConfig(known=KnownLists.from_files())
+        config = FilterConfig.from_files()
         entries = [
             make_entry("x1y2z3.a.53r.de", "NULL", "53r.de"),
             make_entry("other.site.net", "NULL", "site.net"),
@@ -81,7 +79,7 @@ class TestFilterKnownDomains:
         assert report.dropped_cdn == []
 
     def test_cdn_domain_dropped(self):
-        config = FilterConfig(known=KnownLists(cdn=frozenset({"cnr.io"})))
+        config = FilterConfig(cdn=frozenset({"cnr.io"}), known_tunnels=frozenset())
         entries = [make_entry("a.cnr.io", "TXT", "cnr.io")]
         assert keep_stage("1", entries, config) == []
         report = run_pipeline(entries, config)
@@ -92,10 +90,10 @@ class TestFilterKnownDomains:
         # Hostnames fold ASCII case only: x.ÄB.de has the SLD Äb.de.
         watchlist = tmp_path / "watchlist.txt"
         watchlist.write_text("ÄB.de\nFoo.COM.\n", encoding="utf-8")
-        known = KnownLists.from_files(watchlist=watchlist)
-        assert known.watchlist == {"Äb.de", "foo.com"}
+        config = FilterConfig.from_files(watchlist=watchlist, min_level=3)
+        assert config.watchlist == {"Äb.de", "foo.com"}
         entries = [make_entry("x.ÄB.de", "NULL"), make_entry("y.ÄB.de", "NULL")]
-        report = run_pipeline(entries, FilterConfig(known=known, min_level=3))
+        report = run_pipeline(entries, config)
         assert [h.sld for h in report.watchlist_hits] == ["Äb.de"]
 
     def test_unknown_sld_passes(self):
@@ -210,9 +208,7 @@ class TestRunPipeline:
         ]
         cfg = GenConfig(seed=31, days=3, tunnels=tunnels)
         entries = [item.entry for item in generate(cfg, profiles)]
-        config = FilterConfig(
-            post_filters=PostFilterConfig(drop_daily_seen=True)
-        )
+        config = FilterConfig(drop_daily_seen=True)
         report = run_pipeline(entries, config)
         assert report.observation_days == 3
         moved = {sld for (row, reason) in [(c, r) for c, r in report.post_filtered]
@@ -227,10 +223,7 @@ class TestRunPipeline:
             make_entry("b.pair.org", "NULL", "pair.org"),
         ]
         deep = [make_entry(f"x.{e.rrname.name}", e.rrtype, e.domain.name) for e in entries]
-        config = FilterConfig(
-            min_distinct_fqdns=1,
-            post_filters=PostFilterConfig(drop_single_entry=True),
-        )
+        config = FilterConfig(min_distinct_fqdns=1, drop_single_entry=True)
         report = run_pipeline(deep, config)
         assert "single.net" not in report.candidate_slds()
         assert "pair.org" in report.candidate_slds()
@@ -243,24 +236,21 @@ class TestRunPipeline:
             make_entry("a.t.obscure.net", "NULL", "obscure.net"),
             make_entry("b.t.obscure.net", "NULL", "obscure.net"),
         ]
-        config = FilterConfig(
-            post_filters=PostFilterConfig(alexa_domains=frozenset({"popular.com"}))
-        )
+        config = FilterConfig(alexa_domains=frozenset({"popular.com"}))
         report = run_pipeline(entries, config)
         assert report.candidate_slds() == ["obscure.net"]
         assert [(c.sld, r) for c, r in report.post_filtered] == [("popular.com", "alexa-top")]
 
     def test_watchlist_never_dropped_and_annotated(self):
-        known = KnownLists.from_files(watchlist="builtin")
         entries = [
             make_entry("k1.teriava.com", "NULL", "teriava.com"),
             make_entry("k2.teriava.com", "NULL", "teriava.com"),
             make_entry("plain.teriava.com", "A", "teriava.com"),
         ]
-        config = FilterConfig(
-            known=known,
+        config = FilterConfig.from_files(
+            watchlist="builtin",
             min_level=3,
-            post_filters=PostFilterConfig(alexa_domains=frozenset({"teriava.com"})),
+            alexa_domains=frozenset({"teriava.com"}),
         )
         report = run_pipeline(entries, config)
         rows = {c.sld: c for c in report.candidates}
@@ -307,11 +297,11 @@ class TestConfigValidation:
     @pytest.mark.parametrize("days", [0, -3])
     def test_bad_observation_days(self, days):
         with pytest.raises(ConfigError, match="observation_days"):
-            PostFilterConfig(drop_daily_seen=True, observation_days=days)
+            FilterConfig(drop_daily_seen=True, observation_days=days)
 
     def test_known_lists_must_be_disjoint(self):
         with pytest.raises(ConfigError):
-            KnownLists(
+            FilterConfig(
                 cdn=frozenset({"x.com"}),
                 known_tunnels=frozenset({"x.com"}),
             )
@@ -321,8 +311,8 @@ class TestConfigValidation:
         [
             (FilterConfig(), {"min_level": 0}),
             (FilterConfig(), {"prefilter_types": frozenset()}),
-            (PostFilterConfig(), {"observation_days": 0}),
-            (KnownLists(cdn=frozenset({"x.com"})), {"watchlist": frozenset({"x.com"})}),
+            (FilterConfig(), {"observation_days": 0}),
+            (FilterConfig(cdn=frozenset({"x.com"}), known_tunnels=frozenset()), {"watchlist": frozenset({"x.com"})}),
         ],
         ids=["min-level", "no-types", "observation-days", "overlap"],
     )

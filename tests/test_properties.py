@@ -20,20 +20,19 @@ from pdnskit.model import (
     RRType,
     _parse_fqdn_general,
     parse_fqdn,
-    parse_time_seen,
     sld_name,
 )
 from pdnskit.pipeline import (
     FilterConfig,
-    KnownLists,
-    PostFilterConfig,
     run_pipeline,
     stage_table,
 )
 from pdnskit.stats import StatsBundle
 from pdnskit.tables import read_labels
 
-from conftest import keep_stage, make_entry
+from pdnskit.ingest import RecordError, parse_record
+
+from conftest import TABLE_RECORD, keep_stage, make_entry
 
 LABEL_CHARS = string.ascii_lowercase + string.digits + "-_"
 
@@ -203,15 +202,15 @@ class TestModelFastPaths:
                 tzinfo=timezone.utc,
             )
         except ValueError:
-            expected = ValueError
+            expected = "BadTimestamp"
         try:
-            got = parse_time_seen(text)
-        except ValueError:
-            got = ValueError
+            got = parse_record(dict(TABLE_RECORD, time_seen=text)).time_seen
+        except RecordError as exc:
+            got = exc.kind
         if text.isascii():
             assert got == expected
         else:
-            assert got is ValueError
+            assert got == "BadTimestamp"
 
 
 class TestDetectEncodingProperties:
@@ -297,9 +296,7 @@ class TestPipelineProperties:
     @given(st.lists(entry_st(), max_size=40), st.integers(min_value=0, max_value=3))
     @settings(max_examples=200, deadline=None)
     def test_per_entry_stages_commute(self, entries, order_idx):
-        config = FilterConfig(
-            known=KnownLists(known_tunnels=frozenset({"ab.com", "cd-x.net"}))
-        )
+        config = FilterConfig(known_tunnels=frozenset({"ab.com", "cd-x.net"}))
         baseline = entries
         for stage in STAGE_ORDERS[0]:
             baseline = apply_stage(stage, baseline, config)
@@ -341,7 +338,7 @@ class TestPipelineProperties:
 # without the production predicates.
 STAGE_ORACLE = {
     "0": lambda e, sld, c: e.rrtype in c.prefilter_types,
-    "1": lambda e, sld, c: sld not in c.known.cdn and sld not in c.known.known_tunnels,
+    "1": lambda e, sld, c: sld not in c.cdn and sld not in c.known_tunnels,
     "2": lambda e, sld, c: e.rrname.level >= c.min_level,
     "4": lambda e, sld, c: not (
         e.rrname.labels[-1] == "arpa"
@@ -360,11 +357,9 @@ class TestStageTable:
     @settings(max_examples=200, deadline=None)
     def test_table_one_stage_at_a_time_matches_run_pipeline(self, entries):
         config = FilterConfig(
-            known=KnownLists(
-                cdn=frozenset({"cdn-a.com", "cdn-b.net"}),
-                known_tunnels=frozenset({"tun.org"}),
-                watchlist=frozenset({"watched.io"}),
-            ),
+            cdn=frozenset({"cdn-a.com", "cdn-b.net"}),
+            known_tunnels=frozenset({"tun.org"}),
+            watchlist=frozenset({"watched.io"}),
             min_level=3,
         )
         report = run_pipeline(entries, config)
@@ -382,7 +377,7 @@ class TestStageTable:
                 dropped = Counter(sld_name(e) for e in current if id(e) not in kept_ids)
                 tallied = Counter(dict(report.dropped_known_tunnels + report.dropped_cdn))
                 assert tallied == dropped
-                assert {s for s, _ in report.dropped_cdn} <= config.known.cdn
+                assert {s for s, _ in report.dropped_cdn} <= config.cdn
             assert count.entries_out == len(kept)
             assert count.slds_out == len({sld_name(e) for e in kept})
             current = kept
@@ -401,15 +396,14 @@ class TestStageTable:
     def test_post_filter_rows_account_for_post_filtered(self, entries, alexa, days):
         config = FilterConfig(
             prefilter_types=frozenset(map(RRType.parse, RRTYPES)),
-            known=KnownLists(watchlist=frozenset({"watched.io"})),
+            known_tunnels=frozenset(),
+            watchlist=frozenset({"watched.io"}),
             min_level=3,
             min_distinct_fqdns=1,
-            post_filters=PostFilterConfig(
-                drop_daily_seen=True,
-                drop_single_entry=True,
-                alexa_domains=alexa,
-                observation_days=days,
-            ),
+            drop_daily_seen=True,
+            drop_single_entry=True,
+            alexa_domains=alexa,
+            observation_days=days,
         )
         report = run_pipeline(entries, config)
         ids = [s.stage_id for s in report.stage_counts]
@@ -419,7 +413,7 @@ class TestStageTable:
             assert cur.entries_in == prev.entries_out
             assert cur.entries_out == prev.entries_out - sum(r.entry_count for r in removed)
             assert cur.slds_out == prev.slds_out - len(removed)
-        assert not {row.sld for row, _ in report.post_filtered} & config.known.watchlist
+        assert not {row.sld for row, _ in report.post_filtered} & config.watchlist
         # The first filter, in table order, that drops a row names its reason.
         observed = report.observation_days
         for row, reason in report.post_filtered:
