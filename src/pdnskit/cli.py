@@ -1,10 +1,11 @@
 """Command-line front end: stats, filter, classify, gen, report.
 
 Exit codes: 0 success, 1 usage error, 2 fatal I/O, 3 config validation,
-130 interrupt. Flag defaults mirror the pipeline defaults (types NULL,TXT;
-level 4; two subdomains). Each option's value comes from its flag, else
-(for --profiles) a non-empty PDNSKIT_PROFILES, else the --config JSON file
-of a command that reads a corpus, else its default.
+130 interrupt, 143 SIGTERM (129 SIGHUP). Flag defaults mirror the pipeline
+defaults (types NULL,TXT; level 4; two subdomains). Each option's value
+comes from its flag, else (for --profiles) a non-empty PDNSKIT_PROFILES,
+else the --config JSON file of a command that reads a corpus, else its
+default.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import contextlib
 import json
 import os
 import shutil
+import signal
 import sys
-import tempfile
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -282,19 +283,22 @@ def _staged(outdir: Path, artifacts: tuple[str, ...] = ()):
     and remove the `artifacts` not written; on any failure, remove what was
     made, so `outdir` is left as it was."""
     made = [d for d in (outdir, *outdir.parents) if not d.exists()]  # the last is the topmost
-    outdir.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=".staging.", dir=outdir))
+    # Named before it is made, so that a signal raised as mkdir returns is
+    # still cleaned up; 64 random bits keep concurrent runs apart.
+    staging = outdir / f".staging.{os.urandom(8).hex()}"
     try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        staging.mkdir(mode=0o700)
         yield staging
         written = sorted(staging.iterdir())
         for path in written:
             os.replace(path, outdir / path.name)
         for name in set(artifacts).difference(path.name for path in written):
             (outdir / name).unlink(missing_ok=True)
+        staging.rmdir()
     except BaseException:
         shutil.rmtree(made[-1] if made else staging, ignore_errors=True)
         raise
-    staging.rmdir()
 
 
 def _run(produce, artifacts: tuple[str, ...], p: dict) -> None:
@@ -468,7 +472,7 @@ def cmd_gen(p):
         raise UsageError(f"--name must be a bare file name, not {name!r}")
     cfg = demo_config() if p["demo"] else GenConfig.from_json_file(p["config_path"])
     if p["seed"] is not None:
-        cfg.seed = p["seed"]
+        cfg = cfg._replace(seed=p["seed"])
     profiles = ProfileSet.from_file(p["profiles_path"]) if p["profiles_path"] else ProfileSet.default()
     entries = generate(cfg, profiles)  # checks the config before anything is made
     with _staged(Path(p["outdir"])) as staging:
@@ -574,6 +578,19 @@ def _help() -> str:
     ])
 
 
+# The signals that end a run as ^C does; Windows has no SIGHUP.
+_TERMINATING = tuple(getattr(signal, name) for name in ("SIGTERM", "SIGHUP") if hasattr(signal, name))
+
+
+class _Terminated(BaseException):
+    """A terminating signal arrived; `args[0]` is its number. Like ^C's
+    KeyboardInterrupt, it unwinds through `_staged`'s cleanup."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated(signum)
+
+
 def _usage_error(name: Optional[str], message: str) -> int:
     prog = f"pdnskit {name}" if name else "pdnskit"
     print(f"Usage: {_usage(name)}\nTry '{prog} --help' for help.\n\nError: {message}", file=sys.stderr)
@@ -592,6 +609,10 @@ def main(argv=None) -> int:
         return 0
     if name not in _COMMANDS:
         return _usage_error(None, f"No such {'option' if name.startswith('-') else 'command'} {name!r}.")
+    previous = {}  # the handlers to put back when the command ends
+    with contextlib.suppress(ValueError):  # off the main thread, none can be set
+        for signum in _TERMINATING:
+            previous[signum] = signal.signal(signum, _terminate)
     try:
         params = _parse(name, args[1:])
         if params is not None:
@@ -601,12 +622,18 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:  # end the terminal's ^C line first
         print("\ninterrupted", file=sys.stderr)
         return 130
+    except _Terminated as exc:
+        print(f"terminated by {signal.Signals(exc.args[0]).name}", file=sys.stderr)
+        return 128 + exc.args[0]
     except ConfigError as exc:  # the generator's and profile errors subclass it
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
     return 0
 
 

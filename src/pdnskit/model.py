@@ -99,8 +99,8 @@ def _make_checked(cls, values):
     return cls(*values)
 
 
-# The frozen dataclass's error, imported only when raised: no command that
-# reads a corpus loads `dataclasses` (or `inspect`, which it imports).
+# The frozen dataclass's error, imported only when raised: no command
+# loads `dataclasses` (or `inspect`, which it imports).
 def _frozen_setattr(self, name, value):
     from dataclasses import FrozenInstanceError
 

@@ -12,6 +12,7 @@ the candidate list further; they too are one table, `post_filter_table`.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -37,6 +38,7 @@ _MAIL_AUTH_RDATA_PREFIXES = ("v=spf1", "v=dkim1", "v=dmarc1")
 SAMPLE_FQDNS = 10
 
 
+@cache  # read once per process; the frozenset is safe to share
 def _shipped(name: str) -> frozenset[str]:
     ref = resources.files("pdnskit.data").joinpath(name)
     with resources.as_file(ref) as path:

@@ -16,12 +16,11 @@ import json
 import math
 import re
 from bisect import bisect_right
-from dataclasses import MISSING, dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
 from hashlib import blake2b
 from pathlib import Path
 from random import Random
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from pdnskit.fingerprint import (
     ENCODING_BASE32,
@@ -64,8 +63,7 @@ class UnknownProfileError(GenConfigError):
     """A tunnel spec references a profile that is not in the profile set."""
 
 
-@dataclass(frozen=True)
-class TunnelSpec:
+class TunnelSpec(NamedTuple):
     profile: str
     sld: str
     third: str = "t"
@@ -73,20 +71,18 @@ class TunnelSpec:
     queries: Optional[int] = None  # None: derived from payload and capacity
 
 
-@dataclass(frozen=True)
-class BackgroundSpec:
+class BackgroundSpec(NamedTuple):
     kind: str
     sld: str
     queries: int = 10
 
 
-@dataclass
-class GenConfig:
+class GenConfig(NamedTuple):
     seed: int = 1
     start_date: date = date(2017, 7, 1)
     days: int = 1
-    tunnels: list[TunnelSpec] = field(default_factory=list)
-    background: list[BackgroundSpec] = field(default_factory=list)
+    tunnels: Sequence[TunnelSpec] = ()
+    background: Sequence[BackgroundSpec] = ()
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "GenConfig":
@@ -125,21 +121,20 @@ _DATE_SHAPE = re.compile(r"\d{4}-\d\d-\d\d\Z", re.ASCII)
 
 def _check_keys(obj, cls, where: str = "") -> None:
     """TypeError unless `obj` is a JSON object holding every field of the
-    dataclass `cls` that has no default, and no key that is not a field.
+    named tuple `cls` that has no default, and no key that is not a field.
     `where` names the object in a list; the top level goes unnamed."""
     if not isinstance(obj, dict):
         raise TypeError(f"{where or 'the top level'} must be a JSON object, got {json.dumps(obj)[:60]}")
     prefix = f"{where}: " if where else ""
-    known = {f.name: f.default is MISSING and f.default_factory is MISSING for f in fields(cls)}
     for key in obj:
-        if key not in known:
+        if key not in cls._fields:
             raise TypeError(f"{prefix}unknown key {key!r}")
-    for key, required in known.items():
-        if required and key not in obj:
+    for key in cls._fields:
+        if key not in cls._field_defaults and key not in obj:
             raise TypeError(f"{prefix}missing key {key!r}")
 
 
-def _specs(obj: dict, key: str, spec_cls) -> list:
+def _specs(obj: dict, key: str, spec_cls) -> tuple:
     """The `key` list of a config as `spec_cls` objects. An item is checked
     by `_check_keys` only when the constructor refuses it, so a long list
     of good items costs no more than building them."""
@@ -153,11 +148,10 @@ def _specs(obj: dict, key: str, spec_cls) -> list:
         except TypeError:  # not an object, or a key missing or unknown
             _check_keys(item, spec_cls, f"{key}[{i}]")
             raise
-    return specs
+    return tuple(specs)
 
 
-@dataclass(frozen=True)
-class LabeledEntry:
+class LabeledEntry(NamedTuple):
     entry: PdnsEntry
     kind: str  # "tunnel" or "benign"
     label: str  # implementation name or background class
@@ -195,8 +189,7 @@ _CODECS = {
 }
 
 
-@dataclass(frozen=True)
-class _QueryPlan:
+class _QueryPlan(NamedTuple):
     """Per-query emission structure derived from one profile."""
 
     codec: _Codec
@@ -588,7 +581,7 @@ def demo_config(seed: int = 7) -> GenConfig:
         seed=seed,
         start_date=date(2017, 7, 1),
         days=3,
-        tunnels=[
+        tunnels=(
             TunnelSpec("iodine-null", "tun-alpha.net", "t", payload_bytes=6000),
             TunnelSpec("iodine-txt", "tun-epsilon.com", "x", payload_bytes=4500),
             TunnelSpec("dns2tcp", "tun-beta.org", "d", payload_bytes=4000),
@@ -596,13 +589,13 @@ def demo_config(seed: int = 7) -> GenConfig:
             TunnelSpec("dnscat2", "tun-delta.io", "c", payload_bytes=5000),
             TunnelSpec("your-freedom", "53r.de", "a", payload_bytes=8000),
             TunnelSpec("tunnelguru", "qv4.in", "g", payload_bytes=4000),
-        ],
-        background=[
+        ),
+        background=(
             BackgroundSpec("plain-a", "example-shop.com", 40),
             BackgroundSpec("cdn-like", "cdn-park.net", 60),
             BackgroundSpec("spf-txt", "mailhost.org", 12),
             BackgroundSpec("dkim-txt", "bulk-sender.net", 12),
             BackgroundSpec("rdns-arpa", "isp-pool.net", 30),
             BackgroundSpec("localhost-style", "locallink.com", 80),
-        ],
+        ),
     )

@@ -364,6 +364,24 @@ class TestGenCommand:
         assert (out / "c.ndjson.gz").exists()
         assert (out / "c.labels.csv").exists()
 
+    def test_seed_flag_overrides_the_config_seed(self, tmp_path):
+        config = Path(__file__).resolve().parent / "golden" / "gen" / "every_shape.json"
+        values = json.loads(config.read_text(encoding="utf-8"))
+        assert values["seed"] != 12
+        reseeded = tmp_path / "reseeded.json"
+        reseeded.write_text(json.dumps(dict(values, seed=12)), encoding="utf-8")
+        runs = {
+            "flag": ["--config", config, "--seed", 12],
+            "file": ["--config", reseeded],
+            "own": ["--config", config],
+        }
+        written = {}
+        for run, args in runs.items():
+            assert main(["gen", *map(str, args), "--out", str(tmp_path / run)]) == 0
+            written[run] = {path.name: path.read_bytes() for path in (tmp_path / run).iterdir()}
+        assert written["flag"] == written["file"]
+        assert written["flag"]["corpus.ndjson"] != written["own"]["corpus.ndjson"]
+
 
 class TestReportCommand:
     def test_combined_summary(self, run_cli, demo_corpus, tmp_path):

@@ -6,8 +6,8 @@ kind while keeping the good records on both sides of it. A gzip input cut
 short is the one fault that ends the input: every command keeps the records
 before the cut, writes its artifacts and then exits 2. A write that fails
 or is interrupted part-way, in any command, `gen` and `report` included,
-leaves what a previous run wrote as it was (an interrupt exits 130), and a
-run removes those of its command's artifacts that it did not write. A side
+leaves what a previous run wrote as it was (an interrupt exits 130, SIGTERM
+143 and SIGHUP 129), and a run removes those of its command's artifacts that it did not write. A side
 input that is not UTF-8, a labels row short of fields or an `--alexa` list
 with no domain exits 3, a domain list line that is not a hostname exits 3
 naming the file and the line, and `report` on a damaged artifact exits 2,
@@ -27,8 +27,11 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 import zlib
 from pathlib import Path
 
@@ -473,6 +476,65 @@ def test_broken_write_leaves_previous_output(tmp_path, capsys, monkeypatch, comm
     reseed = ["--seed", 8] if command == "gen" else []
     assert run_cli(capsys, *argv, *reseed) == (code, errors)
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+TERMINATIONS = [
+    pytest.param(getattr(signal, name), made, id=f"{name}-{'made' if made else 'existing'}-out")
+    for name, made in (("SIGTERM", True), ("SIGTERM", False), ("SIGHUP", True))
+    if hasattr(signal, name)
+]
+
+
+@pytest.mark.parametrize("signum, made", TERMINATIONS)
+def test_terminating_signal_leaves_out_as_it_was(tmp_path, signum, made):
+    # `stats -` waits on stdin, held open, once its staging directory exists.
+    out = tmp_path / "made" / "out" if made else tmp_path / "out"
+    if not made:
+        corpus = tmp_path / "c.ndjson"
+        corpus.write_bytes(good("ndjson", 1))
+        from pdnskit import cli
+
+        assert cli.main(["stats", str(corpus), "--out", str(out)]) == 0
+    before = sorted(tmp_path.rglob("*"))
+    contents = {path: path.read_bytes() for path in before if path.is_file()}
+    run = subprocess.Popen(
+        [sys.executable, "-m", "pdnskit", "stats", "-", "--dedup", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not list(out.glob(".staging.*")):
+            assert run.poll() is None, run.stderr.read()
+            assert time.monotonic() < deadline, "no staging directory appeared"
+            time.sleep(0.01)
+        run.send_signal(signum)
+        _, stderr = run.communicate(timeout=60)
+    finally:
+        run.kill()
+        run.wait()
+    assert run.returncode == 128 + signum
+    assert stderr.splitlines() == [f"terminated by {signal.Signals(signum).name}"]
+    assert sorted(tmp_path.rglob("*")) == before
+    assert {path: path.read_bytes() for path in before if path.is_file()} == contents
+
+
+def test_signal_handlers_are_restored_and_threads_run(tmp_path):
+    from pdnskit import cli
+
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_bytes(good("ndjson", 1))
+    previous = signal.getsignal(signal.SIGTERM)
+    assert cli.main(["stats", str(corpus), "--out", str(tmp_path / "main")]) == 0
+    assert signal.getsignal(signal.SIGTERM) is previous
+    # Off the main thread no handler can be set; the command runs all the same.
+    codes = []
+    argv = ["stats", str(corpus), "--out", str(tmp_path / "thread")]
+    worker = threading.Thread(target=lambda: codes.append(cli.main(argv)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and codes == [0]
+    assert signal.getsignal(signal.SIGTERM) is previous
 
 
 def run_cli(capsys, *args) -> tuple[int, list[str]]:

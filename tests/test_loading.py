@@ -4,8 +4,8 @@ and the names each module exports.
 Every command is its own process, so whatever `pdnskit.cli` imports at
 start-up is paid by every command. The budget below keeps a top-level import
 from loading another command's modules, OpenSSL's `_hashlib`, or `click`,
-`dataclasses` and `inspect` (which `dataclasses` imports) again: only `gen`
-needs `dataclasses`.
+`dataclasses` and `inspect` (which `dataclasses` imports) again: no command
+needs `click`, `dataclasses` or `inspect`, and only `gen` hashes.
 """
 
 import importlib
@@ -54,8 +54,7 @@ def _fresh_python(code: str, *args, cwd=None) -> str:
 def tiny_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("tiny")
     cfg = demo_config(seed=3)
-    cfg.tunnels = cfg.tunnels[:1]
-    cfg.background = cfg.background[:2]
+    cfg = cfg._replace(tunnels=cfg.tunnels[:1], background=cfg.background[:2])
     return write_corpus(generate(cfg, ProfileSet.default()), root / "tiny.ndjson")
 
 
@@ -99,6 +98,16 @@ class TestImportBudget:
         facts = _loaded("gen", "--demo", "--out", tmp_path / "out", cwd=tmp_path)
         assert {"pdnskit.tunnelgen", "pdnskit.fingerprint"} <= set(facts["pdnskit"])
         assert facts["hashlib"]
+        assert facts["heavy"] == []
+
+    def test_report_loads_only_the_common_modules(self, tiny_corpus, tmp_path):
+        from pdnskit.cli import main
+
+        assert main(["stats", str(tiny_corpus[0]), "--out", str(tmp_path / "stats")]) == 0
+        facts = _loaded("report", "--stats", tmp_path / "stats", "--out", tmp_path / "report.txt", cwd=tmp_path)
+        assert set(facts["pdnskit"]) == self.COMMON
+        assert not facts["hashlib"] and not facts["_hashlib"]
+        assert facts["heavy"] == []
 
 
 # (name on pdnskit.cli, the command that calls it, extra arguments)

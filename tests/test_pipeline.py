@@ -320,3 +320,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             value._replace(**changes)
         assert value._replace() == value
+
+    def test_bundled_lists_are_read_once(self):
+        assert FilterConfig().known_tunnels is FilterConfig().known_tunnels
+        first, second = (FilterConfig.from_files(watchlist="builtin") for _ in range(2))
+        assert first.known_tunnels is second.known_tunnels
+        assert first.watchlist is second.watchlist

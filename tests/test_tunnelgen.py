@@ -170,7 +170,7 @@ class TestValidation:
         calls = []
         monkeypatch.setattr(tunnelgen, "derive_plan", lambda *args: calls.append(args) or derive_plan(*args))
         cfg = demo_config(seed=5)
-        cfg.tunnels.append(TunnelSpec("dnscat", "tun-fixed.net", "q", queries=3))
+        cfg = cfg._replace(tunnels=(*cfg.tunnels, TunnelSpec("dnscat", "tun-fixed.net", "q", queries=3)))
         list(generate(cfg, profiles))
         assert len(calls) == len(cfg.tunnels)
 
