@@ -10,6 +10,7 @@ common reasons real feeds contain high-volume or oddly-shaped names.
 from __future__ import annotations
 
 import base64
+import binascii
 import gzip
 import io
 import json
@@ -18,6 +19,7 @@ import re
 from bisect import bisect_right
 from datetime import date, datetime, timedelta, timezone
 from hashlib import blake2b
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -30,7 +32,7 @@ from pdnskit.fingerprint import (
     ImplementationProfile,
     ProfileSet,
 )
-from pdnskit.model import MAX_NAME_BYTES, ConfigError, Fqdn, FqdnError, PdnsEntry, RRType, parse_fqdn
+from pdnskit.model import MAX_NAME_BYTES, ConfigError, Fqdn, FqdnError, PdnsEntry, RRType, _new_tuple, parse_fqdn
 from pdnskit.tables import read_json, write_csv
 
 __all__ = [
@@ -46,9 +48,9 @@ __all__ = [
     "MAX_TOTAL_QUERIES",
 ]
 
-_DIGITS = "0123456789"
-_LOWER = "abcdefghijklmnopqrstuvwxyz"
-_BASE36 = _LOWER + _DIGITS
+_DIGITS = b"0123456789"
+_LOWER = b"abcdefghijklmnopqrstuvwxyz"
+_BASE36 = (_LOWER + _DIGITS).decode("ascii")
 
 # The most queries one config may generate over all its streams, so that a
 # size such as `"payload_bytes": 1e15` is refused instead of run for days.
@@ -163,29 +165,57 @@ def _derive_seed(root: int, *parts) -> int:
     return int.from_bytes(blake2b(key, digest_size=8).digest(), "big")
 
 
-class _Codec(NamedTuple):
-    """How tunnel payload bytes become label text in one encoding."""
+# The draws below fix every output byte. Each helper makes exactly the
+# `getrandbits` calls of the `Random` method it stands for, so it returns the
+# same values and leaves the same state, with fewer Python frames per value.
 
-    encode: Callable[[bytes], str]
-    letters: str  # first-byte alphabet for a profile whose first_char is letter only
-    digits: str  # ... digit only
+
+def _below(rng: Random, n: int) -> int:
+    """`rng.randrange(n)` for an integer n >= 1: draws of n's bit length
+    until one falls below n."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _base36(rng: Random, n: int) -> str:
+    """`"".join(_BASE36[rng.randrange(36)] for _ in range(n))`, with `_below`
+    inline: six bits, the bit length of 36, until a draw falls below 36."""
+    out = ""
+    while len(out) < n:
+        r = rng.getrandbits(6)
+        if r < 36:
+            out += _BASE36[r]
+    return out
+
+
+class _Codec(NamedTuple):
+    """How tunnel payload bytes become label text, as ASCII bytes, in one
+    encoding."""
+
+    encode: Callable[[bytes], bytes]
+    letters: bytes  # first-byte alphabet for a profile whose first_char is letter only
+    digits: bytes  # ... digit only
     # (chars, at least): tail positions are rewritten, in this order, until the
     # text holds that many of the chars, so every chunk carries its encoding's
     # signature characters. Plain alphanumerics must not look like base32/hex.
-    tails: tuple[tuple[str, int], ...]
+    tails: tuple[tuple[bytes, int], ...]
 
+
+_BASE36_BY_BYTE = bytes(ord(_BASE36[b % 36]) for b in range(256))
 
 _CODECS = {
     ENCODING_BASE32: _Codec(
-        lambda data: base64.b32encode(data).decode("ascii").lower().rstrip("="),
-        _LOWER, "234567", (("234567", 1),),
+        lambda data: base64.b32encode(data).lower().rstrip(b"="), _LOWER, b"234567", ((b"234567", 1),)
     ),
-    ENCODING_HEX: _Codec(bytes.hex, "abcdef", _DIGITS, ((_DIGITS, 1),)),
+    ENCODING_HEX: _Codec(binascii.hexlify, b"abcdef", _DIGITS, ((_DIGITS, 1),)),
     ENCODING_BASE64: _Codec(
-        lambda data: base64.urlsafe_b64encode(data).decode("ascii").rstrip("="),
-        _LOWER, _DIGITS, (("-_", 2), (_DIGITS, 1), (_LOWER, 1), (_LOWER.upper(), 1)),
+        lambda data: base64.urlsafe_b64encode(data).rstrip(b"="),
+        _LOWER, _DIGITS, ((b"-_", 2), (_DIGITS, 1), (_LOWER, 1), (_LOWER.upper(), 1)),
     ),
-    ENCODING_NONE: _Codec(lambda data: "".join(_BASE36[b % 36] for b in data), _LOWER, _DIGITS, (("0189", 4),)),
+    ENCODING_NONE: _Codec(lambda data: data.translate(_BASE36_BY_BYTE), _LOWER, _DIGITS, ((b"0189", 4),)),
 }
 
 
@@ -194,29 +224,28 @@ class _QueryPlan(NamedTuple):
 
     codec: _Codec
     bytes_per_query: int
-    head_label_len: int  # the first chunk label; the others are chunk_label_len
-    chunk_label_len: int
-    n_chunk_labels: int
-    marker_labels: tuple[str, ...]
+    prefix: str  # the marker labels, normalized, each followed by its dot
+    cuts: tuple[slice, ...]  # the chunk labels' places in the payload text
     rrtype_cycle: tuple[RRType, ...]
-    lead_chars: str  # candidate replacement chars for the first byte, "" = free
+    lead_chars: bytes  # candidate replacement chars for the first byte, b"" = free
 
     def queries_for(self, payload_bytes: int) -> int:
         return max(1, math.ceil(payload_bytes / self.bytes_per_query))
 
     def chunk(self, rng: Random) -> str:
         """One query's payload labels joined without dots."""
-        chars = list(self.codec.encode(rng.randbytes(self.bytes_per_query)))
-        if self.lead_chars and chars[0] not in self.lead_chars:
-            chars[0] = self.lead_chars[rng.randrange(len(self.lead_chars))]
+        chars = bytearray(self.codec.encode(rng.randbytes(self.bytes_per_query)))
+        lead = self.lead_chars
+        if lead and chars[0] not in lead:
+            chars[0] = lead[_below(rng, len(lead))]
         slot = 0
         for required, at_least in self.codec.tails:
-            have = sum(c in required for c in chars)
+            have = len(chars) - len(chars.translate(None, required))
             while have < at_least:
                 slot += 1
-                chars[-slot] = required[rng.randrange(len(required))]
+                chars[-slot] = required[_below(rng, len(required))]
                 have += 1
-        return "".join(chars)
+        return chars.decode("ascii")
 
 
 def derive_plan(profile: ImplementationProfile, sld: str, third: str) -> _QueryPlan:
@@ -227,6 +256,8 @@ def derive_plan(profile: ImplementationProfile, sld: str, third: str) -> _QueryP
     """
     if not profile.encodings:
         raise GenConfigError(f"profile {profile.name}: no encoding listed")
+    if not profile.rrtypes:
+        raise GenConfigError(f"profile {profile.name}: no rrtype listed")
     encoding = profile.encodings[0]  # first listed = native encoding
     codec = _CODECS.get(encoding)
     if codec is None:
@@ -265,28 +296,37 @@ def derive_plan(profile: ImplementationProfile, sld: str, third: str) -> _QueryP
             f"profile {profile.name}: derived payload length {payload_len} "
             f"outside declared range {profile.payload_len}"
         )
+    if chars < sum(at_least for _, at_least in codec.tails):
+        raise GenConfigError(f"profile {profile.name}: {chars} chars cannot hold the {encoding} signature")
+    # Chunk labels have fixed lengths and no dots, so one name of the stream's
+    # shape is valid exactly when every name of the stream is, and its
+    # leading labels are the markers as parse_fqdn normalizes them.
+    chunk_labels = ["a" * rem] + ["a" * label_len] * (n_chunk - 1)
+    try:
+        shape = parse_fqdn(".".join((*marker_labels, *chunk_labels, third, sld)))
+    except FqdnError as exc:
+        raise GenConfigError(f"profile {profile.name}: generated names would be invalid ({exc.kind})") from None
+    prefix = shape.name[: len(".".join(marker_labels)) + 1] if marker_labels else ""
     if profile.first_chars == {"letter"}:
         lead_chars = codec.letters
     elif profile.first_chars == {"digit"}:
         lead_chars = codec.digits
     else:
-        lead_chars = ""
+        lead_chars = b""
     return _QueryPlan(
         codec=codec,
         bytes_per_query=bytes_per_query,
-        head_label_len=rem,
-        chunk_label_len=label_len,
-        n_chunk_labels=n_chunk,
-        marker_labels=marker_labels,
+        prefix=prefix,
+        cuts=(slice(0, rem), *(slice(at, at + label_len) for at in range(rem, chars, label_len))),
         rrtype_cycle=tuple(sorted(profile.rrtypes)),
         lead_chars=lead_chars,
     )
 
 
 def _blob(rng: Random, size: int) -> str:
-    raw = base64.b64encode(rng.randbytes(size)).decode("ascii")
+    raw = binascii.b2a_base64(rng.randbytes(size), newline=False).decode("ascii")
     while len(raw) < size:
-        raw += base64.b64encode(rng.randbytes(size)).decode("ascii")
+        raw += binascii.b2a_base64(rng.randbytes(size), newline=False).decode("ascii")
     return raw[:size]
 
 
@@ -294,22 +334,22 @@ def _downstream_rdata(rng: Random, rrtype: RRType, sld: str, third: str, i: int)
     if rrtype in ("NULL", "TXT"):
         roll = rng.random()
         if roll < 0.50:
-            size = rng.randrange(30, 85)
+            size = 30 + _below(rng, 85 - 30)
         elif roll < 0.93:
-            size = rng.randrange(120, 900)
+            size = 120 + _below(rng, 900 - 120)
         else:
-            size = rng.randrange(1050, 1400)
+            size = 1050 + _below(rng, 1400 - 1050)
         return (_blob(rng, size),)
     if rrtype == "A":
-        return (f"{rng.randrange(1, 224)}.{rng.randrange(256)}.{rng.randrange(256)}.{rng.randrange(1, 255)}",)
+        return (f"{1 + _below(rng, 223)}.{_below(rng, 256)}.{_below(rng, 256)}.{1 + _below(rng, 254)}",)
     if rrtype == "AAAA":
-        return (f"2001:db8::{rng.randrange(1, 0xffff):x}",)
+        return (f"2001:db8::{1 + _below(rng, 0xffff - 1):x}",)
     if rrtype == "CNAME":
         return (f"r{i % 16}.{third}.{sld}.",)
     if rrtype == "MX":
         return (f"10 m{i % 4}.{sld}.",)
     if rrtype == "SRV":
-        return (f"0 0 {rng.randrange(1024, 65535)} s{i % 4}.{sld}.",)
+        return (f"0 0 {1024 + _below(rng, 65535 - 1024)} s{i % 4}.{sld}.",)
     if rrtype == "PTR":
         return (f"host{i % 32}.{sld}.",)
     return (_blob(rng, 24),)
@@ -318,7 +358,9 @@ def _downstream_rdata(rng: Random, rrtype: RRType, sld: str, third: str, i: int)
 class _Background(NamedTuple):
     """One benign class. Query i's host is `prefix(rng, i)`, the labels it
     puts before the stream's zone, each with its dot, then the zone; its
-    rdata is `rdata(rng, sld, i)`. Both draw from the stream's RNG."""
+    rdata is `rdata(rng, sld, i)`. Both draw from the stream's RNG. The
+    prefix labels are short and lowercase, so a host is normalized as its
+    zone is, and `_validate` checks its length."""
 
     prefix: Callable[[Random, int], str]
     rrtype: RRType
@@ -349,14 +391,14 @@ _BACKGROUNDS = {
         lambda rng, sld, i: (f"v=DKIM1; k=rsa; p={_blob(rng, 180)}",),
     ),
     "rdns-arpa": _Background(
-        lambda rng, i: f"{rng.randrange(256)}.{rng.randrange(256)}.{rng.randrange(256)}.",
+        lambda rng, i: f"{_below(rng, 256)}.{_below(rng, 256)}.{_below(rng, 256)}.",
         RRType.parse("PTR"),
         lambda rng, sld, i: _downstream_rdata(rng, "PTR", sld, "", i),
         lambda sld, octet: parse_fqdn(f"{octet}.in-addr.arpa"),
     ),
     # Many random subdomains resolving to loopback.
     "localhost-style": _Background(
-        lambda rng, i: "".join(_BASE36[rng.randrange(36)] for _ in range(10)) + ".",
+        lambda rng, i: _base36(rng, 10) + ".",
         RRType.parse("A"),
         lambda rng, sld, i: ("127.0.0.1",),
     ),
@@ -368,7 +410,7 @@ BACKGROUND_KINDS = tuple(_BACKGROUNDS)
 def _timestamp(start: datetime, span_s: int, i: int, n: int, rng: Random) -> datetime:
     slot = span_s * i // n
     width = max(1, span_s // n)
-    return start + timedelta(seconds=min(span_s - 1, slot + rng.randrange(width)))
+    return start + timedelta(0, min(span_s - 1, slot + _below(rng, width)))  # (days, seconds)
 
 
 def _invalid(message: str) -> GenConfigError:
@@ -451,51 +493,50 @@ def _validate(config: GenConfig, profiles: ProfileSet) -> tuple[list[_TunnelStre
 def _gen_tunnel(
     stream: _TunnelStream, label: str, start: datetime, span_s: int, seed: int
 ) -> Iterator[LabeledEntry]:
+    """The stream's entries. Each name is built from the labels made here, as
+    `parse_fqdn` would build it: the chunk text folded to lowercase (it is
+    ASCII) between the plan's normalized markers and the stream's zone.
+    `derive_plan` has checked the labels and length of every name."""
     sld, third, plan, n_queries = stream
     rng = Random(seed)
-    bailiwick = parse_fqdn(f"{third.name}.{sld.name}")
-    head, L = plan.head_label_len, plan.chunk_label_len
+    bailiwick = _new_tuple(Fqdn, (third.labels + sld.labels, f"{third.name}.{sld.name}"))
+    prefix, cuts, suffix, rrtypes = plan.prefix, plan.cuts, "." + bailiwick.name, plan.rrtype_cycle
     for i in range(n_queries):
-        text = plan.chunk(rng)
-        labels = list(plan.marker_labels) + [text[:head]] + [
-            text[head + k * L : head + (k + 1) * L] for k in range(plan.n_chunk_labels - 1)
-        ]
-        rrname = parse_fqdn(".".join(labels) + f".{bailiwick.name}")
-        rrtype = plan.rrtype_cycle[i % len(plan.rrtype_cycle)]
-        entry = PdnsEntry(
-            domain=sld,
-            time_seen=_timestamp(start, span_s, i, n_queries, rng),
-            bailiwick=bailiwick,
-            rrname=rrname,
-            rrclass="IN",
-            rrtype=rrtype,
-            rdata=_downstream_rdata(rng, rrtype, sld.name, third.name, i),
+        text = plan.chunk(rng).lower()
+        name = prefix + ".".join(map(text.__getitem__, cuts)) + suffix
+        rrtype = rrtypes[i % len(rrtypes)]
+        entry = (
+            sld,
+            _timestamp(start, span_s, i, n_queries, rng),
+            bailiwick,
+            _new_tuple(Fqdn, (tuple(name.split(".")), name)),
+            "IN",
+            rrtype,
+            _downstream_rdata(rng, rrtype, sld.name, third.name, i),
         )
-        yield LabeledEntry(entry=entry, kind="tunnel", label=label)
+        yield _new_tuple(LabeledEntry, (_new_tuple(PdnsEntry, entry), "tunnel", label))
 
 
 def _gen_background(
     spec: BackgroundSpec, sld: Fqdn, start: datetime, span_s: int, seed: int
 ) -> Iterator[LabeledEntry]:
     rng = Random(seed)
-    row = _BACKGROUNDS[spec.kind]
-    zone = row.zone(sld, rng.randrange(1, 224))
-    for i in range(spec.queries):
-        rrname = parse_fqdn(row.prefix(rng, i) + zone.name)
-        rdata = row.rdata(rng, sld.name, i)
-        yield LabeledEntry(
-            entry=PdnsEntry(
-                domain=zone,
-                time_seen=_timestamp(start, span_s, i, spec.queries, rng),
-                bailiwick=zone,
-                rrname=rrname,
-                rrclass="IN",
-                rrtype=row.rrtype,
-                rdata=rdata,
-            ),
-            kind="benign",
-            label=spec.kind,
+    kind, n_queries = spec.kind, spec.queries
+    prefix_of, rrtype, rdata_of, zone_of = _BACKGROUNDS[kind]
+    zone = zone_of(sld, 1 + _below(rng, 223))
+    for i in range(n_queries):
+        name = prefix_of(rng, i) + zone.name
+        rdata = rdata_of(rng, sld.name, i)  # drawn before the time
+        entry = (
+            zone,
+            _timestamp(start, span_s, i, n_queries, rng),
+            zone,
+            _new_tuple(Fqdn, (tuple(name.split(".")), name)),
+            "IN",
+            rrtype,
+            rdata,
         )
+        yield _new_tuple(LabeledEntry, (_new_tuple(PdnsEntry, entry), "benign", kind))
 
 
 def generate(
@@ -531,23 +572,18 @@ def _generate(
         yield from _gen_background(spec, sld, start, span_s, seed)
 
 
-# json.dumps with any option builds a new encoder per call; this one is
-# built once, with the same defaults.
-_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
-
-
 def _corpus_record(entry: PdnsEntry) -> str:
-    domain, bailiwick = entry.domain, entry.bailiwick
-    obj = {
-        "domain": domain.dotted if domain else "",
-        "time_seen": entry.time_seen.isoformat(" ")[:19],
-        "bailiwick": bailiwick.dotted if bailiwick else "",
-        "rrname": entry.rrname.dotted,
-        "rrclass": entry.rrclass,
-        "rrtype": str(entry.rrtype),
-        "rdata": list(entry.rdata),
-    }
-    return _encode_compact(obj)
+    """One corpus line, newline included: the bytes of `json.dumps` of the
+    record's object with `separators=(",", ":")`, each string escaped by
+    json's own C escaper. A timestamp is digits and separators only."""
+    domain, time_seen, bailiwick, rrname, rrclass, rrtype, rdata = entry
+    return (
+        f'{{"domain":{_json_str(domain.name + "." if domain else "")},'
+        f'"time_seen":"{time_seen.isoformat(" ")[:19]}",'
+        f'"bailiwick":{_json_str(bailiwick.name + "." if bailiwick else "")},'
+        f'"rrname":{_json_str(rrname.name + ".")},"rrclass":{_json_str(rrclass)},'
+        f'"rrtype":{_json_str(rrtype)},"rdata":[{",".join(map(_json_str, rdata))}]}}\n'
+    )
 
 
 def write_corpus(entries: Iterable[LabeledEntry], corpus_path: str | Path) -> tuple[Path, Path]:
@@ -564,12 +600,12 @@ def write_corpus(entries: Iterable[LabeledEntry], corpus_path: str | Path) -> tu
         fh = io.TextIOWrapper(gzip.GzipFile(corpus_path, "wb", mtime=0), encoding="utf-8")
     else:
         fh = open(corpus_path, "w", encoding="utf-8")
+    record, write = _corpus_record, fh.write
     with fh:
-        for item in entries:
-            fh.write(_corpus_record(item.entry))
-            fh.write("\n")
-            rrname = item.entry.rrname.name
-            labels.setdefault(rrname, (rrname, item.kind, item.label))
+        for entry, kind, label in entries:
+            write(record(entry))
+            rrname = entry.rrname.name
+            labels.setdefault(rrname, (rrname, kind, label))
     write_csv(labels_path, ("rrname", "kind", "class"), labels.values())
     return corpus_path, labels_path
 

@@ -15,13 +15,17 @@ each with one line on stderr that names the file; any labels sidecar, built
 from random bytes and rows, exits 0 or 3. A `gen` config from which
 the generator would make a host over 253 bytes, or that holds an unknown
 key or a value of the wrong type, exits 3 with one line that names the key,
-field or SLD, and writes nothing. A JSON `\\u` escape that decodes
+field or SLD, and writes nothing; so does a `gen --profiles` file from
+which it would make an invalid name, such as a chunk label or marker over
+63 bytes, and `gen` with a profile file built from random values exits 0,
+with valid names only, or 3. A JSON `\\u` escape that decodes
 to a lone surrogate, in a name field or in rdata, counts as `BadEncoding`
 in every command; in a `--config` or `gen --config` file, it exits 3.
 A CSV corpus, or a side input of any kind, that starts with a UTF-8 byte
 order mark reads as it would without it, and a `gen` corpus dated before the year 1000 reads back whole.
 """
 
+import configparser
 import csv
 import io
 import json
@@ -41,6 +45,7 @@ from hypothesis import strategies as st
 
 import pdnskit
 from pdnskit.ingest import CSV_COLUMNS
+from pdnskit.model import parse_fqdn
 
 from conftest import TABLE_RECORD
 
@@ -975,13 +980,13 @@ def test_hostile_domain_lists_exit_zero_or_three(tmp_path, capsys, lists):
         assert snapshot(out) == before
 
 
-def assert_gen_refuses(tmp_path, capsys, config, message: str) -> None:
-    """`gen --config` with `config` exits 3 with `message` as its one stderr
-    line and writes nothing."""
+def assert_gen_refuses(tmp_path, capsys, config, message: str, *options) -> None:
+    """`gen --config` with `config`, and any other `options`, exits 3 with
+    `message` as its one stderr line and writes nothing."""
     path = tmp_path / "gen.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "out"
-    code, errors = run_cli(capsys, "gen", "--config", path, "--out", out)
+    code, errors = run_cli(capsys, "gen", "--config", path, "--out", out, *options)
     assert code == 3
     assert errors == [message]
     assert not out.exists()
@@ -1052,3 +1057,111 @@ BAD_GEN_CONFIGS = [
 )
 def test_bad_gen_config_names_the_key_and_exits_three(tmp_path, capsys, config, message):
     assert_gen_refuses(tmp_path, capsys, config, message)
+
+
+SHIPPED_PROFILES = configparser.ConfigParser(interpolation=None)
+SHIPPED_PROFILES.read(Path(pdnskit.__file__).parent / "data" / "tunnel_profiles.conf", encoding="utf-8")
+
+
+def write_profiles(path: Path, sections: dict) -> Path:
+    """A profile file holding `sections`, each a dict of key to raw value."""
+    path.write_text(
+        "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items()) for name, keys in sections.items()),
+        encoding="utf-8",
+    )
+    return path
+
+
+def shipped_with(section: str, **values) -> dict:
+    """The shipped profiles, with `values` set in `section`."""
+    sections = {name: dict(SHIPPED_PROFILES[name]) for name in SHIPPED_PROFILES.sections()}
+    sections[section].update(values)
+    return sections
+
+
+_GEN_TUN_ALPHA = _BAD + "tunnel SLD 'tun-alpha.net': profile "
+
+# (profile, values set in its shipped section, the stderr line): each makes
+# names, or a chunk, that the generator cannot build.
+BAD_GEN_PROFILES = [
+    (
+        "iodine-null",
+        {"label4_len": "70..80", "payload_len": "100..200"},
+        _GEN_TUN_ALPHA + "iodine-null: generated names would be invalid (LabelTooLong)",
+    ),
+    (
+        "dnscat2",
+        {"markers": "d" * 64, "payload_len": "100..300"},
+        _GEN_TUN_ALPHA + "dnscat2: generated names would be invalid (LabelTooLong)",
+    ),
+    ("iodine-null", {"rrtypes": ""}, _GEN_TUN_ALPHA + "iodine-null: no rrtype listed"),
+    (
+        "your-freedom",
+        {"label4_len": "1..1", "payload_len": "1..62"},
+        _GEN_TUN_ALPHA + "your-freedom: 1 chars cannot hold the none signature",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "profile, values, message", BAD_GEN_PROFILES, ids=["long-chunk-label", "long-marker", "no-rrtype", "short-chunk"]
+)
+def test_gen_profile_making_bad_names_exits_three(tmp_path, capsys, profile, values, message):
+    profiles = write_profiles(tmp_path / "profiles.conf", shipped_with(profile, **values))
+    config = {"tunnels": [{"profile": profile, "sld": "tun-alpha.net", "queries": 3}]}
+    assert_gen_refuses(tmp_path, capsys, config, message, "--profiles", profiles)
+
+
+# Raw values for each profile key: in range, out of range, and shapes the
+# generator has to refuse (labels over 63 bytes, empty or dotted markers).
+_PROFILE_VALUES = {
+    "rrtypes": ["NULL", "TXT, CNAME, MX", "", "A.B", "nul-l"],
+    "levels": ["4..4", "5..6", "6..6", "3..3", "9..9", "6..4", "0..0", "x"],
+    "label4_len": ["1..1", "34..34", "48..48", "63..63", "64..64", "70..80", "0..0", "-5..-5", "999..999"],
+    "label5_len": ["34..34", "48..48", "70..80"],
+    "payload_len": ["1..1", "1..62", "105..117", "100..200", "100..300", "1..1000", "250..253"],
+    "encodings": ["base32", "hex", "base64-like", "none", "none, hex", "", "rot13"],
+    "first_char": ["letter", "digit", "letter, digit", "other", ""],
+    "markers": ["", "dnscat", "d" * 64, "x" * 63, "a.b", "a..b", ".", "AB", "É"],
+    "provider_sld": ["3char.de", "xchar.de"],
+}
+
+
+@st.composite
+def hostile_profile_st(draw):
+    """(name, section): a shipped profile with up to three keys set to a
+    listed value or random text, or removed."""
+    name = draw(st.sampled_from(SHIPPED_PROFILES.sections()))
+    section = dict(SHIPPED_PROFILES[name])
+    for key in draw(st.lists(st.sampled_from(sorted(_PROFILE_VALUES)), max_size=3, unique=True)):
+        values = _PROFILE_VALUES[key]
+        value = draw(st.one_of(st.sampled_from(values), st.sampled_from([*values, None]), st.text(max_size=6)))
+        if value is None:
+            section.pop(key, None)
+        else:
+            section[key] = value
+    return name, section
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    profile=hostile_profile_st(),
+    sld=st.sampled_from(["tun-alpha.net", "53r.de", "Tun-Ä.Example"]),
+    queries=st.integers(1, 3),
+)
+def test_hostile_gen_profiles_exit_zero_or_three(tmp_path, capsys, profile, sld, queries):
+    name, section = profile
+    profiles = write_profiles(tmp_path / "profiles.conf", {name: section})
+    config = tmp_path / "gen.json"
+    config.write_text(json.dumps({"tunnels": [{"profile": name, "sld": sld, "queries": queries}]}), encoding="utf-8")
+    out = tmp_path / "out"
+    before = snapshot(out)
+    code, errors = run_cli(capsys, "gen", "--config", config, "--profiles", profiles, "--out", out)
+    assert code in (0, 3), errors
+    assert len(errors) <= 1 and not any("Traceback" in line for line in errors)
+    if code == 3:
+        assert snapshot(out) == before
+        return
+    rrnames = [json.loads(line)["rrname"] for line in (out / "corpus.ndjson").read_text(encoding="utf-8").splitlines()]
+    assert len(rrnames) == queries
+    assert all(parse_fqdn(rrname).dotted == rrname for rrname in rrnames)

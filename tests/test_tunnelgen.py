@@ -1,11 +1,16 @@
 import gzip
 import hashlib
 import math
+from pathlib import Path
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdnskit.fingerprint import ProfileSet
 from pdnskit.ingest import IngestStats, read_stream
+from pdnskit.model import parse_fqdn
 from pdnskit.pipeline import FilterConfig
 from pdnskit.tables import read_labels
 from pdnskit.tunnelgen import (
@@ -20,6 +25,7 @@ from pdnskit.tunnelgen import (
     generate,
     write_corpus,
 )
+from pdnskit.tunnelgen import _base36, _below
 
 from conftest import keep_stage
 
@@ -132,6 +138,78 @@ class TestGenerate:
         assert any(s <= 100 for s in sizes)
         assert any(100 < s <= 1000 for s in sizes)
         assert any(s > 1000 for s in sizes)
+
+
+class TestDraws:
+    """The generator's draw helpers stand for `Random.randrange`: the same
+    values from the same seed, and the same RNG state after. A change to
+    CPython's algorithm shows here before it shows as a golden digest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64),
+        n=st.one_of(
+            st.sampled_from([1, 2, 36]),
+            st.integers(0, 80).map(lambda k: 2**k),
+            st.integers(0, 80).map(lambda k: 2**k + 1),
+            st.integers(1, 2**300),
+        ),
+    )
+    def test_below_is_randrange(self, seed, n):
+        ours, ref = Random(seed), Random(seed)
+        assert [_below(ours, n) for _ in range(5)] == [ref.randrange(n) for _ in range(5)]
+        assert ours.getstate() == ref.getstate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64), n=st.sampled_from([1, 2, 10, 37]))
+    def test_base36_is_randrange_36(self, seed, n):
+        alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
+        ours, ref = Random(seed), Random(seed)
+        assert _base36(ours, n) == "".join(alphabet[ref.randrange(36)] for _ in range(n))
+        assert ours.getstate() == ref.getstate()
+
+
+EVERY_SHAPE = Path(__file__).parent / "golden" / "gen" / "every_shape.json"
+
+# Upper-case ASCII is folded in generated names; a non-ASCII letter, upper
+# case included, is kept as parse_fqdn keeps it. The test also gives
+# dnscat2 a marker in mixed case.
+MIXED_CASE = GenConfig(
+    seed=21,
+    tunnels=tuple(
+        TunnelSpec(profile, sld, third, queries=4)
+        for profile, sld, third in [
+            ("iodine-null", "Tun-Ä.Example", "T"),
+            ("dns2tcp", "TÜN.net", "Dé"),
+            ("dnscat2", "Tun.Éx", "C"),
+            ("your-freedom", "53R.DE", "A"),
+            ("tunnelguru", "QV4.in", "G"),
+            ("ozymandns", "ozy.Ñet", "UP"),
+        ]
+    ),
+    background=tuple(
+        BackgroundSpec(kind, sld, 9)
+        for kind, sld in zip(BACKGROUND_KINDS, ["Shop.Ä", "CDN.Example", "Mäil.ORG", "Bulk.Ø", "Pool.ÉX", "Loop.Ü"])
+    ),
+)
+
+
+@pytest.mark.parametrize("case", ["every-shape", "mixed-case"])
+def test_generated_names_are_parse_fqdns(profiles, case):
+    if case == "every-shape":
+        config = GenConfig.from_json_file(EVERY_SHAPE)
+    else:
+        config = MIXED_CASE
+        profiles = ProfileSet([p._replace(markers=("DnsCÄt",)) if p.name == "dnscat2" else p for p in profiles])
+    zones = {parse_fqdn(spec.sld).name for spec in (*config.tunnels, *config.background)}
+    for item in generate(config, profiles):
+        entry = item.entry
+        for fqdn in (entry.rrname, entry.domain, entry.bailiwick):
+            parsed = parse_fqdn(fqdn.name)
+            assert type(fqdn) is type(parsed)
+            assert (fqdn.labels, fqdn.name) == (parsed.labels, parsed.name)
+        assert entry.domain.name in zones or entry.domain.name.endswith(".in-addr.arpa")
+        assert entry.rrname.labels[-len(entry.bailiwick.labels) :] == entry.bailiwick.labels
 
 
 class TestValidation:
