@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import base64
 import binascii
+import contextlib
 import gzip
-import io
 import json
 import math
+import queue
 import re
+import threading
 from bisect import bisect_right
 from datetime import date, datetime, timedelta, timezone
 from hashlib import blake2b
@@ -265,12 +267,14 @@ def derive_plan(profile: ImplementationProfile, sld: str, third: str) -> _QueryP
     n_left = profile.levels[0] - 3  # labels left of the third-level label
     if n_left < 1:
         raise GenConfigError(f"profile {profile.name}: level range leaves no payload")
-    marker_labels = profile.markers
-    n_chunk = n_left - len(marker_labels)
+    markers = profile.markers
+    # A marker may hold dots: "dns.cat" is two labels of three bytes each.
+    n_markers = sum(m.count(".") + 1 for m in markers)
+    n_chunk = n_left - n_markers
     if n_chunk < 1:
         raise GenConfigError(f"profile {profile.name}: markers leave no chunk labels")
     label_len = profile.label4_len[0]
-    marker_chars = sum(len(m) for m in marker_labels)
+    marker_chars = sum(len(m.encode()) - m.count(".") for m in markers)
     wire_cap = MAX_NAME_BYTES - 2 - len(third.encode()) - len(sld.encode())
     cap = min(
         profile.payload_len[1] - (n_left - 1) - marker_chars,
@@ -303,10 +307,10 @@ def derive_plan(profile: ImplementationProfile, sld: str, third: str) -> _QueryP
     # leading labels are the markers as parse_fqdn normalizes them.
     chunk_labels = ["a" * rem] + ["a" * label_len] * (n_chunk - 1)
     try:
-        shape = parse_fqdn(".".join((*marker_labels, *chunk_labels, third, sld)))
+        shape = parse_fqdn(".".join((*markers, *chunk_labels, third, sld)))
     except FqdnError as exc:
         raise GenConfigError(f"profile {profile.name}: generated names would be invalid ({exc.kind})") from None
-    prefix = shape.name[: len(".".join(marker_labels)) + 1] if marker_labels else ""
+    prefix = "".join(label + "." for label in shape.labels[:n_markers])
     if profile.first_chars == {"letter"}:
         lead_chars = codec.letters
     elif profile.first_chars == {"digit"}:
@@ -586,6 +590,59 @@ def _corpus_record(entry: PdnsEntry) -> str:
     )
 
 
+# The corpus is written in blocks of about this many characters (one line
+# more at most). A gzip corpus's blocks are deflated on a worker thread; its
+# bytes do not depend on where the text is cut into blocks.
+_BLOCK_CHARS = 1 << 18
+
+
+@contextlib.contextmanager
+def _block_writer(path: Path) -> Iterator[Callable[[bytes], object]]:
+    """Yield a function that writes one block of the corpus at `path`.
+
+    A `.gz` corpus is deflated at level 9 on a worker thread, through a
+    queue of two blocks: zlib and `crc32` release the GIL, so the caller
+    makes the next block meanwhile. The worker has ended when this exits,
+    and the stream ends as a `TextIOWrapper` over the `GzipFile` would end
+    it on close: a sync flush, then the trailer. An error in either thread
+    ends the write; the other's blocks are then dropped."""
+    if not path.name.endswith(".gz"):
+        with open(path, "wb") as fh:
+            yield fh.write
+        return
+    blocks: queue.Queue = queue.Queue(2)
+    failed: list[BaseException] = []  # what ended the write, from either thread; raised here
+
+    def deflate() -> None:
+        for block in iter(blocks.get, None):
+            if not failed:
+                try:
+                    gz.write(block)
+                except BaseException as exc:
+                    failed.append(exc)
+
+    def put(block: bytes) -> None:
+        if failed:
+            raise failed[0]
+        blocks.put(block)
+
+    # A zero header mtime keeps the bytes a function of the seed alone.
+    with gzip.GzipFile(path, "wb", mtime=0) as gz:
+        worker = threading.Thread(target=deflate, name="pdnskit-deflate")
+        worker.start()
+        try:
+            yield put
+        except BaseException as exc:
+            failed.append(exc)
+            raise
+        finally:
+            blocks.put(None)
+            worker.join()
+        if failed:
+            raise failed[0]
+        gz.flush()
+
+
 def write_corpus(entries: Iterable[LabeledEntry], corpus_path: str | Path) -> tuple[Path, Path]:
     """Write the NDJSON corpus (gzip if the name ends in .gz) plus the
     labels sidecar CSV keyed by normalized rrname, one row per rrname:
@@ -595,18 +652,20 @@ def write_corpus(entries: Iterable[LabeledEntry], corpus_path: str | Path) -> tu
     stem = corpus_path.name.removesuffix(".gz").rsplit(".", 1)[0]
     labels_path = corpus_path.with_name(stem + ".labels.csv")
     labels: dict[str, tuple[str, str, str]] = {}  # rrname -> its sidecar row
-    if corpus_path.name.endswith(".gz"):
-        # A zero header mtime keeps the bytes a function of the seed alone.
-        fh = io.TextIOWrapper(gzip.GzipFile(corpus_path, "wb", mtime=0), encoding="utf-8")
-    else:
-        fh = open(corpus_path, "w", encoding="utf-8")
-    record, write = _corpus_record, fh.write
-    with fh:
+    record, lines, held = _corpus_record, [], 0
+    with _block_writer(corpus_path) as write:
         for entry, kind, label in entries:
-            write(record(entry))
+            line = record(entry)
+            lines.append(line)
+            held += len(line)
             rrname = entry.rrname.name
             labels.setdefault(rrname, (rrname, kind, label))
-    write_csv(labels_path, ("rrname", "kind", "class"), labels.values())
+            if held >= _BLOCK_CHARS:
+                write("".join(lines).encode())
+                lines, held = [], 0
+        write("".join(lines).encode())
+        # Before the worker is joined, so that it overlaps the last deflate.
+        write_csv(labels_path, ("rrname", "kind", "class"), labels.values())
     return corpus_path, labels_path
 
 

@@ -7,8 +7,12 @@ short is the one fault that ends the input: every command keeps the records
 before the cut, writes its artifacts and then exits 2. A write that fails
 or is interrupted part-way, in any command, `gen` and `report` included,
 leaves what a previous run wrote as it was (an interrupt exits 130, SIGTERM
-143 and SIGHUP 129), and a run removes those of its command's artifacts that it did not write. A side
-input that is not UTF-8, a labels row short of fields or an `--alexa` list
+143 and SIGHUP 129), and a run removes those of its command's artifacts that it did not write.
+A gzip `gen` whose deflate worker meets a full disk exits 2, and one whose
+entries are interrupted exits 130; either ends with no thread left running.
+A `gen` profile whose dotted marker leaves the chunk labels too little room
+exits 3.
+A side input that is not UTF-8, a labels row short of fields or an `--alexa` list
 with no domain exits 3, a domain list line that is not a hostname exits 3
 naming the file and the line, and `report` on a damaged artifact exits 2,
 each with one line on stderr that names the file; any labels sidecar, built
@@ -18,7 +22,7 @@ key or a value of the wrong type, exits 3 with one line that names the key,
 field or SLD, and writes nothing; so does a `gen --profiles` file from
 which it would make an invalid name, such as a chunk label or marker over
 63 bytes, and `gen` with a profile file built from random values exits 0,
-with valid names only, or 3. A JSON `\\u` escape that decodes
+with valid names at the profile's level count only, or 3. A JSON `\\u` escape that decodes
 to a lone surrogate, in a name field or in rdata, counts as `BadEncoding`
 in every command; in a `--config` or `gen --config` file, it exits 3.
 A CSV corpus, or a side input of any kind, that starts with a UTF-8 byte
@@ -44,6 +48,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pdnskit
+from pdnskit.fingerprint import ProfileSet
 from pdnskit.ingest import CSV_COLUMNS
 from pdnskit.model import parse_fqdn
 
@@ -481,6 +486,61 @@ def test_broken_write_leaves_previous_output(tmp_path, capsys, monkeypatch, comm
     reseed = ["--seed", 8] if command == "gen" else []
     assert run_cli(capsys, *argv, *reseed) == (code, errors)
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def fail_deflate_after_first_block(monkeypatch) -> None:
+    """The second block `gen` hands to its deflate worker raises ENOSPC."""
+    import gzip
+
+    write, sizes = gzip.GzipFile.write, []
+
+    def failing_write(gz, data):
+        assert threading.current_thread() is not threading.main_thread()
+        sizes.append(len(data))
+        if len(sizes) == 2:
+            raise OSError(28, "No space left on device")
+        return write(gz, data)
+
+    monkeypatch.setattr(gzip.GzipFile, "write", failing_write)
+
+
+def interrupt_entries_midway(monkeypatch) -> None:
+    """The generator's entry stream raises KeyboardInterrupt after 400 entries."""
+    from pdnskit import tunnelgen
+
+    generate = tunnelgen.generate
+
+    def interrupted(*args):
+        for i, item in enumerate(generate(*args)):
+            if i == 400:
+                raise KeyboardInterrupt
+            yield item
+
+    monkeypatch.setattr(tunnelgen, "generate", interrupted)
+
+
+@pytest.mark.parametrize(
+    "fault, code, errors",
+    [
+        (fail_deflate_after_first_block, 2, ["i/o error: [Errno 28] No space left on device"]),
+        (interrupt_entries_midway, 130, ["", "interrupted"]),
+    ],
+    ids=["disk-full-on-worker", "interrupt"],
+)
+def test_gzip_gen_fault_leaves_out_and_threads_as_they_were(tmp_path, capsys, monkeypatch, fault, code, errors):
+    from pdnskit import tunnelgen
+
+    out = tmp_path / "out"
+    argv = ["gen", "--demo", "--out", out, "--name", "corpus.ndjson.gz"]
+    assert run_cli(capsys, *argv)[0] == 0
+    before = snapshot(out)
+    threads = threading.active_count()
+    monkeypatch.setattr(tunnelgen, "_BLOCK_CHARS", 4096)  # the demo corpus in about 100 blocks
+    fault(monkeypatch)
+    assert run_cli(capsys, *argv, "--seed", 8) == (code, errors)
+    assert snapshot(out) == before
+    assert not list(out.glob(".staging.*"))
+    assert threading.active_count() == threads
 
 
 TERMINATIONS = [
@@ -1100,11 +1160,19 @@ BAD_GEN_PROFILES = [
         {"label4_len": "1..1", "payload_len": "1..62"},
         _GEN_TUN_ALPHA + "your-freedom: 1 chars cannot hold the none signature",
     ),
+    # Two marker labels leave one 50-char chunk label at dnscat2's six levels.
+    (
+        "dnscat2",
+        {"markers": "dns.cat"},
+        _GEN_TUN_ALPHA + "dnscat2: derived payload length 58 outside declared range (102, 114)",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "profile, values, message", BAD_GEN_PROFILES, ids=["long-chunk-label", "long-marker", "no-rrtype", "short-chunk"]
+    "profile, values, message",
+    BAD_GEN_PROFILES,
+    ids=["long-chunk-label", "long-marker", "no-rrtype", "short-chunk", "dotted-marker"],
 )
 def test_gen_profile_making_bad_names_exits_three(tmp_path, capsys, profile, values, message):
     profiles = write_profiles(tmp_path / "profiles.conf", shipped_with(profile, **values))
@@ -1165,3 +1233,5 @@ def test_hostile_gen_profiles_exit_zero_or_three(tmp_path, capsys, profile, sld,
     rrnames = [json.loads(line)["rrname"] for line in (out / "corpus.ndjson").read_text(encoding="utf-8").splitlines()]
     assert len(rrnames) == queries
     assert all(parse_fqdn(rrname).dotted == rrname for rrname in rrnames)
+    levels = ProfileSet.from_file(profiles).by_name[name].levels
+    assert all(len(parse_fqdn(rrname).labels) == levels[0] for rrname in rrnames)

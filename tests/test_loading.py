@@ -5,7 +5,9 @@ Every command is its own process, so whatever `pdnskit.cli` imports at
 start-up is paid by every command. The budget below keeps a top-level import
 from loading another command's modules, OpenSSL's `_hashlib`, or `click`,
 `dataclasses` and `inspect` (which `dataclasses` imports) again: no command
-needs `click`, `dataclasses` or `inspect`, and only `gen` hashes.
+needs `click`, `dataclasses` or `inspect`, and only `gen` hashes. `gen`'s
+deflate worker needs `threading`, which every command loads, and `queue`,
+which no reading command loads; no command loads `concurrent.futures`.
 """
 
 import importlib
@@ -35,6 +37,8 @@ print(json.dumps({
     "hashlib": "hashlib" in sys.modules,
     "_hashlib": "_hashlib" in sys.modules,
     "heavy": sorted(m for m in ("click", "dataclasses", "inspect") if m in sys.modules),
+    "queue": "queue" in sys.modules,
+    "concurrent": "concurrent.futures" in sys.modules,
 }))
 """
 
@@ -93,12 +97,14 @@ class TestImportBudget:
         assert not loaded & absent, sorted(loaded & absent)
         assert not facts["hashlib"] and not facts["_hashlib"]
         assert facts["heavy"] == []
+        assert not facts["queue"] and not facts["concurrent"]
 
     def test_gen_loads_the_generator_and_hashlib(self, tmp_path):
-        facts = _loaded("gen", "--demo", "--out", tmp_path / "out", cwd=tmp_path)
+        facts = _loaded("gen", "--demo", "--out", tmp_path / "out", "--name", "corpus.ndjson.gz", cwd=tmp_path)
         assert {"pdnskit.tunnelgen", "pdnskit.fingerprint"} <= set(facts["pdnskit"])
         assert facts["hashlib"]
         assert facts["heavy"] == []
+        assert facts["queue"] and not facts["concurrent"]
 
     def test_report_loads_only_the_common_modules(self, tiny_corpus, tmp_path):
         from pdnskit.cli import main

@@ -1,6 +1,9 @@
 import gzip
 import hashlib
+import io
 import math
+import sys
+import threading
 from pathlib import Path
 from random import Random
 
@@ -8,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdnskit.fingerprint import ProfileSet
+from pdnskit import tunnelgen
+from pdnskit.fingerprint import ProfileSet, classify
 from pdnskit.ingest import IngestStats, read_stream
 from pdnskit.model import parse_fqdn
 from pdnskit.pipeline import FilterConfig
@@ -25,7 +29,7 @@ from pdnskit.tunnelgen import (
     generate,
     write_corpus,
 )
-from pdnskit.tunnelgen import _base36, _below
+from pdnskit.tunnelgen import _base36, _below, _corpus_record
 
 from conftest import keep_stage
 
@@ -212,6 +216,23 @@ def test_generated_names_are_parse_fqdns(profiles, case):
         assert entry.rrname.labels[-len(entry.bailiwick.labels) :] == entry.bailiwick.labels
 
 
+# A marker holding a dot is two labels: the chunk labels make up the rest
+# of the profile's level count.
+DOTTED_MARKERS = [("dns.cat", {"levels": (7, 7)}), ("dns.cat", {"payload_len": (50, 114)}), ("a.b.c", {"levels": (8, 8)})]
+
+
+@pytest.mark.parametrize("marker, values", DOTTED_MARKERS, ids=["levels-7", "levels-6", "three-labels"])
+def test_dotted_marker_keeps_the_profile_level_count(profiles, marker, values):
+    dnscat2 = profiles.by_name["dnscat2"]._replace(markers=(marker,), **values)
+    profiles = ProfileSet([dnscat2 if p.name == "dnscat2" else p for p in profiles])
+    cfg = GenConfig(seed=4, tunnels=[TunnelSpec("dnscat2", "tun-delta.io", "c", queries=6)])
+    for item in generate(cfg, profiles):
+        rrname = item.entry.rrname
+        assert len(rrname.labels) == dnscat2.levels[0]
+        assert rrname.name.startswith(marker + ".")
+        assert classify(item.entry, profiles).implementation == "dnscat2"
+
+
 class TestValidation:
     def test_unknown_profile(self, profiles):
         cfg = GenConfig(tunnels=[TunnelSpec("no-such-tool", "x.net")])
@@ -314,3 +335,54 @@ class TestWriteCorpus:
         path.write_text('{"tunnels": [{"wrong_key": 1}]}', encoding="utf-8")
         with pytest.raises(GenConfigError):
             GenConfig.from_json_file(path)
+
+
+def one_thread_gzip(path: Path, lines) -> bytes:
+    """The bytes of `lines` gzipped the way a text file over one `GzipFile`
+    writes them: line by line, closed by `TextIOWrapper.close()`. The header
+    holds the file's name, so `path` must have the name under test."""
+    path.parent.mkdir()
+    with io.TextIOWrapper(gzip.GzipFile(path, "wb", mtime=0), encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line)
+    return path.read_bytes()
+
+
+# A corpus of several blocks, NULL tunnel records of over 1 KB included; the
+# same in blocks of 512 characters, each thread switching every 10 us; and
+# one with no entry at all.
+SEVERAL_BLOCKS = demo_config(seed=16)._replace(
+    background=(*demo_config().background, BackgroundSpec("localhost-style", "loop.example", 6000))
+)
+GZIP_CASES = {
+    "several-blocks": (SEVERAL_BLOCKS, tunnelgen._BLOCK_CHARS),
+    "tiny-blocks": (SEVERAL_BLOCKS, 512),
+    "empty": (GenConfig(seed=16), tunnelgen._BLOCK_CHARS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GZIP_CASES))
+def test_gzip_bytes_equal_a_one_thread_writer(tmp_path, profiles, monkeypatch, case):
+    config, block_chars = GZIP_CASES[case]
+    lines = [_corpus_record(item.entry) for item in generate(config, profiles)]
+    threads = threading.active_count()
+    writes = []  # (thread, size) of each block deflated
+    gzip_write = gzip.GzipFile.write
+    monkeypatch.setattr(
+        gzip.GzipFile, "write", lambda gz, data: writes.append((threading.current_thread(), len(data))) or gzip_write(gz, data)
+    )
+    monkeypatch.setattr(tunnelgen, "_BLOCK_CHARS", block_chars)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5 if case == "tiny-blocks" else interval)
+    try:
+        corpus, _ = write_corpus(generate(config, profiles), tmp_path / "c.ndjson.gz")
+    finally:
+        sys.setswitchinterval(interval)
+        monkeypatch.undo()
+    assert threading.active_count() == threads
+    assert all(thread is not threading.main_thread() for thread, _ in writes)
+    blocks = [size for _, size in writes if size]
+    assert sum(blocks) == sum(map(len, lines))
+    assert len(blocks) >= 3 if lines else not blocks
+    assert max(blocks, default=0) < block_chars + 2000
+    assert corpus.read_bytes() == one_thread_gzip(tmp_path / "reference" / corpus.name, lines)
